@@ -13,6 +13,12 @@ import (
 //	go run ./cmd/heterosim table 6 > cmd/heterosim/testdata/table6.golden
 //	go run ./cmd/heterosim table 1 > cmd/heterosim/testdata/table1.golden
 //	go run ./cmd/heterosim figure 5 -csv > cmd/heterosim/testdata/figure5.golden
+//	go run ./cmd/heterosim figure 2 -csv > cmd/heterosim/testdata/figure2.golden
+//	go run ./cmd/heterosim table 4 > cmd/heterosim/testdata/table4.golden
+//	go run ./cmd/heterosim table 5 > cmd/heterosim/testdata/table5.golden
+//
+// Figure 2 and Tables 4-5 execute and verify the real FFT/MMM/BS kernels,
+// so their goldens also pin that kernel rewrites move no published number.
 func TestGoldenOutputs(t *testing.T) {
 	cases := []struct {
 		golden string
@@ -21,6 +27,9 @@ func TestGoldenOutputs(t *testing.T) {
 		{"table6.golden", []string{"table", "6"}},
 		{"table1.golden", []string{"table", "1"}},
 		{"figure5.golden", []string{"figure", "5", "-csv"}},
+		{"figure2.golden", []string{"figure", "2", "-csv"}},
+		{"table4.golden", []string{"table", "4"}},
+		{"table5.golden", []string{"table", "5"}},
 		{"project_fft_999.golden", []string{"project", "-workload", "FFT-1024", "-f", "0.999", "-csv"}},
 	}
 	for _, c := range cases {

@@ -190,3 +190,63 @@ func TestBuildTable5MatchesPublished(t *testing.T) {
 		}
 	}
 }
+
+// TestReproductionAllocs gates the allocation cost of regenerating
+// Figure 2 and Table 5. Both execute and verify every real kernel run
+// the sweep records, so a kernel that allocates per recursion node or
+// per loop level shows up here.
+func TestReproductionAllocs(t *testing.T) {
+	s := newSim(t)
+	rig, err := measure.IdealRig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const limit = 5000
+	for _, c := range []struct {
+		name string
+		run  func() error
+	}{
+		{"BuildFigure2", func() error { _, err := BuildFigure2(s); return err }},
+		{"BuildTable5", func() error { _, err := BuildTable5(rig); return err }},
+	} {
+		var runErr error
+		allocs := testing.AllocsPerRun(1, func() {
+			if err := c.run(); err != nil {
+				runErr = err
+			}
+		})
+		if runErr != nil {
+			t.Fatalf("%s: %v", c.name, runErr)
+		}
+		if allocs >= limit {
+			t.Errorf("%s allocs = %.0f, want < %d", c.name, allocs, limit)
+		}
+		t.Logf("%s allocs = %.0f", c.name, allocs)
+	}
+}
+
+func BenchmarkBuildFigure2(b *testing.B) {
+	s, err := sim.New()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := BuildFigure2(s); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkBuildTable5(b *testing.B) {
+	rig, err := measure.IdealRig()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := BuildTable5(rig); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

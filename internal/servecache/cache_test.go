@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -136,8 +137,11 @@ func TestZeroCapacityStillCoalesces(t *testing.T) {
 			results[i] = v
 		}(i)
 	}
-	// Wait until the single evaluation is in flight, then release it.
-	for c.Stats().Inflight == 0 {
+	// Release the evaluation only once every other waiter has joined it:
+	// with storage disabled, a waiter arriving after the release would
+	// correctly start a second evaluation.
+	for c.Stats().Coalesced < waiters-1 {
+		runtime.Gosched()
 	}
 	close(gate)
 	wg.Wait()

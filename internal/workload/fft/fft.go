@@ -125,39 +125,37 @@ func ForwardCopy(x []complex128) ([]complex128, error) {
 	return out, nil
 }
 
-// ForwardRecursive computes the FFT using the textbook recursive
-// Cooley-Tukey decomposition. It allocates O(N log N) scratch and exists
-// as an independent implementation to cross-check Forward.
+// ForwardRecursive computes the FFT by the textbook out-of-place recursive
+// Cooley-Tukey decomposition. It shares no code with Forward or Plan, so it
+// cross-checks both; its only allocation is the result.
 func ForwardRecursive(x []complex128) ([]complex128, error) {
 	n := len(x)
 	if !IsPow2(n) && n != 1 {
 		return nil, ErrNotPow2
 	}
 	out := make([]complex128, n)
-	copy(out, x)
-	recurse(out)
+	recurse(out, x, 1, twiddles(n), 1)
 	return out, nil
 }
 
-func recurse(x []complex128) {
-	n := len(x)
+// recurse writes into out the DFT of in[0], in[stride], ... (len(out)
+// points). tw is twiddles(N) of the top-level N; tw[k*twStride] equals
+// twiddles(len(out))[k] bit for bit, as N/len(out) is a power of two.
+func recurse(out, in []complex128, stride int, tw []complex128, twStride int) {
+	n := len(out)
 	if n == 1 {
+		out[0] = in[0]
 		return
 	}
 	half := n / 2
-	even := make([]complex128, half)
-	odd := make([]complex128, half)
-	for i := 0; i < half; i++ {
-		even[i] = x[2*i]
-		odd[i] = x[2*i+1]
-	}
-	recurse(even)
-	recurse(odd)
-	tw := twiddles(n)
-	for k := 0; k < half; k++ {
-		t := tw[k] * odd[k]
-		x[k] = even[k] + t
-		x[k+half] = even[k] - t
+	even, odd := out[:half], out[half:]
+	recurse(even, in, 2*stride, tw, 2*twStride)
+	recurse(odd, in[stride:], 2*stride, tw, 2*twStride)
+	for k := range even {
+		t := tw[k*twStride] * odd[k]
+		e := even[k]
+		even[k] = e + t
+		odd[k] = e - t
 	}
 }
 

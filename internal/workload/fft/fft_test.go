@@ -50,7 +50,8 @@ func TestForwardMatchesDFT(t *testing.T) {
 
 func TestRecursiveMatchesIterative(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	for _, n := range []int{2, 8, 32, 128, 1024} {
+	// Up to 65536, the largest transform the simulator executes.
+	for _, n := range []int{2, 8, 32, 128, 1024, 1 << 16} {
 		x := randomSignal(rng, n)
 		rec, err := ForwardRecursive(x)
 		if err != nil {
@@ -64,6 +65,21 @@ func TestRecursiveMatchesIterative(t *testing.T) {
 		if diff > 1e-9*float64(n) {
 			t.Errorf("n=%d: recursive vs iterative diff = %g", n, diff)
 		}
+	}
+}
+
+func TestForwardRecursiveAllocatesOnlyResult(t *testing.T) {
+	x := randomSignal(rand.New(rand.NewSource(3)), 4096)
+	if _, err := ForwardRecursive(x); err != nil { // warm the twiddle cache
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := ForwardRecursive(x); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Errorf("ForwardRecursive allocs = %v, want exactly 1 (the result)", allocs)
 	}
 }
 

@@ -118,15 +118,15 @@ func Blocked(a, b *Matrix, block int) (*Matrix, error) {
 
 func multiplyBlock(a, b, c *Matrix, ii, iMax, kk, kMax, jj, jMax int) {
 	for i := ii; i < iMax; i++ {
+		crow := c.Data[i*c.Cols:][jj:jMax]
 		for k := kk; k < kMax; k++ {
 			av := a.Data[i*a.Cols+k]
 			if av == 0 {
 				continue
 			}
-			brow := b.Data[k*b.Cols:]
-			crow := c.Data[i*c.Cols:]
-			for j := jj; j < jMax; j++ {
-				crow[j] += av * brow[j]
+			brow := b.Data[k*b.Cols:][jj:jMax]
+			for j, bv := range brow {
+				crow[j] += av * bv
 			}
 		}
 	}

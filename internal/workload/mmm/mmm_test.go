@@ -111,6 +111,37 @@ func TestParallelMatchesNaive(t *testing.T) {
 	}
 }
 
+// TestVariantsBitIdentical pins that blocking and row-band parallelism
+// only reorder which (i, j) cells are visited: each cell still
+// accumulates k-ascending, so all three variants agree bit for bit.
+func TestVariantsBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for _, n := range []int{1, 7, 130, 192} {
+		a := randomMatrix(rng, n, n)
+		b := randomMatrix(rng, n, n)
+		want, err := Naive(a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, block := range []int{1, 16, 128, n} {
+			blocked, err := Blocked(a, b, block)
+			if err != nil {
+				t.Fatal(err)
+			}
+			par, err := Parallel(a, b, block, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, w := range want.Data {
+				if blocked.Data[i] != w || par.Data[i] != w {
+					t.Fatalf("n=%d block=%d: element %d naive %v blocked %v parallel %v",
+						n, block, i, w, blocked.Data[i], par.Data[i])
+				}
+			}
+		}
+	}
+}
+
 func TestDimensionMismatch(t *testing.T) {
 	a, _ := New(2, 3)
 	b, _ := New(4, 2)
