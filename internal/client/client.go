@@ -194,6 +194,9 @@ type Client struct {
 
 	mu  sync.Mutex
 	rng *rand.Rand
+
+	// maxBody caps one response body (maxResponseBytes).
+	maxBody int64
 }
 
 // New builds a client from the config.
@@ -206,6 +209,7 @@ func New(cfg Config) (*Client, error) {
 		cfg:       cfg,
 		endpoints: endpoints,
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
+		maxBody:   maxResponseBytes,
 	}, nil
 }
 
@@ -416,23 +420,87 @@ func (c *Client) attempt(ctx context.Context, method, base, path string, body []
 	a.Status = res.StatusCode
 	a.Cache = res.Header.Get("X-Heterosim-Cache")
 	a.Fault = res.Header.Get("X-Fault-Injected")
-	payload, err := io.ReadAll(io.LimitReader(res.Body, 64<<20))
+	buf, err := c.readBody(res, path)
 	if err != nil {
-		// Truncated or reset mid-body: idempotent, so retryable.
-		return &TransportError{Endpoint: path, Err: err}
+		return err
 	}
+	defer buf.free()
 	if res.StatusCode != http.StatusOK {
-		return apiErrorFrom(res, payload, path)
+		return apiErrorFrom(res, buf.Bytes(), path)
 	}
 	if out == nil {
 		return nil
 	}
-	if err := json.Unmarshal(payload, out); err != nil {
+	if err := decodeJSON(buf.Bytes(), out); err != nil {
 		// A 200 with an undecodable body is a truncated/corrupted
 		// transfer, not a model error: retry it.
 		return &TransportError{Endpoint: path, Err: fmt.Errorf("decoding response: %w", err)}
 	}
 	return nil
+}
+
+// maxResponseBytes caps one response body. Legal requests can ask for
+// more (a batch of maximum-size sweeps); they fail with
+// ErrResponseTooLarge instead of pulling an unbounded body.
+const maxResponseBytes = 64 << 20
+
+// ErrResponseTooLarge reports a response body over the client's size
+// limit. It is terminal: the request is a pure function of its body, so
+// every retry would draw the same oversize response.
+var ErrResponseTooLarge = errors.New("response body too large")
+
+// maxPooledBody is the largest read buffer returned to bodyBufs; a rare
+// huge body must not pin its buffer for the life of the process.
+const maxPooledBody = 1 << 20
+
+// bodyBuf is a pooled response read buffer. The limited reader lives
+// in it so a read allocates nothing.
+type bodyBuf struct {
+	bytes.Buffer
+	lr io.LimitedReader
+}
+
+var bodyBufs = sync.Pool{New: func() any { return new(bodyBuf) }}
+
+// free returns b to the pool. Decoded values never alias it: the
+// decoder copies every string and raw message out.
+func (b *bodyBuf) free() {
+	if b.Cap() <= maxPooledBody {
+		bodyBufs.Put(b)
+	}
+}
+
+// readBody reads a whole response body into a pooled buffer, presized
+// from Content-Length when the server declared one, and reads at most
+// maxBody+1 bytes: a body over maxBody is ErrResponseTooLarge after one
+// attempt, never a truncated body that fails to decode and is retried.
+// The caller frees the buffer once it has decoded what it needs.
+func (c *Client) readBody(res *http.Response, path string) (*bodyBuf, error) {
+	if res.ContentLength > c.maxBody {
+		return nil, c.tooLarge(path)
+	}
+	b := bodyBufs.Get().(*bodyBuf)
+	b.Reset()
+	if res.ContentLength > 0 {
+		b.Grow(int(res.ContentLength) + bytes.MinRead)
+	}
+	b.lr = io.LimitedReader{R: res.Body, N: c.maxBody + 1}
+	_, err := b.ReadFrom(&b.lr)
+	b.lr.R = nil
+	switch {
+	case err != nil:
+		b.free()
+		// Truncated or reset mid-body: idempotent, so retryable.
+		return nil, &TransportError{Endpoint: path, Err: err}
+	case int64(b.Len()) > c.maxBody:
+		b.free()
+		return nil, c.tooLarge(path)
+	}
+	return b, nil
+}
+
+func (c *Client) tooLarge(path string) error {
+	return fmt.Errorf("client: %s: %w: over the %d-byte limit", path, ErrResponseTooLarge, c.maxBody)
 }
 
 // apiErrorFrom builds the *APIError for a non-200 response: the JSON
@@ -444,7 +512,7 @@ func apiErrorFrom(res *http.Response, payload []byte, path string) *APIError {
 	var msg struct {
 		Error string `json:"error"`
 	}
-	if json.Unmarshal(payload, &msg) == nil && msg.Error != "" {
+	if decodeJSON(payload, &msg) == nil && msg.Error != "" {
 		ae.Message = msg.Error
 	} else {
 		ae.Message = strings.TrimSpace(string(payload))

@@ -1,6 +1,7 @@
 package client
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -8,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -420,5 +422,71 @@ func TestGetEndpoints(t *testing.T) {
 	}
 	if err := c.Healthz(ctx); err != nil {
 		t.Errorf("Healthz = %v", err)
+	}
+}
+
+// TestOversizeResponseTerminal: a body over the size limit fails after
+// one attempt with an error naming the limit, whether the server
+// declares its length or streams it chunked. A body of exactly the
+// limit still decodes.
+func TestOversizeResponseTerminal(t *testing.T) {
+	const limit = 4 << 10
+	// bodyOf pads a valid optimize response with spaces to n bytes.
+	bodyOf := func(n int) []byte {
+		return append([]byte(okOptimizeJSON), bytes.Repeat([]byte{' '}, n-len(okOptimizeJSON))...)
+	}
+	for _, tc := range []struct {
+		name    string
+		size    int
+		declare bool
+		wantErr bool
+	}{
+		{"declared over", limit + 1, true, true},
+		{"chunked over", limit + 1, false, true},
+		{"declared at limit", limit, true, false},
+		{"chunked at limit", limit, false, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var calls atomic.Int32
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				calls.Add(1)
+				body := bodyOf(tc.size)
+				if tc.declare {
+					w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+				} else {
+					w.(http.Flusher).Flush() // commit to chunked framing
+				}
+				w.Write(body)
+			}))
+			defer ts.Close()
+			var attempts atomic.Int32
+			c := newTestClient(t, ts.URL, func(cfg *Config) {
+				cfg.OnAttempt = func(context.Context, Attempt) { attempts.Add(1) }
+			})
+			c.maxBody = limit
+			_, err := c.Optimize(context.Background(), optimizeBody())
+			if !tc.wantErr {
+				if err != nil {
+					t.Fatalf("Optimize = %v, want success", err)
+				}
+				return
+			}
+			if !errors.Is(err, ErrResponseTooLarge) {
+				t.Fatalf("Optimize = %v, want ErrResponseTooLarge", err)
+			}
+			if !strings.Contains(err.Error(), strconv.Itoa(limit)) {
+				t.Errorf("error %q does not name the %d-byte limit", err, limit)
+			}
+			var re *RetryError
+			if errors.As(err, &re) {
+				t.Errorf("oversize body was retried: %v", err)
+			}
+			if got := calls.Load(); got != 1 {
+				t.Errorf("server saw %d calls, want 1", got)
+			}
+			if got := attempts.Load(); got != 1 {
+				t.Errorf("OnAttempt saw %d attempts, want 1", got)
+			}
+		})
 	}
 }

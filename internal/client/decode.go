@@ -1,0 +1,784 @@
+package client
+
+import (
+	"bytes"
+	"encoding"
+	"encoding/json"
+	"fmt"
+	"reflect"
+	"strconv"
+	"strings"
+	"sync"
+	"unicode"
+)
+
+// This file is the client's response decoder: one validating pass over
+// a body that decodes straight into the typed response, where
+// encoding/json scans the whole input once to validate it and again to
+// decode it. Each Go type gets a decode plan once, built with reflect.
+//
+// The contract is json.Unmarshal's. For a fresh zero target, decodeJSON
+// rejects exactly the inputs json.Unmarshal rejects and otherwise
+// produces a reflect.DeepEqual value (FuzzDecodeMatchesUnmarshal). That
+// includes the quieter rules: a key matches a field's exact name first,
+// then the first field in declaration order under bytes.EqualFold;
+// unknown keys are skipped but validated; a duplicate key decodes again
+// into the value already there; null sets slices, maps and pointers to
+// nil, a json.RawMessage to "null", and leaves every other kind alone;
+// an empty array is an empty, non-nil slice.
+//
+// A type the plan builder does not support (interfaces, arrays, []byte
+// other than json.RawMessage, custom unmarshalers, embedded fields, the
+// ",string" option) is a plan error, never a silent second path;
+// TestDecodePlansCoverClientTypes builds every type a Client method
+// decodes.
+
+// maxDepth is encoding/json's nesting limit: 10000 open arrays and
+// objects decode, one more is an error.
+const maxDepth = 10000
+
+type planKind uint8
+
+const (
+	kindStruct planKind = iota
+	kindSlice
+	kindPtr
+	kindMap
+	kindRaw
+	kindString
+	kindBool
+	kindInt
+	kindUint
+	kindFloat
+)
+
+// plan is how one Go type decodes.
+type plan struct {
+	kind   planKind
+	typ    reflect.Type
+	bits   int         // bit size of the numeric kinds
+	elem   *plan       // slice, pointer and map element
+	fields []fieldPlan // struct fields, in declaration order
+}
+
+type fieldPlan struct {
+	name  []byte // the JSON key: the tag name, or the Go field name
+	index int    // the struct field index
+	plan  *plan
+}
+
+var (
+	rawMessageType      = reflect.TypeFor[json.RawMessage]()
+	unmarshalerType     = reflect.TypeFor[json.Unmarshaler]()
+	textUnmarshalerType = reflect.TypeFor[encoding.TextUnmarshaler]()
+)
+
+// plans caches one plan per top-level type.
+var plans sync.Map // reflect.Type -> *plan
+
+// planFor returns t's plan, building and caching it on first use.
+func planFor(t reflect.Type) (*plan, error) {
+	if p, ok := plans.Load(t); ok {
+		return p.(*plan), nil
+	}
+	p, err := buildPlan(t, make(map[reflect.Type]*plan))
+	if err != nil {
+		return nil, fmt.Errorf("client: cannot decode into %v: %w", t, err)
+	}
+	cached, _ := plans.LoadOrStore(t, p)
+	return cached.(*plan), nil
+}
+
+// buildPlan builds t's plan. seen holds the plans under construction,
+// so a recursive type refers back to its own plan.
+func buildPlan(t reflect.Type, seen map[reflect.Type]*plan) (*plan, error) {
+	if p := seen[t]; p != nil {
+		return p, nil
+	}
+	p := &plan{typ: t}
+	seen[t] = p
+	if t == rawMessageType {
+		p.kind = kindRaw
+		return p, nil
+	}
+	if pt := reflect.PointerTo(t); pt.Implements(unmarshalerType) || pt.Implements(textUnmarshalerType) {
+		return nil, fmt.Errorf("%v has a custom unmarshaler", t)
+	}
+	var err error
+	switch t.Kind() {
+	case reflect.Struct:
+		p.kind = kindStruct
+		p.fields, err = buildFields(t, seen)
+	case reflect.Slice:
+		if t.Elem().Kind() == reflect.Uint8 {
+			return nil, fmt.Errorf("%v decodes as base64", t)
+		}
+		p.kind = kindSlice
+		p.elem, err = buildPlan(t.Elem(), seen)
+	case reflect.Pointer:
+		p.kind = kindPtr
+		p.elem, err = buildPlan(t.Elem(), seen)
+	case reflect.Map:
+		if k := t.Key(); k.Kind() != reflect.String || reflect.PointerTo(k).Implements(textUnmarshalerType) {
+			return nil, fmt.Errorf("%v has a non-string key", t)
+		}
+		p.kind = kindMap
+		p.elem, err = buildPlan(t.Elem(), seen)
+	case reflect.String:
+		p.kind = kindString
+	case reflect.Bool:
+		p.kind = kindBool
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		p.kind, p.bits = kindInt, t.Bits()
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
+		p.kind, p.bits = kindUint, t.Bits()
+	case reflect.Float32, reflect.Float64:
+		p.kind, p.bits = kindFloat, t.Bits()
+	default:
+		return nil, fmt.Errorf("kind %v is not supported", t.Kind())
+	}
+	if err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// buildFields lists the struct fields encoding/json decodes into: the
+// exported ones not tagged "-".
+func buildFields(t reflect.Type, seen map[reflect.Type]*plan) ([]fieldPlan, error) {
+	var fields []fieldPlan
+	names := make(map[string]bool)
+	for i := 0; i < t.NumField(); i++ {
+		sf := t.Field(i)
+		if sf.Anonymous {
+			return nil, fmt.Errorf("%v embeds %v", t, sf.Type)
+		}
+		if !sf.IsExported() {
+			continue
+		}
+		tag := sf.Tag.Get("json")
+		if tag == "-" {
+			continue
+		}
+		name, opts, _ := strings.Cut(tag, ",")
+		for _, o := range strings.Split(opts, ",") {
+			if o == "string" {
+				return nil, fmt.Errorf("%v.%s uses the ,string option", t, sf.Name)
+			}
+		}
+		if name != "" && !validTag(name) {
+			return nil, fmt.Errorf("%v.%s has tag name %q", t, sf.Name, name)
+		}
+		if name == "" {
+			name = sf.Name
+		}
+		if names[name] {
+			return nil, fmt.Errorf("%v has two fields named %q", t, name)
+		}
+		names[name] = true
+		fp, err := buildPlan(sf.Type, seen)
+		if err != nil {
+			return nil, err
+		}
+		fields = append(fields, fieldPlan{name: []byte(name), index: i, plan: fp})
+	}
+	return fields, nil
+}
+
+// validTag is encoding/json's rule for a usable tag name; it falls back
+// to the Go field name on any other, which the builder refuses instead.
+func validTag(s string) bool {
+	for _, c := range s {
+		switch {
+		case strings.ContainsRune("!#$%&()*+-./:;<=>?@[]^_{|}~ ", c):
+		case !unicode.IsLetter(c) && !unicode.IsDigit(c):
+			return false
+		}
+	}
+	return true
+}
+
+// field returns the index in p.fields of the field key names, or -1.
+// Keys usually arrive in declaration order, so the field after the last
+// one matched is tried first.
+func (p *plan) field(key []byte, next int) int {
+	if next < len(p.fields) && bytes.Equal(key, p.fields[next].name) {
+		return next
+	}
+	for i := range p.fields {
+		if bytes.Equal(key, p.fields[i].name) {
+			return i
+		}
+	}
+	for i := range p.fields {
+		if bytes.EqualFold(key, p.fields[i].name) {
+			return i
+		}
+	}
+	return -1
+}
+
+// decodeJSON decodes data into v, a non-nil pointer, with
+// json.Unmarshal's contract (see the top of this file). Decoded strings
+// and raw messages are copies: nothing in v aliases data.
+func decodeJSON(data []byte, v any) error {
+	rv := reflect.ValueOf(v)
+	if rv.Kind() != reflect.Pointer || rv.IsNil() {
+		return &json.InvalidUnmarshalError{Type: reflect.TypeOf(v)}
+	}
+	p, err := planFor(rv.Type().Elem())
+	if err != nil {
+		return err
+	}
+	d := decoder{data: data}
+	if err := d.value(p, rv.Elem()); err != nil {
+		return err
+	}
+	if d.space(); d.off < len(d.data) {
+		return d.invalid("after top-level value")
+	}
+	return nil
+}
+
+// syntaxError is malformed input at a byte offset.
+type syntaxError struct {
+	msg string
+	off int
+}
+
+func (e *syntaxError) Error() string { return fmt.Sprintf("%s (offset %d)", e.msg, e.off) }
+
+// decoder is one pass over data; depth counts the open arrays and
+// objects.
+type decoder struct {
+	data  []byte
+	off   int
+	depth int
+}
+
+func (d *decoder) eof() error {
+	return &syntaxError{msg: "unexpected end of JSON input", off: len(d.data)}
+}
+
+// invalid reports the byte at d.off, or the end of input.
+func (d *decoder) invalid(context string) error {
+	if d.off >= len(d.data) {
+		return d.eof()
+	}
+	return &syntaxError{msg: fmt.Sprintf("invalid character %q %s", d.data[d.off], context), off: d.off}
+}
+
+// space skips JSON whitespace.
+func (d *decoder) space() {
+	for d.off < len(d.data) {
+		switch d.data[d.off] {
+		case ' ', '\t', '\n', '\r':
+			d.off++
+		default:
+			return
+		}
+	}
+}
+
+// peek skips whitespace and returns the next byte, or 0 at the end.
+func (d *decoder) peek() byte {
+	if d.space(); d.off < len(d.data) {
+		return d.data[d.off]
+	}
+	return 0
+}
+
+// open consumes the '[' or '{' at d.off.
+func (d *decoder) open() error {
+	d.off++
+	if d.depth++; d.depth > maxDepth {
+		return &syntaxError{msg: "exceeded max depth", off: d.off - 1}
+	}
+	return nil
+}
+
+// more consumes the ',' or the closing byte after a member, reporting
+// whether it was the close.
+func (d *decoder) more(close byte) (bool, error) {
+	switch d.peek() {
+	case ',':
+		d.off++
+		return false, nil
+	case close:
+		d.off++
+		d.depth--
+		return true, nil
+	}
+	return false, d.invalid("after a member")
+}
+
+// emptyClose consumes close when it follows the open directly.
+func (d *decoder) emptyClose(close byte) bool {
+	if d.peek() == close {
+		d.off++
+		d.depth--
+		return true
+	}
+	return false
+}
+
+// typeError reports a well-formed value of the wrong JSON type for p,
+// or a malformed one.
+func (d *decoder) typeError(p *plan) error {
+	var what string
+	switch c := d.data[d.off]; {
+	case c == '{':
+		what = "object"
+	case c == '[':
+		what = "array"
+	case c == '"':
+		what = "string"
+	case c == 't' || c == 'f':
+		what = "bool"
+	case c == '-' || isDigit(c):
+		what = "number"
+	default:
+		return d.invalid("looking for beginning of value")
+	}
+	return &json.UnmarshalTypeError{Value: what, Type: p.typ, Offset: int64(d.off)}
+}
+
+// value decodes the value at d.off into v, which p describes.
+func (d *decoder) value(p *plan, v reflect.Value) error {
+	c := d.peek()
+	if d.off >= len(d.data) {
+		return d.eof()
+	}
+	if c == 'n' {
+		if err := d.literal("null"); err != nil {
+			return err
+		}
+		switch p.kind {
+		case kindRaw:
+			v.SetBytes(append(v.Bytes()[:0], "null"...))
+		case kindSlice, kindMap, kindPtr:
+			v.SetZero()
+		}
+		return nil
+	}
+	switch p.kind {
+	case kindStruct:
+		if c != '{' {
+			return d.typeError(p)
+		}
+		return d.object(p, v)
+	case kindSlice:
+		if c != '[' {
+			return d.typeError(p)
+		}
+		return d.array(p, v)
+	case kindMap:
+		if c != '{' {
+			return d.typeError(p)
+		}
+		return d.mapObject(p, v)
+	case kindPtr:
+		if v.IsNil() {
+			v.Set(reflect.New(p.typ.Elem()))
+		}
+		return d.value(p.elem, v.Elem())
+	case kindRaw:
+		start := d.off
+		if err := d.skip(); err != nil {
+			return err
+		}
+		v.SetBytes(append(v.Bytes()[:0], d.data[start:d.off]...))
+		return nil
+	case kindString:
+		if c != '"' {
+			return d.typeError(p)
+		}
+		s, err := d.str()
+		if err != nil {
+			return err
+		}
+		v.SetString(s)
+		return nil
+	case kindBool:
+		if c != 't' && c != 'f' {
+			return d.typeError(p)
+		}
+		lit := "false"
+		if c == 't' {
+			lit = "true"
+		}
+		if err := d.literal(lit); err != nil {
+			return err
+		}
+		v.SetBool(c == 't')
+		return nil
+	}
+	if c != '-' && !isDigit(c) {
+		return d.typeError(p)
+	}
+	start := d.off
+	num, err := d.number()
+	if err != nil {
+		return err
+	}
+	switch p.kind {
+	case kindInt:
+		n, err := strconv.ParseInt(string(num), 10, p.bits)
+		if err != nil {
+			return rangeError(p, num, start)
+		}
+		v.SetInt(n)
+	case kindUint:
+		n, err := strconv.ParseUint(string(num), 10, p.bits)
+		if err != nil {
+			return rangeError(p, num, start)
+		}
+		v.SetUint(n)
+	default:
+		f, err := strconv.ParseFloat(string(num), p.bits)
+		if err != nil {
+			return rangeError(p, num, start)
+		}
+		v.SetFloat(f)
+	}
+	return nil
+}
+
+// rangeError reports a well-formed number p's type cannot hold.
+func rangeError(p *plan, num []byte, off int) error {
+	return &json.UnmarshalTypeError{Value: "number " + string(num), Type: p.typ, Offset: int64(off)}
+}
+
+// object decodes a JSON object into the struct v.
+func (d *decoder) object(p *plan, v reflect.Value) error {
+	if err := d.open(); err != nil {
+		return err
+	}
+	if d.emptyClose('}') {
+		return nil
+	}
+	next := 0
+	for {
+		key, err := d.key()
+		if err != nil {
+			return err
+		}
+		if i := p.field(key, next); i >= 0 {
+			f := &p.fields[i]
+			next = i + 1
+			err = d.value(f.plan, v.Field(f.index))
+		} else {
+			err = d.skip()
+		}
+		if err != nil {
+			return err
+		}
+		if done, err := d.more('}'); done || err != nil {
+			return err
+		}
+	}
+}
+
+// mapObject decodes a JSON object into the map v. Each value decodes
+// from zero: a duplicate key replaces the earlier value.
+func (d *decoder) mapObject(p *plan, v reflect.Value) error {
+	if err := d.open(); err != nil {
+		return err
+	}
+	if v.IsNil() {
+		v.Set(reflect.MakeMap(p.typ))
+	}
+	if d.emptyClose('}') {
+		return nil
+	}
+	elem := reflect.New(p.elem.typ).Elem()
+	for {
+		key, err := d.key()
+		if err != nil {
+			return err
+		}
+		elem.SetZero()
+		if err := d.value(p.elem, elem); err != nil {
+			return err
+		}
+		k := reflect.New(p.typ.Key()).Elem()
+		k.SetString(string(key))
+		v.SetMapIndex(k, elem)
+		if done, err := d.more('}'); done || err != nil {
+			return err
+		}
+	}
+}
+
+// array decodes a JSON array into the slice v the way encoding/json
+// does: in place over the elements already there (a shorter duplicate
+// key leaves stale elements past the length, which a longer one reuses),
+// growing past the capacity, then truncating to the array's length.
+// encoding/json grows one element at a time; this grows to at least
+// four. The contents cannot differ: growth happens only when the length
+// has reached the capacity, so it copies every element written so far
+// and the new ones are zero either way.
+func (d *decoder) array(p *plan, v reflect.Value) error {
+	if err := d.open(); err != nil {
+		return err
+	}
+	i := 0
+	if !d.emptyClose(']') {
+		for {
+			if i >= v.Cap() {
+				v.Grow(max(1, 4-i))
+			}
+			if i >= v.Len() {
+				v.SetLen(i + 1)
+			}
+			if err := d.value(p.elem, v.Index(i)); err != nil {
+				return err
+			}
+			i++
+			done, err := d.more(']')
+			if err != nil {
+				return err
+			}
+			if done {
+				break
+			}
+		}
+	}
+	if i < v.Len() {
+		v.SetLen(i)
+	}
+	if i == 0 {
+		v.Set(reflect.MakeSlice(p.typ, 0, 0))
+	}
+	return nil
+}
+
+// key consumes an object key and its colon, returning the unquoted key.
+// A plain key is returned as a subslice of the input.
+func (d *decoder) key() ([]byte, error) {
+	if d.peek() != '"' {
+		return nil, d.invalid("looking for beginning of object key string")
+	}
+	start, plain, err := d.scanString()
+	if err != nil {
+		return nil, err
+	}
+	key := d.data[start+1 : d.off-1]
+	if !plain {
+		s, err := unquote(d.data[start:d.off])
+		if err != nil {
+			return nil, err
+		}
+		key = []byte(s)
+	}
+	if d.peek() != ':' {
+		return nil, d.invalid("after object key")
+	}
+	d.off++
+	return key, nil
+}
+
+// str consumes a string literal and returns its value.
+func (d *decoder) str() (string, error) {
+	start, plain, err := d.scanString()
+	if err != nil {
+		return "", err
+	}
+	if plain {
+		return string(d.data[start+1 : d.off-1]), nil
+	}
+	return unquote(d.data[start:d.off])
+}
+
+// unquote decodes a validated string literal that has escapes or
+// non-ASCII bytes. encoding/json does it, so escapes, surrogates and
+// invalid UTF-8 decode exactly as json.Unmarshal decodes them.
+func unquote(lit []byte) (string, error) {
+	var s string
+	err := json.Unmarshal(lit, &s)
+	return s, err
+}
+
+// plainByte marks the bytes a plain string literal holds as they are:
+// everything from 0x20 to 0x7f except the quote and the backslash.
+var plainByte = func() (t [256]bool) {
+	for c := 0x20; c < 0x80; c++ {
+		t[c] = c != '"' && c != '\\'
+	}
+	return t
+}()
+
+// scanString validates the string literal at d.off and moves past it.
+// It returns the offset of the opening quote and whether the literal is
+// plain: no escapes and no byte >= 0x80, so its contents are its value.
+func (d *decoder) scanString() (start int, plain bool, err error) {
+	start, plain = d.off, true
+	data := d.data
+	for i := start + 1; i < len(data); {
+		for i < len(data) && plainByte[data[i]] {
+			i++
+		}
+		if i >= len(data) {
+			break
+		}
+		switch c := data[i]; {
+		case c == '"':
+			d.off = i + 1
+			return start, plain, nil
+		case c == '\\':
+			plain = false
+			if i+1 >= len(data) {
+				return 0, false, d.eof()
+			}
+			switch data[i+1] {
+			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
+				i += 2
+			case 'u':
+				for k := i + 2; k < i+6; k++ {
+					if k >= len(data) {
+						return 0, false, d.eof()
+					}
+					if !isHex(data[k]) {
+						d.off = k
+						return 0, false, d.invalid("in \\u hexadecimal character escape")
+					}
+				}
+				i += 6
+			default:
+				d.off = i + 1
+				return 0, false, d.invalid("in string escape code")
+			}
+		case c < 0x20:
+			d.off = i
+			return 0, false, d.invalid("in string literal")
+		default: // c >= 0x80
+			plain = false
+			i++
+		}
+	}
+	return 0, false, d.eof()
+}
+
+func isHex(c byte) bool {
+	return '0' <= c && c <= '9' || 'a' <= c && c <= 'f' || 'A' <= c && c <= 'F'
+}
+
+func isDigit(c byte) bool { return '0' <= c && c <= '9' }
+
+// number consumes a number in the strict JSON grammar,
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, and returns it.
+func (d *decoder) number() ([]byte, error) {
+	data, start := d.data, d.off
+	i := start
+	if i < len(data) && data[i] == '-' {
+		i++
+	}
+	switch {
+	case i < len(data) && data[i] == '0':
+		i++
+	case i < len(data) && '1' <= data[i] && data[i] <= '9':
+		i = skipDigits(data, i+1)
+	default:
+		return nil, d.badNumber(i, "in numeric literal")
+	}
+	if i < len(data) && data[i] == '.' {
+		if i++; i >= len(data) || !isDigit(data[i]) {
+			return nil, d.badNumber(i, "after decimal point in numeric literal")
+		}
+		i = skipDigits(data, i)
+	}
+	if i < len(data) && (data[i] == 'e' || data[i] == 'E') {
+		if i++; i < len(data) && (data[i] == '+' || data[i] == '-') {
+			i++
+		}
+		if i >= len(data) || !isDigit(data[i]) {
+			return nil, d.badNumber(i, "in exponent of numeric literal")
+		}
+		i = skipDigits(data, i)
+	}
+	d.off = i
+	return data[start:i], nil
+}
+
+func (d *decoder) badNumber(i int, context string) error {
+	d.off = i
+	return d.invalid(context)
+}
+
+func skipDigits(data []byte, i int) int {
+	for i < len(data) && isDigit(data[i]) {
+		i++
+	}
+	return i
+}
+
+// literal consumes the literal lit (true, false or null).
+func (d *decoder) literal(lit string) error {
+	for i := 0; i < len(lit); i++ {
+		if d.off >= len(d.data) {
+			return d.eof()
+		}
+		if d.data[d.off] != lit[i] {
+			return d.invalid("in literal " + lit)
+		}
+		d.off++
+	}
+	return nil
+}
+
+// skip consumes one value without decoding it, validating it as
+// encoding/json would.
+func (d *decoder) skip() error {
+	c := d.peek()
+	if d.off >= len(d.data) {
+		return d.eof()
+	}
+	switch {
+	case c == '{':
+		if err := d.open(); err != nil {
+			return err
+		}
+		if d.emptyClose('}') {
+			return nil
+		}
+		for {
+			if _, err := d.key(); err != nil {
+				return err
+			}
+			if err := d.skip(); err != nil {
+				return err
+			}
+			if done, err := d.more('}'); done || err != nil {
+				return err
+			}
+		}
+	case c == '[':
+		if err := d.open(); err != nil {
+			return err
+		}
+		if d.emptyClose(']') {
+			return nil
+		}
+		for {
+			if err := d.skip(); err != nil {
+				return err
+			}
+			if done, err := d.more(']'); done || err != nil {
+				return err
+			}
+		}
+	case c == '"':
+		_, _, err := d.scanString()
+		return err
+	case c == 't':
+		return d.literal("true")
+	case c == 'f':
+		return d.literal("false")
+	case c == 'n':
+		return d.literal("null")
+	case c == '-' || isDigit(c):
+		_, err := d.number()
+		return err
+	}
+	return d.invalid("looking for beginning of value")
+}

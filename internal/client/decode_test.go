@@ -1,0 +1,443 @@
+package client
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"io"
+	"net/http"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strconv"
+	"strings"
+	"sync"
+	"testing"
+
+	"github.com/calcm/heterosim/internal/server"
+)
+
+// decodeTypes lists every type a Client method decodes a response into:
+// the result of each buffered method, the header, trailer and row types
+// of each stream method, and the internal line and error shapes. It is
+// derived from the method set, so a new method is covered without an
+// edit here.
+func decodeTypes() []reflect.Type {
+	var out []reflect.Type
+	seen := make(map[reflect.Type]bool)
+	add := func(t reflect.Type) {
+		for t.Kind() == reflect.Pointer {
+			t = t.Elem()
+		}
+		if !seen[t] {
+			seen[t] = true
+			out = append(out, t)
+		}
+	}
+	ct := reflect.TypeFor[*Client]()
+	for i := 0; i < ct.NumMethod(); i++ {
+		m := ct.Method(i).Type
+		var stream bool
+		for j := 1; j < m.NumIn(); j++ {
+			if in := m.In(j); in.Kind() == reflect.Func {
+				stream = true
+				for k := 0; k < in.NumIn(); k++ {
+					add(in.In(k))
+				}
+			}
+		}
+		for j := 0; j < m.NumOut(); j++ {
+			o := m.Out(j)
+			if o.Kind() != reflect.Pointer || o.Elem().Kind() != reflect.Struct {
+				continue
+			}
+			if !stream {
+				add(o)
+				continue
+			}
+			// A stream result holds the decoded header and trailer.
+			for k := 0; k < o.Elem().NumField(); k++ {
+				if f := o.Elem().Field(k).Type; f.Kind() == reflect.Struct {
+					add(f)
+				}
+			}
+		}
+	}
+	add(reflect.TypeFor[streamProbe]())
+	add(reflect.TypeFor[struct {
+		Error string `json:"error"`
+	}]()) // apiErrorFrom
+	add(reflect.TypeFor[struct {
+		Status string `json:"status"`
+	}]()) // Healthz
+	return out
+}
+
+func TestDecodePlansCoverClientTypes(t *testing.T) {
+	types := decodeTypes()
+	for _, want := range []reflect.Type{
+		reflect.TypeFor[server.OptimizeResponse](),
+		reflect.TypeFor[server.BatchResponse](),
+		reflect.TypeFor[server.Metrics](),
+		reflect.TypeFor[server.SweepStreamHeader](),
+		reflect.TypeFor[server.SweepPointJSON](),
+		reflect.TypeFor[server.FrontierStreamTrailer](),
+	} {
+		found := false
+		for _, tt := range types {
+			found = found || tt == want
+		}
+		if !found {
+			t.Errorf("decodeTypes misses %v", want)
+		}
+	}
+	for _, tt := range types {
+		if _, err := planFor(tt); err != nil {
+			t.Errorf("planFor(%v): %v", tt, err)
+		}
+	}
+	// The builder refuses what it cannot decode exactly.
+	for _, v := range []any{
+		struct{ A any }{},
+		struct{ A [2]int }{},
+		struct{ A []byte }{},
+		struct{ A map[int]string }{},
+		struct {
+			A int `json:",string"`
+		}{},
+		struct{ server.PointJSON }{},
+		struct {
+			A int
+			B int `json:"A"`
+		}{},
+	} {
+		if _, err := planFor(reflect.TypeOf(v)); err == nil {
+			t.Errorf("planFor(%T) succeeded, want a plan error", v)
+		}
+	}
+}
+
+// goldenBodies reads the checked-in server response goldens: each file
+// whole, each line of a multi-line one, and each response recorded in
+// the pre-refactor fixture. Keys name the source.
+func goldenBodies(tb testing.TB) map[string][]byte {
+	tb.Helper()
+	out := make(map[string][]byte)
+	for _, dir := range []string{"../server/testdata", "../../cmd/heterosimd/testdata"} {
+		paths, err := filepath.Glob(filepath.Join(dir, "*"))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		for _, p := range paths {
+			if !strings.HasSuffix(p, ".golden") && !strings.HasSuffix(p, ".json") {
+				continue
+			}
+			raw, err := os.ReadFile(p)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			name := filepath.Base(p)
+			out[name] = raw
+			if lines := bytes.Split(bytes.TrimSpace(raw), []byte("\n")); len(lines) > 1 {
+				for i, l := range lines {
+					out[name+"#"+strconv.Itoa(i)] = l
+				}
+			}
+		}
+	}
+	var fixture []struct {
+		Op       string `json:"op"`
+		Response string `json:"response"`
+	}
+	raw, err := os.ReadFile("../server/testdata/prerefactor.json")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := json.Unmarshal(raw, &fixture); err != nil {
+		tb.Fatal(err)
+	}
+	for i, e := range fixture {
+		out["prerefactor/"+e.Op+"/"+strconv.Itoa(i)] = []byte(e.Response)
+	}
+	return out
+}
+
+// handSeeds cover the corners of json.Unmarshal's contract the goldens
+// never reach.
+var handSeeds = []string{
+	// Escapes, surrogates, invalid UTF-8, control characters.
+	`{"workload":"F\u0046T\n\"x\"\\\/\b\f\r\t","node":"\u00e9\ud83d\ude00"}`,
+	`{"workload":"\ud800 \udc00x \ud83d"}`,
+	"{\"workload\":\"\xff\xfe\xc3\",\"node\":\"caf\xc3\xa9\"}",
+	"{\"workload\":\"a\x01b\"}",
+	"{\"workload\":\"a\x7fb\"}",
+	`{"workload":"\x"}`,
+	`{"workload":"\u12"}`,
+	`{"workload":"\u12g4"}`,
+	`{"wor\u006bload":"escaped key"}`,
+	"{\"work\xffload\":1}",
+	// Case-folded and Unicode-folded keys, exact match beating a fold.
+	`{"WORKLOAD":"x","Point":{"SPEEDUP":2,"Kind":"k"},"BUDGETS":{"Area":3}}`,
+	`{"point":{"\u212aind":"kelvin","ſpeedup":4}}`,
+	"{\"point\":{\"\xe2\x84\xaaind\":\"kelvin\"}}",
+	`{"Feasible":1,"feasible":2,"FEASIBLE":3}`,
+	// Duplicate keys decode again into the value already there.
+	`{"points":[{"f":1,"r":2},{"f":5,"limit":"a"}],"points":[{"f":3}],"points":[{"f":4},{"speedup":9}]}`,
+	`{"points":[{"f":1},{"f":2},{"f":3}],"points":[],"points":[{"r":1}]}`,
+	`{"best":{"f":1,"r":2},"best":{"speedup":3}}`,
+	`{"best":{"f":1},"best":null}`,
+	`{"elasticities":{"a":1,"b":2},"elasticities":{"a":3}}`,
+	`{"items":[{"response":{"a":1}}],"items":[{"op":"x"}]}`,
+	// null everywhere.
+	`null`,
+	` null `,
+	`{"points":null,"best":null,"workload":null,"feasible":null,"valid":null}`,
+	`{"items":[{"response":null,"status":null}],"ok":null}`,
+	`{"elasticities":null,"monteCarlo":null}`,
+	`{"peers":null,"requests":{"a":null}}`,
+	`[null]`,
+	// Empty containers.
+	`{"points":[],"axes":[],"elasticities":{}}`,
+	`{}`,
+	`[]`,
+	// Numbers.
+	`{"f":1e999}`,
+	`{"f":-1e999}`,
+	`{"f":1e-400,"speedup":-0}`,
+	`{"feasible":-0,"r":-0}`,
+	`{"feasible":-0.0}`,
+	`{"feasible":1e2}`,
+	`{"feasible":9223372036854775807}`,
+	`{"feasible":9223372036854775808}`,
+	`{"feasible":-9223372036854775809}`,
+	`{"f":01}`,
+	`{"f":1.}`,
+	`{"f":-}`,
+	`{"f":1e}`,
+	`{"f":1e+}`,
+	`{"f":.5}`,
+	`{"f":+1}`,
+	`{"f":1E+2,"speedup":2.5e-3,"n":-0.0e0}`,
+	`{"f":0x10}`,
+	`{"f":Infinity}`,
+	`{"f":NaN}`,
+	// Wrong JSON types.
+	`{"status":"200"}`,
+	`{"workload":5}`,
+	`{"valid":"true"}`,
+	`{"points":{}}`,
+	`{"point":[]}`,
+	`{"elasticities":[]}`,
+	`{"best":5}`,
+	`"string"`,
+	`5`,
+	`true`,
+	// Literals.
+	`{"valid":true}`,
+	`{"valid":tru}`,
+	`{"valid":truex}`,
+	`{"valid":nul}`,
+	`{"valid":False}`,
+	// Raw messages keep their exact bytes.
+	`{"items":[{"response":  {"a" : [1, 2 ] , "b":"\u0041"}  }]}`,
+	`{"items":[{"response":"str"},{"response":123},{"response":true},{"response":[]}]}`,
+	`{"items":[{"response":{"a":}}]}`,
+	// Unknown keys are skipped, and validated.
+	`{"zz":{"a":[1,{"b":null}],"c":"d"},"f":2,"yy":[true,false,-1.5e3,"\u0041"]}`,
+	`{"zz":{"a":[1,{"b":nul}]},"f":2}`,
+	`{"zz":[1 2],"f":2}`,
+	`{"zz":{"a" 1},"f":2}`,
+	`{"zz":"\q","f":2}`,
+	// Structure and trailing data.
+	`{"a" 1}`,
+	`{"a":1,}`,
+	`{"points":[1,]}`,
+	`{,}`,
+	`{"a":1}}`,
+	`{"a":1}]]]garbage`,
+	`{} x`,
+	`{}x`,
+	" \t\r\n{ \"f\" : 1 } \n",
+	"\xef\xbb\xbf{}",
+	"\x00",
+	``,
+	`   `,
+	`{`,
+	`{"f":`,
+	`{"workload":"abc`,
+	`{"workload":"abc\`,
+	`[`,
+	`{"a":1 "b":2}`,
+	`{1:2}`,
+}
+
+// depthSeeds sit at encoding/json's nesting limit: 10000 levels decode
+// (unknown keys are skipped), 10001 do not.
+func depthSeeds() []string {
+	nest := func(n int) string { return strings.Repeat("[", n) + strings.Repeat("]", n) }
+	return []string{
+		nest(10000),
+		nest(10001),
+		`{"zz":` + nest(9999) + `}`,
+		`{"zz":` + nest(10000) + `}`,
+		`{"items":[{"response":` + nest(9998) + `}]}`,
+		`{"items":[{"response":` + nest(9999) + `}]}`,
+	}
+}
+
+func FuzzDecodeMatchesUnmarshal(f *testing.F) {
+	for _, body := range goldenBodies(f) {
+		f.Add(body)
+	}
+	for _, s := range handSeeds {
+		f.Add([]byte(s))
+	}
+	for _, s := range depthSeeds() {
+		f.Add([]byte(s))
+	}
+	types := decodeTypes()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, tt := range types {
+			want, got := reflect.New(tt), reflect.New(tt)
+			werr := json.Unmarshal(data, want.Interface())
+			gerr := decodeJSON(data, got.Interface())
+			if (werr == nil) != (gerr == nil) {
+				t.Fatalf("%v on %q: json.Unmarshal error %v, decodeJSON error %v", tt, truncate(data), werr, gerr)
+			}
+			if werr == nil && !reflect.DeepEqual(want.Interface(), got.Interface()) {
+				t.Fatalf("%v on %q:\njson.Unmarshal %+v\ndecodeJSON     %+v", tt, truncate(data), want.Elem(), got.Elem())
+			}
+		}
+	})
+}
+
+func truncate(b []byte) []byte {
+	if len(b) > 200 {
+		return b[:200]
+	}
+	return b
+}
+
+// TestDecodedValuesDoNotAliasBuffer decodes a batch response whose items
+// carry raw messages out of a pooled read buffer, then reuses the
+// buffer: the decoded value must not change.
+func TestDecodedValuesDoNotAliasBuffer(t *testing.T) {
+	body, err := os.ReadFile("../server/testdata/batch_shape.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want server.BatchResponse
+	if err := json.Unmarshal(body, &want); err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Items) == 0 || len(want.Items[0].Response) == 0 {
+		t.Fatal("golden batch has no raw item responses")
+	}
+	c := &Client{maxBody: maxResponseBytes}
+	res := &http.Response{ContentLength: int64(len(body)), Body: io.NopCloser(bytes.NewReader(body))}
+	buf, err := c.readBody(res, "/v1/batch")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got server.BatchResponse
+	if err := decodeJSON(buf.Bytes(), &got); err != nil {
+		t.Fatal(err)
+	}
+	// Reuse the buffer the way the next call would: overwrite in place.
+	b := buf.Bytes()
+	for i := range b {
+		b[i] = 'x'
+	}
+	buf.Reset()
+	buf.Write(bytes.Repeat([]byte{'y'}, len(body)))
+	buf.free()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("decoded batch changed after its buffer was reused:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestConcurrentCallsDecodeIndependently runs calls of several response
+// sizes from several goroutines at once, so pooled read buffers pass
+// between them; every decoded value must equal the one a lone call got.
+func TestConcurrentCallsDecodeIndependently(t *testing.T) {
+	c := newTestClient(t, realServer(t).URL, nil)
+	ctx := context.Background()
+	calls := []func() (any, error){
+		func() (any, error) {
+			return c.Optimize(ctx, server.OptimizeRequest{Workload: "MMM", F: 0.9, Design: server.DesignSpec{Kind: "sym"}})
+		},
+		func() (any, error) { return c.Sweep(ctx, sweepReq()) },
+		func() (any, error) { return c.Project(ctx, server.ProjectRequest{Workload: "FFT-1024", F: 0.99}) },
+		func() (any, error) {
+			return c.Compare(ctx, server.CompareRequest{Workload: "MMM", F: 0.99, Pairs: []server.ComparePair{{Scenario: 0}, {Scenario: 2}}})
+		},
+	}
+	want := make([]any, len(calls))
+	for i, call := range calls {
+		v, err := call()
+		if err != nil {
+			t.Fatalf("call %d: %v", i, err)
+		}
+		want[i] = v
+	}
+	const goroutines, rounds = 4, 10
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				i := (g + r) % len(calls)
+				got, err := calls[i]()
+				if err != nil {
+					t.Errorf("goroutine %d call %d: %v", g, i, err)
+					return
+				}
+				if !reflect.DeepEqual(got, want[i]) {
+					t.Errorf("goroutine %d call %d: decoded value differs from a lone call's", g, i)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// BenchmarkDecode decodes each golden response body with decodeJSON
+// and, for comparison, with json.Unmarshal.
+func BenchmarkDecode(b *testing.B) {
+	bodies := goldenBodies(b)
+	cases := []struct {
+		name, body string
+		typ        reflect.Type
+	}{
+		{"optimize", "prerefactor/optimize/0", reflect.TypeFor[server.OptimizeResponse]()},
+		{"sweep", "prerefactor/sweep/3", reflect.TypeFor[server.SweepResponse]()},
+		{"project", "project_fft_999.json", reflect.TypeFor[server.ProjectResponse]()},
+		{"scenario", "prerefactor/scenario/7", reflect.TypeFor[server.ScenarioResponse]()},
+		{"compare", "compare_smoke.golden", reflect.TypeFor[server.CompareResponse]()},
+		{"sensitivity", "sensitivity_smoke.golden", reflect.TypeFor[server.SensitivityResponse]()},
+		{"batch", "batch_shape.golden", reflect.TypeFor[server.BatchResponse]()},
+		{"frontier-row", "frontier_stream.golden#1", reflect.TypeFor[server.FrontierRowJSON]()},
+	}
+	for _, tc := range cases {
+		body, ok := bodies[tc.body]
+		if !ok {
+			b.Fatalf("no golden body %q", tc.body)
+		}
+		for _, dec := range []struct {
+			name string
+			fn   func([]byte, any) error
+		}{{"decodeJSON", decodeJSON}, {"Unmarshal", json.Unmarshal}} {
+			b.Run(tc.name+"/"+dec.name, func(b *testing.B) {
+				b.SetBytes(int64(len(body)))
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if err := dec.fn(body, reflect.New(tc.typ).Interface()); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}

@@ -205,11 +205,12 @@ func attemptStream[Row any](ctx context.Context, c *Client, base, path string, b
 	a.Cache = res.Header.Get("X-Heterosim-Cache")
 	a.Fault = res.Header.Get("X-Fault-Injected")
 	if res.StatusCode != http.StatusOK {
-		payload, rerr := io.ReadAll(io.LimitReader(res.Body, 64<<20))
-		if rerr != nil {
-			return 0, &TransportError{Endpoint: path, Err: rerr}
+		buf, err := c.readBody(res, path)
+		if err != nil {
+			return 0, err
 		}
-		return 0, apiErrorFrom(res, payload, path)
+		defer buf.free()
+		return 0, apiErrorFrom(res, buf.Bytes(), path)
 	}
 
 	br := bufio.NewReader(res.Body)
@@ -217,7 +218,7 @@ func attemptStream[Row any](ctx context.Context, c *Client, base, path string, b
 	if err != nil {
 		return 0, &TransportError{Endpoint: path, Err: fmt.Errorf("reading stream header: %w", err)}
 	}
-	if err := json.Unmarshal(line, hdr); err != nil {
+	if err := decodeJSON(line, hdr); err != nil {
 		return 0, &TransportError{Endpoint: path, Err: fmt.Errorf("decoding stream header: %w", err)}
 	}
 	for {
@@ -228,7 +229,7 @@ func attemptStream[Row any](ctx context.Context, c *Client, base, path string, b
 			return delivered, &TransportError{Endpoint: path, Err: fmt.Errorf("stream truncated after %d row(s): %w", delivered, err)}
 		}
 		var probe streamProbe
-		if err := json.Unmarshal(line, &probe); err != nil {
+		if err := decodeJSON(line, &probe); err != nil {
 			return delivered, &TransportError{Endpoint: path, Err: fmt.Errorf("undecodable stream line: %w", err)}
 		}
 		switch {
@@ -239,13 +240,13 @@ func attemptStream[Row any](ctx context.Context, c *Client, base, path string, b
 			// the caller's context decides.
 			return delivered, fmt.Errorf("client: %s: stream error after %d row(s): %s", path, delivered, *probe.Error)
 		case probe.trailer():
-			if err := json.Unmarshal(line, trl); err != nil {
+			if err := decodeJSON(line, trl); err != nil {
 				return delivered, &TransportError{Endpoint: path, Err: fmt.Errorf("decoding stream trailer: %w", err)}
 			}
 			return delivered, nil
 		default:
 			var r Row
-			if err := json.Unmarshal(line, &r); err != nil {
+			if err := decodeJSON(line, &r); err != nil {
 				return delivered, &TransportError{Endpoint: path, Err: fmt.Errorf("decoding stream row: %w", err)}
 			}
 			delivered++

@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"math"
 )
 
@@ -14,7 +15,9 @@ func DecodeStrict(body []byte, dst any) error {
 	if err := dec.Decode(dst); err != nil {
 		return BadRequest("invalid request body: %v", err)
 	}
-	if dec.More() {
+	// Only whitespace may follow the value. dec.More reports false before
+	// a stray ']' or '}', so ask for the next token: it must be EOF.
+	if _, err := dec.Token(); err != io.EOF {
 		return BadRequest("invalid request body: trailing data")
 	}
 	return nil

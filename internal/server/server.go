@@ -21,6 +21,7 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -345,6 +346,7 @@ func (s *Server) model(i int, op engine.Op) http.HandlerFunc {
 		encode := telemetry.StartSpan(ctx, stageEncode)
 		w.Header().Set("Content-Type", "application/json")
 		w.Header().Set("X-Heterosim-Cache", outcome.String())
+		w.Header().Set("Content-Length", strconv.Itoa(len(resp)))
 		s.responses.ok.Add(1)
 		w.Write(resp)
 		encode.End()

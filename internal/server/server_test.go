@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -383,5 +384,37 @@ func TestMetricsCountersMove(t *testing.T) {
 	}
 	if m.Admission.Accepted != 1 {
 		t.Errorf("admission accepted = %d, want 1 (hit and error bypass the gate)", m.Admission.Accepted)
+	}
+}
+
+// TestTrailingBracketRejected: a valid body followed by a stray closing
+// bracket is malformed, not a request.
+func TestTrailingBracketRejected(t *testing.T) {
+	s := newTestServer(t, Config{})
+	body := `{"workload":"MMM","f":0.9,"design":{"kind":"sym"}}`
+	if rec := do(t, s, http.MethodPost, "/v1/optimize", body); rec.Code != http.StatusOK {
+		t.Fatalf("valid body: status = %d (body %s)", rec.Code, rec.Body)
+	}
+	for _, tail := range []string{"]", "}", "]]]garbage"} {
+		if rec := do(t, s, http.MethodPost, "/v1/optimize", body+tail); rec.Code != http.StatusBadRequest {
+			t.Errorf("body + %q: status = %d, want 400 (body %s)", tail, rec.Code, rec.Body)
+		}
+	}
+}
+
+// TestBufferedResponsesDeclareLength: a buffered 200 carries its
+// Content-Length, so clients size their read once and the body needs no
+// chunked framing.
+func TestBufferedResponsesDeclareLength(t *testing.T) {
+	s := newTestServer(t, Config{})
+	body := `{"workload":"MMM","f":0.9,"design":{"kind":"sym"}}`
+	for _, outcome := range []string{"miss", "hit"} {
+		rec := do(t, s, http.MethodPost, "/v1/optimize", body)
+		if rec.Code != http.StatusOK || rec.Header().Get("X-Heterosim-Cache") != outcome {
+			t.Fatalf("%s: status %d, cache %q", outcome, rec.Code, rec.Header().Get("X-Heterosim-Cache"))
+		}
+		if got, want := rec.Header().Get("Content-Length"), strconv.Itoa(rec.Body.Len()); got != want {
+			t.Errorf("%s: Content-Length = %q, want %q", outcome, got, want)
+		}
 	}
 }
