@@ -70,41 +70,42 @@ func serialOK(law pollack.Law, b Budgets, r float64) bool {
 // valid (Validate passed); +Inf budgets are allowed and simply do not
 // bind.
 func SerialCap(law pollack.Law, b Budgets, maxR int) int {
-	if maxR < 1 {
-		return 0
-	}
 	alpha := law.Alpha()
 	cap := math.Min(b.Area, b.Bandwidth*b.Bandwidth)
 	if alpha > 0 {
 		// r^(α/2) <= P  ⇔  r <= P^(2/α); P < 1 leaves no room even for r=1,
-		// which the verification loop below confirms. MaxRForPower computes
-		// the identical expression, with a memo for the sweep case of one
-		// power budget probed once per cell.
-		if mp, err := law.MaxRForPower(b.Power); err == nil {
-			cap = math.Min(cap, mp)
-		} else {
-			cap = math.Min(cap, math.Pow(b.Power, 2/alpha))
-		}
+		// which SettleCap's verification confirms. MaxRForPower fails only
+		// for an invalid P, which the precondition excludes; its 0 would
+		// still be settled by the exact comparisons.
+		mp, _ := law.MaxRForPower(b.Power)
+		cap = math.Min(cap, mp)
 	} else if !(1 <= b.Power) {
 		// Degenerate α <= 0: power is flat at 1 for every r.
 		return 0
 	}
+	return SettleCap(cap, maxR, func(r float64) bool { return serialOK(law, b, r) })
+}
+
+// SettleCap turns a closed-form real cap into the largest integer r in
+// [1, maxR] that ok accepts, or 0 when ok rejects r = 1. ok must be
+// monotone in r (true up to some r, false beyond). The closed form can be
+// off by an ulp at a boundary, so the result is settled with ok's exact
+// comparisons: normally at most one probe in each direction. A NaN cap
+// starts the search from maxR.
+func SettleCap(cap float64, maxR int, ok func(r float64) bool) int {
+	if maxR < 1 {
+		return 0
+	}
 	g := maxR
-	if cap < float64(maxR) {
+	if cap < 1 {
+		g = 0
+	} else if cap < float64(maxR) {
 		g = int(math.Floor(cap))
 	}
-	if g > maxR {
-		g = maxR
-	}
-	if g < 0 {
-		g = 0
-	}
-	// Closed form can be off by an ulp at a boundary: settle it with the
-	// exact comparisons (normally at most one probe in each direction).
-	for g > 0 && !serialOK(law, b, float64(g)) {
+	for g > 0 && !ok(float64(g)) {
 		g--
 	}
-	for g < maxR && serialOK(law, b, float64(g+1)) {
+	for g < maxR && ok(float64(g+1)) {
 		g++
 	}
 	return g

@@ -27,9 +27,13 @@ package model
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
+	"math"
 	"strings"
 
+	"github.com/calcm/heterosim/internal/amdahl"
 	"github.com/calcm/heterosim/internal/bounds"
 	"github.com/calcm/heterosim/internal/core"
 	"github.com/calcm/heterosim/internal/pollack"
@@ -217,7 +221,9 @@ func decodeParams(raw json.RawMessage, into any) error {
 	if err := dec.Decode(into); err != nil {
 		return fmt.Errorf("model: invalid params: %v", err)
 	}
-	if dec.More() {
+	// Token, not More: More reports false before a stray ']' or '}', so
+	// only io.EOF proves the document ended.
+	if _, err := dec.Token(); err != io.EOF {
 		return fmt.Errorf("model: invalid params: trailing data")
 	}
 	return nil
@@ -234,40 +240,100 @@ func canonicalParams(p any) (json.RawMessage, error) {
 	return out, nil
 }
 
-// optimizeSweep is the shared integer-r design-space search: argmax of
-// speedup (or argmin of energy), ties broken toward smaller r exactly
-// as core.OptimizeGrid breaks them. Infeasible r values are skipped; if
-// every r fails, core.ErrInfeasible wraps the last cause so the serving
-// layer's 422 mapping works for every backend.
-func optimizeSweep(maxR int, energy bool, eval func(r int) (core.Point, error)) (core.Point, error) {
+// maxSegments caps a Multi-Amdahl segment list. The per-r kernel keeps
+// its allocation fractions in a stack array of this size, so New
+// rejects longer lists.
+const maxSegments = 64
+
+// gridMaxR is the largest r a backend searches: maxR < 1 means the
+// paper's sweep bound, 16.
+func gridMaxR(maxR int) int {
 	if maxR < 1 {
-		maxR = 16
+		return 16
 	}
+	return maxR
+}
+
+// evalInputs validates the inputs every r-scanning backend's Evaluate
+// checks before its serial bounds (design, then r, then f) and returns
+// the budgets those bounds see: a bandwidth-exempt design gets an
+// unbounded bandwidth budget.
+func evalInputs(d core.Design, f float64, b bounds.Budgets, r int) (bounds.Budgets, error) {
+	if err := d.Validate(); err != nil {
+		return b, err
+	}
+	if r < 1 {
+		return b, errors.New("model: r must be >= 1")
+	}
+	if f < 0 || f > 1 || math.IsNaN(f) {
+		return b, amdahl.ErrFraction
+	}
+	if d.ExemptBandwidth {
+		b.Bandwidth = math.Inf(1)
+	}
+	return b, nil
+}
+
+// kernel is a backend's per-r evaluation, bound to one input that
+// evalInputs accepted (a design, a fraction and the effective budgets)
+// and run only at serial-feasible r. Evaluate and the optimizers both
+// run it. Neither half allocates or builds an error, so an optimizer
+// pays for an error only when no r is feasible at all.
+type kernel struct {
+	// bound returns the usable resources, the speedup and the binding
+	// budget at r, or false when no parallel resources remain for
+	// parallel work.
+	bound func(r int) (n, speedup float64, lim bounds.Limit, ok bool)
+	// energyNorm returns the normalized energy at r. No budget reaches
+	// it, so the speedup scan computes it for its winner only.
+	energyNorm func(r int) float64
+}
+
+// at assembles the design point of design d at fraction f and core size
+// r, or reports false where bound does.
+func (k *kernel) at(d core.Design, f float64, r int) (core.Point, bool) {
+	n, speedup, lim, ok := k.bound(r)
+	if !ok {
+		return core.Point{}, false
+	}
+	return core.Point{
+		Design: d, F: f, R: r, N: n,
+		Speedup: speedup, Limit: lim, EnergyNorm: k.energyNorm(r),
+	}, true
+}
+
+// scan is the integer-r design-space search over the serial-feasible
+// range [1, rTop]: argmax of speedup (or argmin of energy) among the r
+// bound accepts, ties broken toward smaller r exactly as
+// core.OptimizeGrid breaks them. It returns the winner's point, or
+// false when no r is accepted.
+func (k *kernel) scan(d core.Design, f float64, rTop int, energy bool) (core.Point, bool) {
 	var (
-		best    core.Point
-		found   bool
-		lastErr error
+		best  int
+		bestV float64
 	)
-	for r := 1; r <= maxR; r++ {
-		p, err := eval(r)
-		if err != nil {
-			lastErr = err
+	for r := 1; r <= rTop; r++ {
+		_, v, _, ok := k.bound(r)
+		if !ok {
 			continue
 		}
-		better := !found
-		if !better {
-			if energy {
-				better = p.EnergyNorm < best.EnergyNorm
-			} else {
-				better = p.Speedup > best.Speedup
-			}
+		if energy {
+			v = k.energyNorm(r)
 		}
-		if better {
-			best, found = p, true
+		if best == 0 || (energy && v < bestV) || (!energy && v > bestV) {
+			best, bestV = r, v
 		}
 	}
-	if !found {
-		return core.Point{}, fmt.Errorf("%w: %v", core.ErrInfeasible, lastErr)
+	if best == 0 {
+		return core.Point{}, false
 	}
-	return best, nil
+	return k.at(d, f, best)
+}
+
+// noFeasibleR is the error an r-scanning Optimize returns when no r in
+// [1, maxR] is feasible: core.ErrInfeasible wrapping cause, Evaluate's
+// error at the largest r searched, so the serving layer's 422 mapping
+// works for every backend.
+func noFeasibleR(cause error) error {
+	return fmt.Errorf("%w: %v", core.ErrInfeasible, cause)
 }

@@ -338,6 +338,17 @@ func TestParamCanonicalization(t *testing.T) {
 	if _, _, err := New("chung", 0, 0, json.RawMessage(`{"theta":0.5}`)); err == nil {
 		t.Fatal("chung accepted params")
 	}
+	// Only whitespace may follow the parameter document, for every backend.
+	for _, name := range Names() {
+		for _, raw := range []string{`{}]`, `{}}`, `{} {}`, `{} x`} {
+			if _, _, err := New(name, 0, 0, json.RawMessage(raw)); err == nil {
+				t.Errorf("%s accepted trailing data in %s", name, raw)
+			}
+		}
+		if _, _, err := New(name, 0, 0, json.RawMessage("{} \n\t")); err != nil {
+			t.Errorf("%s rejected trailing whitespace: %v", name, err)
+		}
+	}
 }
 
 func TestOptimizeSweepInfeasibleWrapsErrInfeasible(t *testing.T) {

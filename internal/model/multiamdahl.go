@@ -2,7 +2,6 @@ package model
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math"
 
@@ -40,8 +39,8 @@ func (p *maParams) normalize() error {
 		p.Segments = defaultSegments()
 		return nil
 	}
-	if len(p.Segments) > 64 {
-		return fmt.Errorf("model: at most 64 segments, got %d", len(p.Segments))
+	if len(p.Segments) > maxSegments {
+		return fmt.Errorf("model: at most %d segments, got %d", maxSegments, len(p.Segments))
 	}
 	sum := 0.0
 	for i := range p.Segments {
@@ -123,74 +122,121 @@ func (m multiAmdahlModel) Name() string { return "multiamdahl" }
 func (m multiAmdahlModel) Space() Space { return Space{MaxR: m.maxR, Kinds: allKinds()} }
 
 func (m multiAmdahlModel) Evaluate(d core.Design, f float64, b bounds.Budgets, r int) (core.Point, error) {
-	if err := d.Validate(); err != nil {
-		return core.Point{}, err
-	}
-	if r < 1 {
-		return core.Point{}, errors.New("model: r must be >= 1")
-	}
-	if f < 0 || f > 1 || math.IsNaN(f) {
-		return core.Point{}, amdahl.ErrFraction
-	}
-	eb := b
-	if d.ExemptBandwidth {
-		eb.Bandwidth = math.Inf(1)
-	}
-	rf := float64(r)
-	if err := bounds.SerialFeasible(m.law, eb, rf); err != nil {
-		return core.Point{}, err
-	}
-	pf := math.Sqrt(rf)
-	pwr, err := m.law.Power(rf)
+	eb, err := evalInputs(d, f, b, r)
 	if err != nil {
 		return core.Point{}, err
 	}
+	if err := bounds.SerialFeasible(m.law, eb, float64(r)); err != nil {
+		return core.Point{}, err
+	}
+	e := maEval{law: m.law, segs: m.segs, d: d, f: f, eb: eb}
+	k := kernel{bound: e.bound, energyNorm: e.energyNorm}
+	p, ok := k.at(d, f, r)
+	if !ok {
+		return core.Point{}, amdahl.ErrNoProgram
+	}
+	return p, nil
+}
 
-	// Baseline parallel-fabric densities per BCE of area — perf q, power
-	// w, bandwidth demand bw — and the area available to the parallel
-	// phase. The symmetric CMP runs parallel phases on the whole chip
-	// (the serial core is one of the parallel cores); the offload and
-	// heterogeneous chips spend r on a dark serial core first.
-	var q, w, bw, areaCap float64
-	switch d.Kind {
+func (m multiAmdahlModel) Optimize(d core.Design, f float64, b bounds.Budgets) (core.Point, error) {
+	return m.optimize(d, f, b, false)
+}
+
+func (m multiAmdahlModel) OptimizeEnergy(d core.Design, f float64, b bounds.Budgets) (core.Point, error) {
+	return m.optimize(d, f, b, true)
+}
+
+func (m multiAmdahlModel) optimize(d core.Design, f float64, b bounds.Budgets, energy bool) (core.Point, error) {
+	if p, ok := m.scan(d, f, b, energy); ok {
+		return p, nil
+	}
+	_, err := m.Evaluate(d, f, b, gridMaxR(m.maxR))
+	return core.Point{}, noFeasibleR(err)
+}
+
+// scan is the optimizer without its error path: it validates the inputs
+// once, bounds r by the closed-form serial cap, and runs the per-r
+// kernel over that range only. It reports false when no r is feasible.
+func (m multiAmdahlModel) scan(d core.Design, f float64, b bounds.Budgets, energy bool) (core.Point, bool) {
+	eb, err := evalInputs(d, f, b, 1)
+	if err != nil || eb.Validate() != nil {
+		return core.Point{}, false
+	}
+	e := maEval{law: m.law, segs: m.segs, d: d, f: f, eb: eb}
+	k := kernel{bound: e.bound, energyNorm: e.energyNorm}
+	return k.scan(d, f, bounds.SerialCap(m.law, eb, gridMaxR(m.maxR)), energy)
+}
+
+// maEval holds one kernel input: the validated design, fraction and
+// effective budgets, plus frac, the scratch space for the segment
+// allocation.
+type maEval struct {
+	law  pollack.Law
+	segs []Segment
+	d    core.Design
+	f    float64
+	eb   bounds.Budgets
+	frac [maxSegments]float64
+}
+
+// fabric returns the sequential core's performance pf and power pwr at
+// size r, and the baseline parallel fabric's densities per BCE of area:
+// performance q, power w and bandwidth demand bw. The symmetric CMP runs
+// parallel phases on its r-sized cores; the offload chip on BCEs; the
+// heterogeneous chip on its U-cores.
+func (e *maEval) fabric(rf float64) (pf, pwr, q, w, bw float64) {
+	pf = math.Sqrt(rf)
+	pwr, _ = e.law.Power(rf) // fails only for r < 1
+	switch e.d.Kind {
 	case core.SymCMP:
 		q, w, bw = pf/rf, pwr/rf, 1/pf
-		areaCap = eb.Area
 	case core.AsymCMP:
 		q, w, bw = 1, 1, 1
-		areaCap = eb.Area - rf
 	case core.Het:
-		q, w, bw = d.UCore.Mu, d.UCore.Phi, d.UCore.Mu
-		areaCap = eb.Area - rf
+		q, w, bw = e.d.UCore.Mu, e.d.UCore.Phi, e.d.UCore.Mu
+	}
+	return pf, pwr, q, w, bw
+}
+
+// bound is kernel.bound: the usable resources, the speedup and the
+// binding budget at r.
+func (e *maEval) bound(r int) (n, speedup float64, lim bounds.Limit, ok bool) {
+	rf := float64(r)
+	pf, _, q, w, bw := e.fabric(rf)
+
+	// The area available to the parallel phase: the whole chip for the
+	// symmetric CMP (the serial core is one of the parallel cores); the
+	// offload and heterogeneous chips spend r on a dark serial core first.
+	areaCap := e.eb.Area
+	if e.d.Kind != core.SymCMP {
+		areaCap = e.eb.Area - rf
 	}
 
-	// Lagrange allocation shape over the active segments: minimizing
-	// Sum(t_i/(q·mu_i·a_i)) subject to Sum(a_i) = A_par gives
-	// a_i proportional to sqrt(t_i/(q·mu_i)). With f == 0 no parallel
-	// work exists; budget attribution then uses the unit fabric.
-	type alloc struct {
-		seg  Segment
-		frac float64 // a_i / A_par
-	}
+	// Lagrange allocation shape over the active (non-zero share)
+	// segments: minimizing Sum(t_i/(q·mu_i·a_i)) subject to
+	// Sum(a_i) = A_par gives a_i proportional to sqrt(t_i/(q·mu_i)).
+	// frac[i] is segment i's a_i / A_par. With f == 0 no parallel work
+	// exists; budget attribution then uses the unit fabric.
 	var (
-		active []alloc
 		muBar  float64 // Sum frac_i·mu_i
 		phiBar float64 // Sum frac_i·phi_i
 	)
-	if f > 0 {
+	if e.f > 0 {
 		total := 0.0
-		for _, s := range m.segs {
+		for i, s := range e.segs {
 			if s.Share == 0 {
 				continue
 			}
-			wt := math.Sqrt(f * s.Share / (q * s.Mu))
-			active = append(active, alloc{seg: s, frac: wt})
-			total += wt
+			e.frac[i] = math.Sqrt(e.f * s.Share / (q * s.Mu))
+			total += e.frac[i]
 		}
-		for i := range active {
-			active[i].frac /= total
-			muBar += active[i].frac * active[i].seg.Mu
-			phiBar += active[i].frac * active[i].seg.Phi
+		for i, s := range e.segs {
+			if s.Share == 0 {
+				continue
+			}
+			e.frac[i] /= total
+			muBar += e.frac[i] * s.Mu
+			phiBar += e.frac[i] * s.Phi
 		}
 	} else {
 		muBar, phiBar = 1, 1
@@ -199,9 +245,10 @@ func (m multiAmdahlModel) Evaluate(d core.Design, f float64, b bounds.Budgets, r
 	// Parallel-area bound under each budget, attributed with the same
 	// tie preferences as bounds.Attribute (power beats bandwidth beats
 	// area on equality against area; bandwidth must strictly beat power).
-	aPar, lim := areaCap, bounds.AreaLimited
-	aPow := eb.Power / (w * phiBar)
-	aBW := eb.Bandwidth / (bw * muBar)
+	aPar := areaCap
+	lim = bounds.AreaLimited
+	aPow := e.eb.Power / (w * phiBar)
+	aBW := e.eb.Bandwidth / (bw * muBar)
 	if aPow < aPar && aPow <= aBW {
 		aPar, lim = aPow, bounds.PowerLimited
 	} else if aBW < aPar && aBW < aPow {
@@ -210,16 +257,15 @@ func (m multiAmdahlModel) Evaluate(d core.Design, f float64, b bounds.Budgets, r
 
 	// Usable resources n mirrors the paper's accounting: the whole chip
 	// for the symmetric CMP, serial core plus parallel fabric otherwise.
-	var n float64
-	if d.Kind == core.SymCMP {
+	if e.d.Kind == core.SymCMP {
 		n = aPar
 		if n < rf {
 			n = rf
 		}
 		aPar = n
 	} else {
-		if f > 0 && aPar <= 0 {
-			return core.Point{}, amdahl.ErrNoProgram
+		if e.f > 0 && aPar <= 0 {
+			return 0, 0, 0, false
 		}
 		if aPar < 0 {
 			aPar = 0
@@ -228,32 +274,33 @@ func (m multiAmdahlModel) Evaluate(d core.Design, f float64, b bounds.Budgets, r
 	}
 
 	// Speedup: serial time on the fast core plus each segment on its
-	// allocated accelerator area. Energy mirrors core.energyNorm: each
-	// segment contributes time · power at its own density ratio.
-	speedup := pf
-	energy := (1 - f) * pwr / pf
-	if f > 0 {
+	// allocated accelerator area.
+	speedup = pf
+	if e.f > 0 {
 		parTime := 0.0
-		for _, a := range active {
-			parTime += (f * a.seg.Share) / (q * a.seg.Mu * (a.frac * aPar))
-			energy += (f * a.seg.Share) * (w * a.seg.Phi) / (q * a.seg.Mu)
+		for i, s := range e.segs {
+			if s.Share == 0 {
+				continue
+			}
+			parTime += (e.f * s.Share) / (q * s.Mu * (e.frac[i] * aPar))
 		}
-		speedup = 1 / ((1-f)/pf + parTime)
+		speedup = 1 / ((1-e.f)/pf + parTime)
 	}
-	return core.Point{
-		Design: d, F: f, R: r, N: n,
-		Speedup: speedup, Limit: lim, EnergyNorm: energy,
-	}, nil
+	return n, speedup, lim, true
 }
 
-func (m multiAmdahlModel) Optimize(d core.Design, f float64, b bounds.Budgets) (core.Point, error) {
-	return optimizeSweep(m.maxR, false, func(r int) (core.Point, error) {
-		return m.Evaluate(d, f, b, r)
-	})
-}
-
-func (m multiAmdahlModel) OptimizeEnergy(d core.Design, f float64, b bounds.Budgets) (core.Point, error) {
-	return optimizeSweep(m.maxR, true, func(r int) (core.Point, error) {
-		return m.Evaluate(d, f, b, r)
-	})
+// energyNorm is kernel.energyNorm. It mirrors core.energyNorm: serial
+// energy plus each segment's time · power at its own density ratio.
+func (e *maEval) energyNorm(r int) float64 {
+	pf, pwr, q, w, _ := e.fabric(float64(r))
+	energy := (1 - e.f) * pwr / pf
+	if e.f > 0 {
+		for _, s := range e.segs {
+			if s.Share == 0 {
+				continue
+			}
+			energy += (e.f * s.Share) * (w * s.Phi) / (q * s.Mu)
+		}
+	}
+	return energy
 }

@@ -70,10 +70,42 @@ func (m sqrtmModel) Name() string { return "sqrtm" }
 
 func (m sqrtmModel) Space() Space { return Space{MaxR: m.maxR, Kinds: allKinds()} }
 
-// serialFeasible is bounds.SerialFeasible under the generalized law:
-// r <= A, r^(alpha*theta) <= P, and serial bandwidth perf(r) <= B. At
-// theta = 1/2 the bandwidth check keeps the baseline's exact r > B*B
-// comparison rather than the algebraically equal sqrt(r) > B.
+// serialBound names the serial bound a core size violates, if any.
+type serialBound int
+
+const (
+	serialOK serialBound = iota
+	serialArea
+	serialPower
+	serialBandwidth
+)
+
+// serialCheck is the serial-bound test under the generalized law:
+// r <= A, r^(alpha*theta) <= P, and serial bandwidth perf(r) <= B,
+// checked in that order for r >= 1. At theta = 1/2 the bandwidth check
+// keeps the baseline's exact r > B*B comparison rather than the
+// algebraically equal sqrt(r) > B. It returns the first bound violated
+// and, for power and theta != 1/2 bandwidth, the quantity that
+// exceeded its budget. (Power and Perf fail only for r < 1.)
+func (m sqrtmModel) serialCheck(b bounds.Budgets, r float64) (serialBound, float64) {
+	if r > b.Area {
+		return serialArea, r
+	}
+	if pw, _ := m.scal.Power(r); pw > b.Power {
+		return serialPower, pw
+	}
+	if m.scal.Theta() == pollack.DefaultTheta {
+		if r > b.Bandwidth*b.Bandwidth {
+			return serialBandwidth, r
+		}
+	} else if pf, _ := m.scal.Perf(r); pf > b.Bandwidth {
+		return serialBandwidth, pf
+	}
+	return serialOK, 0
+}
+
+// serialFeasible is bounds.SerialFeasible under the generalized law: it
+// reports serialCheck's verdict as an error.
 func (m sqrtmModel) serialFeasible(b bounds.Budgets, r float64) error {
 	if err := b.Validate(); err != nil {
 		return err
@@ -81,58 +113,97 @@ func (m sqrtmModel) serialFeasible(b bounds.Budgets, r float64) error {
 	if r < 1 || math.IsNaN(r) {
 		return errors.New("bounds: r must be >= 1")
 	}
-	if r > b.Area {
+	switch bound, x := m.serialCheck(b, r); bound {
+	case serialArea:
 		return fmt.Errorf("bounds: serial area bound violated: r=%.3g > A=%.3g", r, b.Area)
-	}
-	pw, err := m.scal.Power(r)
-	if err != nil {
-		return err
-	}
-	if pw > b.Power {
-		return fmt.Errorf("bounds: serial power bound violated: r^(a*theta)=%.3g > P=%.3g", pw, b.Power)
-	}
-	if m.scal.Theta() == pollack.DefaultTheta {
-		if r > b.Bandwidth*b.Bandwidth {
+	case serialPower:
+		return fmt.Errorf("bounds: serial power bound violated: r^(a*theta)=%.3g > P=%.3g", x, b.Power)
+	case serialBandwidth:
+		if m.scal.Theta() == pollack.DefaultTheta {
 			return fmt.Errorf("bounds: serial bandwidth bound violated: r=%.3g > B^2=%.3g", r, b.Bandwidth*b.Bandwidth)
 		}
-	} else {
-		pf, err := m.scal.Perf(r)
-		if err != nil {
-			return err
-		}
-		if pf > b.Bandwidth {
-			return fmt.Errorf("bounds: serial bandwidth bound violated: r^theta=%.3g > B=%.3g", pf, b.Bandwidth)
-		}
+		return fmt.Errorf("bounds: serial bandwidth bound violated: r^theta=%.3g > B=%.3g", x, b.Bandwidth)
 	}
 	return nil
 }
 
+// serialCap is bounds.SerialCap under the generalized law: the largest
+// r in [1, maxR] serialCheck accepts, or 0 when it rejects r = 1. The
+// closed form is r <= min(A, P^(1/(alpha*theta)), B^(1/theta)), with B²
+// at theta = 1/2; bounds.SettleCap settles its boundary with
+// serialCheck's exact comparisons. The budgets must already be valid.
+func (m sqrtmModel) serialCap(b bounds.Budgets, maxR int) int {
+	bw := b.Bandwidth * b.Bandwidth
+	if m.scal.Theta() != pollack.DefaultTheta {
+		bw = math.Pow(b.Bandwidth, 1/m.scal.Theta())
+	}
+	cap := math.Min(b.Area, math.Min(math.Pow(b.Power, 1/m.scal.PowExp()), bw))
+	return bounds.SettleCap(cap, maxR, func(r float64) bool {
+		bound, _ := m.serialCheck(b, r)
+		return bound == serialOK
+	})
+}
+
 func (m sqrtmModel) Evaluate(d core.Design, f float64, b bounds.Budgets, r int) (core.Point, error) {
-	if err := d.Validate(); err != nil {
+	eb, err := evalInputs(d, f, b, r)
+	if err != nil {
 		return core.Point{}, err
 	}
-	if r < 1 {
-		return core.Point{}, errors.New("model: r must be >= 1")
+	if err := m.serialFeasible(eb, float64(r)); err != nil {
+		return core.Point{}, err
 	}
-	if f < 0 || f > 1 || math.IsNaN(f) {
-		return core.Point{}, amdahl.ErrFraction
+	e := sqrtmEval{scal: m.scal, d: d, f: f, eb: eb}
+	k := kernel{bound: e.bound, energyNorm: e.energyNorm}
+	p, ok := k.at(d, f, r)
+	if !ok {
+		return core.Point{}, amdahl.ErrNoProgram
 	}
-	eb := b
-	if d.ExemptBandwidth {
-		eb.Bandwidth = math.Inf(1)
+	return p, nil
+}
+
+func (m sqrtmModel) Optimize(d core.Design, f float64, b bounds.Budgets) (core.Point, error) {
+	return m.optimize(d, f, b, false)
+}
+
+func (m sqrtmModel) OptimizeEnergy(d core.Design, f float64, b bounds.Budgets) (core.Point, error) {
+	return m.optimize(d, f, b, true)
+}
+
+func (m sqrtmModel) optimize(d core.Design, f float64, b bounds.Budgets, energy bool) (core.Point, error) {
+	if p, ok := m.scan(d, f, b, energy); ok {
+		return p, nil
 	}
+	_, err := m.Evaluate(d, f, b, gridMaxR(m.maxR))
+	return core.Point{}, noFeasibleR(err)
+}
+
+// scan is the optimizer without its error path: it validates the inputs
+// once, bounds r by serialCap, and runs the per-r kernel over that range
+// only. It reports false when no r is feasible.
+func (m sqrtmModel) scan(d core.Design, f float64, b bounds.Budgets, energy bool) (core.Point, bool) {
+	eb, err := evalInputs(d, f, b, 1)
+	if err != nil || eb.Validate() != nil {
+		return core.Point{}, false
+	}
+	e := sqrtmEval{scal: m.scal, d: d, f: f, eb: eb}
+	k := kernel{bound: e.bound, energyNorm: e.energyNorm}
+	return k.scan(d, f, m.serialCap(eb, gridMaxR(m.maxR)), energy)
+}
+
+// sqrtmEval holds one kernel input: the validated design, fraction and
+// effective budgets.
+type sqrtmEval struct {
+	scal pollack.Scaling
+	d    core.Design
+	f    float64
+	eb   bounds.Budgets
+}
+
+// bound is kernel.bound: the Table 1 bound and the speedup at r.
+func (e *sqrtmEval) bound(r int) (n, speedup float64, lim bounds.Limit, ok bool) {
+	d, f, eb := &e.d, e.f, &e.eb
 	rf := float64(r)
-	if err := m.serialFeasible(eb, rf); err != nil {
-		return core.Point{}, err
-	}
-	pf, err := m.scal.Perf(rf)
-	if err != nil {
-		return core.Point{}, err
-	}
-	pw, err := m.scal.Power(rf)
-	if err != nil {
-		return core.Point{}, err
-	}
+	pf, _ := e.scal.Perf(rf) // fails only for r < 1
 
 	// Table 1 bounds with the generalized exponents: the symmetric power
 	// column's r^(alpha/2 - 1) becomes r^(alpha*theta - 1) and its
@@ -141,7 +212,7 @@ func (m sqrtmModel) Evaluate(d core.Design, f float64, b bounds.Budgets, r int) 
 	var bd bounds.Bound
 	switch d.Kind {
 	case core.SymCMP:
-		nPow := eb.Power / math.Pow(rf, m.scal.PowExp()-1)
+		nPow := eb.Power / math.Pow(rf, e.scal.PowExp()-1)
 		nBW := eb.Bandwidth * pf
 		bd = bounds.Attribute(rf, eb.Area, nPow, nBW)
 	case core.AsymCMP:
@@ -150,11 +221,8 @@ func (m sqrtmModel) Evaluate(d core.Design, f float64, b bounds.Budgets, r int) 
 		bd = bounds.Attribute(rf, eb.Area, eb.Power/d.UCore.Phi+rf, eb.Bandwidth/d.UCore.Mu+rf)
 	}
 
-	n := bd.N
-	if n < rf {
-		n = rf
-	}
-	var speedup float64
+	// Attribute already clamps n to at least r.
+	n = bd.N
 	switch d.Kind {
 	case core.SymCMP:
 		speedup = 1 / ((1-f)/pf + f*rf/(n*pf))
@@ -164,7 +232,7 @@ func (m sqrtmModel) Evaluate(d core.Design, f float64, b bounds.Budgets, r int) 
 			break
 		}
 		if n == rf {
-			return core.Point{}, amdahl.ErrNoProgram
+			return 0, 0, 0, false
 		}
 		speedup = 1 / ((1-f)/pf + f/(n-rf))
 	case core.Het:
@@ -173,40 +241,32 @@ func (m sqrtmModel) Evaluate(d core.Design, f float64, b bounds.Budgets, r int) 
 			break
 		}
 		if n == rf {
-			return core.Point{}, amdahl.ErrNoProgram
+			return 0, 0, 0, false
 		}
 		speedup = 1 / ((1-f)/pf + f/(d.UCore.Mu*(n-rf)))
 	}
+	return n, speedup, bd.Limit, true
+}
 
-	// Normalized energy mirrors core.energyNorm — same expression shape
-	// (serial + f·ratio, ratio formed first) so theta = 1/2 rounds
-	// identically; the symmetric parallel ratio power/perf per BCE
-	// generalizes from r^((alpha-1)/2) to r^(theta*(alpha-1)).
+// energyNorm is kernel.energyNorm. It mirrors
+// core.energyNorm — same expression shape (serial + f·ratio, ratio
+// formed first) so theta = 1/2 rounds identically; the symmetric
+// parallel ratio power/perf per BCE generalizes from r^((alpha-1)/2) to
+// r^(theta*(alpha-1)).
+func (e *sqrtmEval) energyNorm(r int) float64 {
+	d, f := &e.d, e.f
+	rf := float64(r)
+	pf, _ := e.scal.Perf(rf) // Perf and Power fail only for r < 1
+	pw, _ := e.scal.Power(rf)
 	serial := (1 - f) * pw / pf
 	var parallelRatio float64
 	switch d.Kind {
 	case core.SymCMP:
-		parallelRatio = math.Pow(rf, m.scal.Theta()*(m.scal.Alpha()-1))
+		parallelRatio = math.Pow(rf, e.scal.Theta()*(e.scal.Alpha()-1))
 	case core.AsymCMP:
 		parallelRatio = 1
 	case core.Het:
 		parallelRatio = d.UCore.Phi / d.UCore.Mu
 	}
-	energy := serial + f*parallelRatio
-	return core.Point{
-		Design: d, F: f, R: r, N: bd.N,
-		Speedup: speedup, Limit: bd.Limit, EnergyNorm: energy,
-	}, nil
-}
-
-func (m sqrtmModel) Optimize(d core.Design, f float64, b bounds.Budgets) (core.Point, error) {
-	return optimizeSweep(m.maxR, false, func(r int) (core.Point, error) {
-		return m.Evaluate(d, f, b, r)
-	})
-}
-
-func (m sqrtmModel) OptimizeEnergy(d core.Design, f float64, b bounds.Budgets) (core.Point, error) {
-	return optimizeSweep(m.maxR, true, func(r int) (core.Point, error) {
-		return m.Evaluate(d, f, b, r)
-	})
+	return serial + f*parallelRatio
 }

@@ -115,28 +115,49 @@ func (m thermalModel) Name() string { return "multiamdahl-thermal" }
 func (m thermalModel) Space() Space { return Space{MaxR: m.maxR, Kinds: allKinds()} }
 
 func (m thermalModel) Evaluate(d core.Design, f float64, b bounds.Budgets, r int) (core.Point, error) {
-	eb, capped := b, false
-	if m.cap < b.Power {
-		eb.Power, capped = m.cap, true
-	}
+	eb, capped := m.budgets(b)
 	p, err := m.inner.Evaluate(d, f, eb, r)
 	if err != nil {
 		return core.Point{}, err
 	}
-	if capped && p.Limit == bounds.PowerLimited {
-		p.Limit = bounds.ThermalLimited
-	}
-	return p, nil
+	return relabel(p, capped), nil
 }
 
 func (m thermalModel) Optimize(d core.Design, f float64, b bounds.Budgets) (core.Point, error) {
-	return optimizeSweep(m.maxR, false, func(r int) (core.Point, error) {
-		return m.Evaluate(d, f, b, r)
-	})
+	return m.optimize(d, f, b, false)
 }
 
 func (m thermalModel) OptimizeEnergy(d core.Design, f float64, b bounds.Budgets) (core.Point, error) {
-	return optimizeSweep(m.maxR, true, func(r int) (core.Point, error) {
-		return m.Evaluate(d, f, b, r)
-	})
+	return m.optimize(d, f, b, true)
+}
+
+// optimize runs the Multi-Amdahl scan under the thermally capped
+// budgets. Relabelling the winner afterwards is exact: the scan compares
+// speedup or energy only, never the limit.
+func (m thermalModel) optimize(d core.Design, f float64, b bounds.Budgets, energy bool) (core.Point, error) {
+	eb, capped := m.budgets(b)
+	if p, ok := m.inner.scan(d, f, eb, energy); ok {
+		return relabel(p, capped), nil
+	}
+	_, err := m.Evaluate(d, f, b, gridMaxR(m.maxR))
+	return core.Point{}, noFeasibleR(err)
+}
+
+// budgets applies the thermal cap: the effective power budget is
+// min(P, P_th), and capped reports whether the cap lowered it.
+func (m thermalModel) budgets(b bounds.Budgets) (eb bounds.Budgets, capped bool) {
+	if m.cap < b.Power {
+		b.Power = m.cap
+		return b, true
+	}
+	return b, false
+}
+
+// relabel reports a power-limited point as thermal-limited when the
+// thermal cap is what lowered the power budget.
+func relabel(p core.Point, capped bool) core.Point {
+	if capped && p.Limit == bounds.PowerLimited {
+		p.Limit = bounds.ThermalLimited
+	}
+	return p
 }

@@ -16,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync/atomic"
 )
 
 // DefaultAlpha is the performance-to-power exponent estimated in
@@ -35,11 +34,6 @@ var ErrBadResource = errors.New("pollack: core size r must be positive")
 // evaluator settings).
 const powTabSize = 64
 
-// capEntry memoizes one MaxRForPower evaluation. The stored r is the
-// exact Pow result for the stored p, so a memo hit returns the same
-// bits the direct computation would.
-type capEntry struct{ p, r float64 }
-
 // Law bundles the sequential performance and power laws for one choice of
 // the power exponent alpha. The zero value is not valid; use New.
 type Law struct {
@@ -50,11 +44,6 @@ type Law struct {
 	// the exact Pow values, so table hits are bit-identical to the direct
 	// computation.
 	powTab *[powTabSize]float64
-	// capMemo holds the last MaxRForPower result. Grid sweeps solve the
-	// serial cap once per cell against a power budget that rarely changes
-	// between cells, and the general-exponent Pow there was a measurable
-	// slice of a cold sweep request.
-	capMemo *atomic.Pointer[capEntry]
 }
 
 // New returns a Law with the given performance-to-power exponent. alpha
@@ -63,11 +52,7 @@ func New(alpha float64) (Law, error) {
 	if alpha <= 0 || math.IsNaN(alpha) || math.IsInf(alpha, 0) {
 		return Law{}, fmt.Errorf("pollack: alpha must be a positive finite number, got %v", alpha)
 	}
-	l := Law{
-		alpha:   alpha,
-		powTab:  new([powTabSize]float64),
-		capMemo: new(atomic.Pointer[capEntry]),
-	}
+	l := Law{alpha: alpha, powTab: new([powTabSize]float64)}
 	for i := range l.powTab {
 		l.powTab[i] = math.Pow(float64(i+1), alpha/2)
 	}
@@ -125,16 +110,7 @@ func (l Law) MaxRForPower(p float64) (float64, error) {
 	if p <= 0 || math.IsNaN(p) {
 		return 0, errors.New("pollack: power budget must be positive")
 	}
-	if l.capMemo != nil {
-		if e := l.capMemo.Load(); e != nil && e.p == p {
-			return e.r, nil
-		}
-	}
-	r := math.Pow(p, 2/l.alpha)
-	if l.capMemo != nil {
-		l.capMemo.Store(&capEntry{p: p, r: r})
-	}
-	return r, nil
+	return math.Pow(p, 2/l.alpha), nil
 }
 
 // Efficiency returns sequential performance per unit power for a core of
