@@ -11,14 +11,12 @@ import (
 	"github.com/calcm/heterosim/internal/report"
 )
 
-// modelSelection is a resolved -model/-model-params pair. Model and
-// Factory are nil for the default backend, which keeps every
-// subcommand's default output on the analytic Chung path (and therefore
-// byte-identical to builds that predate the backend registry).
+// modelSelection is a resolved -model/-model-params pair: the default
+// backend, chung, is resolved like any other.
 type modelSelection struct {
 	Name    string        // canonical backend name, e.g. "chung"
-	Model   model.Model   // constructed instance (nil for the default)
-	Factory model.Factory // deferred constructor (nil for the default)
+	Model   model.Model   // constructed at the paper's alpha and maxR
+	Factory model.Factory // deferred constructor for projections
 }
 
 // modelFlag registers the shared -model and -model-params flags and
@@ -41,20 +39,14 @@ func modelFlag(fs *flag.FlagSet) func() (modelSelection, error) {
 		if err != nil {
 			return modelSelection{}, fmt.Errorf("model %s: %w", canon, err)
 		}
-		sel := modelSelection{Name: canon}
-		if canon == model.DefaultName {
-			return sel, nil
-		}
-		sel.Model = m
-		sel.Factory = model.NewFactory(canon, canonRaw)
-		return sel, nil
+		return modelSelection{Name: canon, Model: m, Factory: model.NewFactory(canon, canonRaw)}, nil
 	}
 }
 
 // printModelBanner notes a non-default backend above a subcommand's
 // output; the default prints nothing, keeping baseline output stable.
 func printModelBanner(sel modelSelection) {
-	if sel.Model != nil {
+	if sel.Name != model.DefaultName {
 		fmt.Printf("Model backend: %s\n\n", sel.Name)
 	}
 }

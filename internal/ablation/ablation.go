@@ -78,15 +78,9 @@ func run(ctx context.Context, base, ablated project.Config, f float64, nodeIdx, 
 
 // BandwidthBound removes the off-chip bandwidth constraint (B -> inf) —
 // isolating the paper's "bandwidth wall" from everything else. Runs on a
-// GOMAXPROCS pool; see BandwidthBoundWorkers.
+// GOMAXPROCS pool.
 func BandwidthBound(w paper.WorkloadID, f float64, nodeIdx int) ([]Result, error) {
-	return BandwidthBoundWorkers(w, f, nodeIdx, 0)
-}
-
-// BandwidthBoundWorkers is BandwidthBound with an explicit worker bound
-// (<= 0 means GOMAXPROCS).
-func BandwidthBoundWorkers(w paper.WorkloadID, f float64, nodeIdx, workers int) ([]Result, error) {
-	return bandwidthBoundCtx(context.Background(), w, f, nodeIdx, workers, nil)
+	return bandwidthBoundCtx(context.Background(), w, f, nodeIdx, 0, nil)
 }
 
 func bandwidthBoundCtx(ctx context.Context, w paper.WorkloadID, f float64, nodeIdx, workers int, mk model.Factory) ([]Result, error) {
@@ -98,15 +92,9 @@ func bandwidthBoundCtx(ctx context.Context, w paper.WorkloadID, f float64, nodeI
 
 // PowerBound removes the power constraint (P -> inf) — reducing the
 // model to area+bandwidth, close to pre-dark-silicon assumptions. Runs on
-// a GOMAXPROCS pool; see PowerBoundWorkers.
+// a GOMAXPROCS pool.
 func PowerBound(w paper.WorkloadID, f float64, nodeIdx int) ([]Result, error) {
-	return PowerBoundWorkers(w, f, nodeIdx, 0)
-}
-
-// PowerBoundWorkers is PowerBound with an explicit worker bound (<= 0
-// means GOMAXPROCS).
-func PowerBoundWorkers(w paper.WorkloadID, f float64, nodeIdx, workers int) ([]Result, error) {
-	return powerBoundCtx(context.Background(), w, f, nodeIdx, workers, nil)
+	return powerBoundCtx(context.Background(), w, f, nodeIdx, 0, nil)
 }
 
 func powerBoundCtx(ctx context.Context, w paper.WorkloadID, f float64, nodeIdx, workers int, mk model.Factory) ([]Result, error) {
@@ -120,15 +108,9 @@ func powerBoundCtx(ctx context.Context, w paper.WorkloadID, f float64, nodeIdx, 
 // to 16 — quantifying Hill & Marty's "sequential performance still
 // matters" within this model. Here the *baseline* has the ingredient, so
 // Ratio <= 1 and (1 - Ratio) is the value of core sizing. Runs on a
-// GOMAXPROCS pool; see SequentialSizingWorkers.
+// GOMAXPROCS pool.
 func SequentialSizing(w paper.WorkloadID, f float64, nodeIdx int) ([]Result, error) {
-	return SequentialSizingWorkers(w, f, nodeIdx, 0)
-}
-
-// SequentialSizingWorkers is SequentialSizing with an explicit worker
-// bound (<= 0 means GOMAXPROCS).
-func SequentialSizingWorkers(w paper.WorkloadID, f float64, nodeIdx, workers int) ([]Result, error) {
-	return sequentialSizingCtx(context.Background(), w, f, nodeIdx, workers, nil)
+	return sequentialSizingCtx(context.Background(), w, f, nodeIdx, 0, nil)
 }
 
 func sequentialSizingCtx(ctx context.Context, w paper.WorkloadID, f float64, nodeIdx, workers int, mk model.Factory) ([]Result, error) {
@@ -142,19 +124,15 @@ func sequentialSizingCtx(ctx context.Context, w paper.WorkloadID, f float64, nod
 // concurrently — the CLI `ablate` fan-out — returning them in fixed
 // order: bandwidth bound, power bound, sequential sizing.
 func Studies(w paper.WorkloadID, f float64, nodeIdx, workers int) ([][]Result, error) {
-	return StudiesCtx(context.Background(), w, f, nodeIdx, workers)
+	return StudiesModelCtx(context.Background(), w, f, nodeIdx, workers, nil)
 }
 
-// StudiesCtx is Studies bounded by a context: cancellation or an
-// expired deadline stops every projection early and surfaces ctx.Err(),
-// which is how the serving layer turns a request deadline into a 504.
-func StudiesCtx(ctx context.Context, w paper.WorkloadID, f float64, nodeIdx, workers int) ([][]Result, error) {
-	return StudiesModelCtx(ctx, w, f, nodeIdx, workers, nil)
-}
-
-// StudiesModelCtx is StudiesCtx under a model backend (nil = Chung
-// baseline). The sequential-sizing study pins MaxR = 1 through the
-// project.Config, so the factory sees the ablated sweep bound.
+// StudiesModelCtx is Studies bounded by a context and under a model
+// backend (nil = the default, chung). Cancellation or an expired
+// deadline stops every projection early and surfaces ctx.Err(), which
+// is how the serving layer turns a request deadline into a 504. The
+// sequential-sizing study pins MaxR = 1 through the project.Config, so
+// the factory sees the ablated sweep bound.
 func StudiesModelCtx(ctx context.Context, w paper.WorkloadID, f float64, nodeIdx, workers int, mk model.Factory) ([][]Result, error) {
 	studies := []func(context.Context, paper.WorkloadID, float64, int, int, model.Factory) ([]Result, error){
 		bandwidthBoundCtx,

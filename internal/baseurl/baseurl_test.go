@@ -20,12 +20,12 @@ func TestNormalize(t *testing.T) {
 		{in: "localhost", want: "http://localhost"},
 		{in: "", wantErr: true},
 		{in: "   ", wantErr: true},
-		{in: "http://", wantErr: true},              // empty host
-		{in: "ftp://example.com", wantErr: true},    // scheme
-		{in: "http://h/x?y=1", wantErr: true},       // query
-		{in: "http://h/x#frag", wantErr: true},      // fragment
-		{in: "http://user:pw@h:80", wantErr: true},  // userinfo
-		{in: "http://host:port", wantErr: true},     // non-numeric port
+		{in: "http://", wantErr: true},             // empty host
+		{in: "ftp://example.com", wantErr: true},   // scheme
+		{in: "http://h/x?y=1", wantErr: true},      // query
+		{in: "http://h/x#frag", wantErr: true},     // fragment
+		{in: "http://user:pw@h:80", wantErr: true}, // userinfo
+		{in: "http://host:port", wantErr: true},    // non-numeric port
 		{in: "http://[::1]:8080", want: "http://[::1]:8080"},
 	}
 	for _, tc := range cases {

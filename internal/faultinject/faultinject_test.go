@@ -23,11 +23,11 @@ func TestParse(t *testing.T) {
 		t.Errorf("minimal spec = (%+v, %v)", cfg, err)
 	}
 	for _, bad := range []string{
-		"nope",             // not key=value
-		"mystery=1",        // unknown key
-		"error=1.5",        // probability out of range
-		"seed=abc",         // unparsable seed
-		"latency=0.1:fast", // unparsable duration
+		"nope",                             // not key=value
+		"mystery=1",                        // unknown key
+		"error=1.5",                        // probability out of range
+		"seed=abc",                         // unparsable seed
+		"latency=0.1:fast",                 // unparsable duration
 		"error=0.5,reset=0.4,truncate=0.3", // partition exceeds 1
 	} {
 		if _, err := Parse(bad); err == nil {

@@ -116,41 +116,3 @@ func TestBench8KeyTreeGolden(t *testing.T) {
 	}
 	checkGolden(t, "bench8_keys.golden", []byte(b.String()))
 }
-
-// TestBench9KeyTreeGolden pins the BENCH_9.json key tree the same way:
-// the cluster-size matrix document's shape, including every per-cell
-// summary field, held by a golden so the 1-node-vs-N-node trend lines
-// never silently lose a column.
-func TestBench9KeyTreeGolden(t *testing.T) {
-	m := DefaultClusterMatrix()
-	sum := Summary{
-		Scenario: m.Scenarios[0].Name, Server: "baseline-x3", Seed: 1,
-		Requests: 10, OK: 6, Shed: 1, DeadlineMiss: 1, InjectedFaults: 2,
-		DurationMS: 12.5, ThroughputRPS: 800,
-		LatencyP50US: 900, LatencyP99US: 4000, LatencyMaxUS: 5000, LatencySamples: 6,
-		ShedRate: 0.1, DeadlineMissRate: 0.1,
-		Cache: CacheRatios{Hits: 3, Misses: 3, Coalesced: 1, StaleServed: 1, HitRatio: 0.5, CoalesceRatio: 0.14},
-	}
-	doc := NewClusterBenchDoc(m, []Summary{sum})
-	raw, err := json.Marshal(doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var v any
-	if err := json.Unmarshal(raw, &v); err != nil {
-		t.Fatal(err)
-	}
-	paths := map[string]bool{}
-	keyTree(v, "", paths)
-	var sorted []string
-	for p := range paths {
-		sorted = append(sorted, p)
-	}
-	sort.Strings(sorted)
-	var b strings.Builder
-	fmt.Fprintln(&b, "# BENCH_9.json key tree (shape only; [] collapses array elements)")
-	for _, p := range sorted {
-		fmt.Fprintln(&b, p)
-	}
-	checkGolden(t, "bench9_keys.golden", []byte(b.String()))
-}

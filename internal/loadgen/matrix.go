@@ -10,9 +10,7 @@ import (
 	"sync"
 	"time"
 
-	"github.com/calcm/heterosim/internal/client"
 	"github.com/calcm/heterosim/internal/faultinject"
-	"github.com/calcm/heterosim/internal/servecache"
 	"github.com/calcm/heterosim/internal/server"
 )
 
@@ -227,104 +225,6 @@ func runCell(ctx context.Context, sc Scenario, srv ServerConfig, opts MatrixOpti
 	return Run(ctx, sc, cfg)
 }
 
-// ClusterMatrix crosses traffic scenarios with cluster sizes: every
-// (scenario, size) cell runs against a fresh peer-aware cluster of
-// that many daemons, all sharing one server configuration, driven
-// through the pick-first/failover client so load reaches the cluster
-// the way a real frontend's would.
-type ClusterMatrix struct {
-	Scenarios []Scenario   `json:"scenarios"`
-	Server    ServerConfig `json:"server"`
-	Sizes     []int        `json:"sizes"`
-}
-
-// RunClusterMatrix executes every (scenario, size) cell and returns
-// the summaries in scenario-major order. Each summary's Server label
-// is "<config>-x<size>". Cache ratios are cluster-wide: every
-// member's /metrics deltas are summed, so a peer-owned key that cost
-// one compute cluster-wide shows as one miss, not three.
-func RunClusterMatrix(ctx context.Context, m ClusterMatrix, opts MatrixOptions) ([]Summary, error) {
-	if len(m.Scenarios) == 0 || len(m.Sizes) == 0 {
-		return nil, fmt.Errorf("loadgen: cluster matrix needs at least one scenario and one size")
-	}
-	for i := range m.Scenarios {
-		if err := m.Scenarios[i].Validate(); err != nil {
-			return nil, err
-		}
-	}
-	var sums []Summary
-	for _, sc := range m.Scenarios {
-		for _, n := range m.Sizes {
-			sum, err := runClusterCell(ctx, sc, m.Server, n, opts)
-			if err != nil {
-				return sums, fmt.Errorf("loadgen: cluster cell (%s, x%d): %w", sc.Name, n, err)
-			}
-			sums = append(sums, sum)
-			if opts.Progress != nil {
-				fmt.Fprintf(opts.Progress, "%-14s x %-12s  %6d req  %8.1f rps  p99 %6dus  shed %.1f%%\n",
-					sc.Name, sum.Server, sum.Requests, sum.ThroughputRPS,
-					sum.LatencyP99US, sum.ShedRate*100)
-			}
-		}
-	}
-	return sums, nil
-}
-
-// runClusterCell runs one (scenario, size) pair against a fresh
-// cluster, patching cluster-wide cache ratios over the single-member
-// sample Run takes through the driving client.
-func runClusterCell(ctx context.Context, sc Scenario, srv ServerConfig, n int, opts MatrixOptions) (Summary, error) {
-	urls, _, stop, err := StartCluster(sc, srv, n)
-	if err != nil {
-		return Summary{}, err
-	}
-	defer stop()
-	name := srv.Name
-	if name == "" {
-		name = "baseline"
-	}
-	cfg := RunConfig{Clock: opts.Clock, ServerName: fmt.Sprintf("%s-x%d", name, n)}
-	if n == 1 {
-		cfg.BaseURL = urls[0]
-	} else {
-		cfg.BaseURLs = urls
-	}
-	before, beforeErr := clusterCacheTotals(ctx, urls)
-	sum, err := Run(ctx, sc, cfg)
-	if err != nil {
-		return sum, err
-	}
-	if after, afterErr := clusterCacheTotals(ctx, urls); beforeErr == nil && afterErr == nil {
-		sum.Cache = ratios(
-			after.Hits-before.Hits,
-			after.Misses-before.Misses,
-			after.Coalesced-before.Coalesced,
-			after.StaleServed-before.StaleServed,
-		)
-	}
-	return sum, nil
-}
-
-// clusterCacheTotals sums the cache counters across every member.
-func clusterCacheTotals(ctx context.Context, urls []string) (servecache.Stats, error) {
-	var tot servecache.Stats
-	for _, u := range urls {
-		cli, err := client.New(client.Config{BaseURL: u})
-		if err != nil {
-			return tot, err
-		}
-		m, err := cli.Metrics(ctx)
-		if err != nil {
-			return tot, err
-		}
-		tot.Hits += m.Cache.Hits
-		tot.Misses += m.Cache.Misses
-		tot.Coalesced += m.Cache.Coalesced
-		tot.StaleServed += m.Cache.StaleServed
-	}
-	return tot, nil
-}
-
 // BenchDoc is the BENCH_8.json document: the matrix that ran and the
 // per-cell summaries. Every future serving-capacity PR lands against
 // these numbers.
@@ -341,55 +241,11 @@ func NewBenchDoc(m Matrix, sums []Summary) BenchDoc {
 		Note: "Scenario-matrix load measurements: each cell drives one traffic " +
 			"scenario through internal/client against a fresh in-process daemon " +
 			"with one server configuration. Latencies are quantiles over " +
-			"successful requests. Regenerate: HETEROSIM_MEASURE=1 " +
-			"go test -run MeasureBench8 -v ./internal/loadgen/",
+			"successful requests. Regenerate: " +
+			"heterosim-loadgen matrix -out BENCH_8.json",
 		Scenarios: m.Scenarios,
 		Servers:   m.Servers,
 		Results:   sums,
-	}
-}
-
-// ClusterBenchDoc is the BENCH_9.json document: one server
-// configuration at each cluster size, per-cell summaries with
-// cluster-wide cache ratios. It is the 1-node-vs-3-node baseline the
-// clustering work lands against.
-type ClusterBenchDoc struct {
-	Note      string       `json:"note"`
-	Scenarios []Scenario   `json:"scenarios"`
-	Server    ServerConfig `json:"server"`
-	Sizes     []int        `json:"sizes"`
-	Results   []Summary    `json:"results"`
-}
-
-// NewClusterBenchDoc assembles the document for one cluster-matrix run.
-func NewClusterBenchDoc(m ClusterMatrix, sums []Summary) ClusterBenchDoc {
-	return ClusterBenchDoc{
-		Note: "Cluster-size load measurements: each cell drives one traffic " +
-			"scenario through the pick-first/failover client against a fresh " +
-			"peer-aware cluster of N in-process daemons sharing one server " +
-			"configuration. Cache ratios sum /metrics deltas across every " +
-			"member, so one cluster-wide compute is one miss. Regenerate: " +
-			"HETEROSIM_MEASURE=1 go test -run MeasureBench9 -v ./internal/loadgen/",
-		Scenarios: m.Scenarios,
-		Server:    m.Server,
-		Sizes:     m.Sizes,
-		Results:   sums,
-	}
-}
-
-// DefaultClusterMatrix is the BENCH_9 measurement matrix: the two
-// non-fault measurement scenarios at one and three nodes under the
-// baseline configuration. chaos-faults is excluded because per-member
-// injectors make cross-size comparisons measure fault luck, not
-// clustering cost.
-func DefaultClusterMatrix() ClusterMatrix {
-	return ClusterMatrix{
-		Scenarios: []Scenario{
-			mustBuiltin("steady-mixed"),
-			mustBuiltin("burst-open"),
-		},
-		Server: ServerConfig{Name: "baseline"},
-		Sizes:  []int{1, 3},
 	}
 }
 

@@ -41,8 +41,8 @@ import (
 
 // Optimizer is the minimal evaluation surface the projection,
 // sensitivity, and serving fan-outs consume: optimize the design point
-// for one objective under one budget triple. core.Evaluator satisfies
-// it, so the legacy path and every backend flow through one shape.
+// for one objective under one budget triple. Every Model satisfies it,
+// and so does core.Evaluator, which the chung backend wraps.
 type Optimizer interface {
 	Optimize(d core.Design, f float64, b bounds.Budgets) (core.Point, error)
 	OptimizeEnergy(d core.Design, f float64, b bounds.Budgets) (core.Point, error)
@@ -196,7 +196,7 @@ func New(name string, alpha float64, maxR int, params json.RawMessage) (Model, j
 // Factory defers instance construction until the projection layer knows
 // its (alpha, maxR): Scenario 6 rewrites alpha and the sequential-sizing
 // ablation pins maxR, and those configuration transforms must reach the
-// backend. A nil Factory means the legacy Chung evaluator path.
+// backend. project.Config treats a nil Factory as the default backend.
 type Factory func(alpha float64, maxR int) (Model, error)
 
 // NewFactory returns a Factory closing over a validated (name, params)

@@ -38,11 +38,10 @@ type Config struct {
 	Alpha            float64 // sequential power exponent (paper: 1.75)
 	MaxR             int     // sequential-core sweep bound (paper: 16)
 
-	// Model, when non-nil, selects the model backend evaluating each
-	// design x node cell; nil means the paper's Chung evaluator (the
-	// analytic fast path). The factory runs after all config transforms
-	// (scenario alpha overrides, ablation MaxR pinning) so backends see
-	// the final Alpha and MaxR.
+	// Model selects the model backend evaluating each design x node
+	// cell; nil means the default backend, chung. The factory runs after
+	// all config transforms (scenario alpha overrides, ablation MaxR
+	// pinning) so backends see the final Alpha and MaxR.
 	Model model.Factory
 
 	// Workers bounds the design x node evaluation pool; <= 0 means
@@ -82,15 +81,6 @@ func (c Config) Validate() error {
 		return errors.New("project: MaxR must be >= 1")
 	}
 	return nil
-}
-
-// evaluator builds the core evaluator for this config.
-func (c Config) evaluator() (core.Evaluator, error) {
-	law, err := pollack.New(c.Alpha)
-	if err != nil {
-		return core.Evaluator{}, err
-	}
-	return core.Evaluator{Law: law, MaxR: c.MaxR}, nil
 }
 
 // BudgetsAt converts the config's physical budgets at one node into
@@ -257,7 +247,7 @@ func projectWith(ctx context.Context, cfg Config, f float64, energy bool) ([]Tra
 	if cfg.Model != nil {
 		optimizer, err = cfg.Model(cfg.Alpha, cfg.MaxR)
 	} else {
-		optimizer, err = cfg.evaluator()
+		optimizer, _, err = model.New(model.DefaultName, cfg.Alpha, cfg.MaxR, nil)
 	}
 	if err != nil {
 		return nil, err

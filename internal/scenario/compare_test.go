@@ -31,9 +31,9 @@ func TestCrossovers(t *testing.T) {
 	ts := []project.Trajectory{
 		traj("(0) SymCMP", core.SymCMP, 2, 3, 4, 5, 6),
 		traj("(1) AsymCMP", core.AsymCMP, 3, 4, 5, 6, 7),
-		traj("fpga", core.Het, 1, 2, 6, 8, 9),    // overtakes sym at 22nm, asym at 22nm
-		traj("asic", core.Het, 9, 9, 9, 9, 9),    // ahead from the first node
-		traj("gpu", core.Het, 1, 1, 1, 1, 1),     // never overtakes
+		traj("fpga", core.Het, 1, 2, 6, 8, 9),       // overtakes sym at 22nm, asym at 22nm
+		traj("asic", core.Het, 9, 9, 9, 9, 9),       // ahead from the first node
+		traj("gpu", core.Het, 1, 1, 1, 1, 1),        // never overtakes
 		traj("patchy", core.Het, never, 5, 5, 5, 5), // invalid nodes never count
 	}
 	got := Crossovers(ts)

@@ -125,25 +125,16 @@ func Get(id ID) (Scenario, error) {
 // Run projects a workload at parallel fraction f under the scenario
 // with the default (GOMAXPROCS) worker pool.
 func Run(s Scenario, w paper.WorkloadID, f float64) ([]project.Trajectory, error) {
-	return RunWorkers(s, w, f, 0)
+	return RunModelCtx(context.Background(), s, w, f, 0, nil)
 }
 
-// RunWorkers is Run with an explicit worker-pool size for the projection
-// (<= 0 means GOMAXPROCS). Results are identical at every worker count.
-func RunWorkers(s Scenario, w paper.WorkloadID, f float64, workers int) ([]project.Trajectory, error) {
-	return RunCtx(context.Background(), s, w, f, workers)
-}
-
-// RunCtx is RunWorkers bounded by ctx (nil = Background): cancellation
-// aborts the projection between cells with ctx.Err().
-func RunCtx(ctx context.Context, s Scenario, w paper.WorkloadID, f float64, workers int) ([]project.Trajectory, error) {
-	return RunModelCtx(ctx, s, w, f, workers, nil)
-}
-
-// RunModelCtx is RunCtx under a model backend: mk selects the model
-// evaluating every design x node cell (nil means the Chung baseline).
-// The factory is applied after the scenario's configuration transform,
-// so e.g. Scenario 6's alpha override reaches the backend.
+// RunModelCtx is Run bounded by ctx (nil = Background), with an
+// explicit worker-pool size (<= 0 means GOMAXPROCS) and a model backend:
+// mk selects the model evaluating every design x node cell (nil means
+// the default, chung). The factory is applied after the scenario's
+// configuration transform, so e.g. Scenario 6's alpha override reaches
+// the backend. Results are identical at every worker count, and
+// cancellation aborts the projection between cells with ctx.Err().
 func RunModelCtx(ctx context.Context, s Scenario, w paper.WorkloadID, f float64, workers int, mk model.Factory) ([]project.Trajectory, error) {
 	cfg := s.Apply(project.DefaultConfig(w))
 	cfg.Workers = workers
@@ -154,24 +145,13 @@ func RunModelCtx(ctx context.Context, s Scenario, w paper.WorkloadID, f float64,
 // Compare runs baseline and scenario side by side and returns both
 // trajectory sets in that order.
 func Compare(s Scenario, w paper.WorkloadID, f float64) (base, alt []project.Trajectory, err error) {
-	return CompareWorkers(s, w, f, 0)
+	return CompareModelCtx(context.Background(), s, w, f, 0, nil)
 }
 
-// CompareWorkers is Compare with an explicit worker-pool size (<= 0
-// means GOMAXPROCS) threaded through both projections.
-func CompareWorkers(s Scenario, w paper.WorkloadID, f float64, workers int) (base, alt []project.Trajectory, err error) {
-	return CompareCtx(context.Background(), s, w, f, workers)
-}
-
-// CompareCtx is CompareWorkers bounded by ctx (nil = Background), so a
-// request deadline covers both the baseline and alternative projections.
-func CompareCtx(ctx context.Context, s Scenario, w paper.WorkloadID, f float64, workers int) (base, alt []project.Trajectory, err error) {
-	return CompareModelCtx(ctx, s, w, f, workers, nil)
-}
-
-// CompareModelCtx is CompareCtx under a model backend (nil = Chung
-// baseline): both the baseline and alternative projections run on the
-// same backend, so the comparison isolates the scenario, not the model.
+// CompareModelCtx is Compare with RunModelCtx's ctx, worker and model
+// arguments: both the baseline and alternative projections run on the
+// same backend, so the comparison isolates the scenario, not the model,
+// and one deadline covers both.
 func CompareModelCtx(ctx context.Context, s Scenario, w paper.WorkloadID, f float64, workers int, mk model.Factory) (base, alt []project.Trajectory, err error) {
 	baseScen, err := Get(Baseline)
 	if err != nil {

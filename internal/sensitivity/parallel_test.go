@@ -1,6 +1,7 @@
 package sensitivity
 
 import (
+	"context"
 	"reflect"
 	"runtime"
 	"testing"
@@ -10,12 +11,12 @@ import (
 // workers = 1, 4, and GOMAXPROCS — per-sample RNG sub-streams make the
 // draw sequence independent of scheduling.
 func TestMonteCarloParallelStability(t *testing.T) {
-	want, err := MonteCarloWorkers(ev, asic, 0.999, fftBudget, 0.2, 400, 42, 1)
+	want, err := MonteCarloCtx(context.Background(), ev, asic, 0.999, fftBudget, 0.2, 400, 42, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{4, runtime.GOMAXPROCS(0), 0} {
-		got, err := MonteCarloWorkers(ev, asic, 0.999, fftBudget, 0.2, 400, 42, workers)
+		got, err := MonteCarloCtx(context.Background(), ev, asic, 0.999, fftBudget, 0.2, 400, 42, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -36,12 +37,12 @@ func TestMonteCarloParallelStability(t *testing.T) {
 // TestProfileParallelStability: elasticities are identical at every
 // worker count.
 func TestProfileParallelStability(t *testing.T) {
-	want, err := ProfileWorkers(ev, asic, 0.999, fftBudget, 0.01, 1)
+	want, err := ProfileCtx(context.Background(), ev, asic, 0.999, fftBudget, 0.01, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{4, runtime.GOMAXPROCS(0), 0} {
-		got, err := ProfileWorkers(ev, asic, 0.999, fftBudget, 0.01, workers)
+		got, err := ProfileCtx(context.Background(), ev, asic, 0.999, fftBudget, 0.01, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -50,11 +51,11 @@ func TestProfileParallelStability(t *testing.T) {
 		}
 	}
 	// CMP designs (no mu/phi) fan out fewer inputs but stay stable.
-	wantCMP, err := ProfileWorkers(ev, cmp, 0.999, fftBudget, 0.01, 1)
+	wantCMP, err := ProfileCtx(context.Background(), ev, cmp, 0.999, fftBudget, 0.01, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotCMP, err := ProfileWorkers(ev, cmp, 0.999, fftBudget, 0.01, 0)
+	gotCMP, err := ProfileCtx(context.Background(), ev, cmp, 0.999, fftBudget, 0.01, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestSampleRNGSubStreamsDecorrelated(t *testing.T) {
 func benchMonteCarlo(b *testing.B, workers int) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := MonteCarloWorkers(ev, asic, 0.999, fftBudget, 0.2, 1000, 42, workers); err != nil {
+		if _, err := MonteCarloCtx(context.Background(), ev, asic, 0.999, fftBudget, 0.2, 1000, 42, workers); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -113,21 +113,17 @@ func Elasticity(ev Optimizer, d core.Design, f float64, b bounds.Budgets, in Inp
 }
 
 // Profile computes all applicable elasticities for a design point across
-// a GOMAXPROCS worker pool. See ProfileWorkers.
+// a GOMAXPROCS worker pool. See ProfileCtx.
 func Profile(ev Optimizer, d core.Design, f float64, b bounds.Budgets, h float64) (map[Input]float64, error) {
-	return ProfileWorkers(ev, d, f, b, h, 0)
+	return ProfileCtx(context.Background(), ev, d, f, b, h, 0)
 }
 
-// ProfileWorkers fans the applicable inputs out over workers goroutines
+// ProfileCtx fans the applicable inputs out over workers goroutines
 // (<= 0 means GOMAXPROCS). Each elasticity is an independent pair of
 // optimizations, so the result is identical at every worker count.
-func ProfileWorkers(ev Optimizer, d core.Design, f float64, b bounds.Budgets, h float64, workers int) (map[Input]float64, error) {
-	return ProfileCtx(context.Background(), ev, d, f, b, h, workers)
-}
-
-// ProfileCtx is ProfileWorkers bounded by a context: cancellation or an
-// expired deadline stops the fan-out early and surfaces ctx.Err(), which
-// is how the serving layer turns a request deadline into a 504.
+// Cancellation or an expired deadline stops the fan-out early and
+// surfaces ctx.Err(), which is how the serving layer turns a request
+// deadline into a 504.
 func ProfileCtx(ctx context.Context, ev Optimizer, d core.Design, f float64, b bounds.Budgets, h float64, workers int) (map[Input]float64, error) {
 	applicable := make([]Input, 0, len(Inputs))
 	for _, in := range Inputs {
@@ -164,9 +160,9 @@ type Interval struct {
 }
 
 // MonteCarlo evaluates the design under `samples` random perturbations
-// across a GOMAXPROCS worker pool. See MonteCarloWorkers.
+// across a GOMAXPROCS worker pool. See MonteCarloCtx.
 func MonteCarlo(ev Optimizer, d core.Design, f float64, b bounds.Budgets, sigma float64, samples int, seed int64) (Interval, error) {
-	return MonteCarloWorkers(ev, d, f, b, sigma, samples, seed, 0)
+	return MonteCarloCtx(context.Background(), ev, d, f, b, sigma, samples, seed, 0)
 }
 
 // normKey identifies one deterministic matrix of standard-normal draws:
@@ -243,7 +239,7 @@ func sampleRNG(seed int64, i int) *rand.Rand {
 	return rand.New(rand.NewSource(int64(splitmix64(uint64(seed) + uint64(i)))))
 }
 
-// MonteCarloWorkers evaluates the design under `samples` random
+// MonteCarloCtx evaluates the design under `samples` random
 // perturbations: every input independently scaled by exp(sigma x N(0,1))
 // (log-normal, so a sigma of 0.2 is roughly +-20%). Infeasible draws are
 // skipped but counted against the sample budget; at least half must
@@ -253,14 +249,9 @@ func sampleRNG(seed int64, i int) *rand.Rand {
 // sample draws from its own deterministic RNG sub-stream derived from
 // (seed, sample index), and the surviving speedups are assembled in
 // sample order, so the interval is identical at every worker count.
-func MonteCarloWorkers(ev Optimizer, d core.Design, f float64, b bounds.Budgets, sigma float64, samples int, seed int64, workers int) (Interval, error) {
-	return MonteCarloCtx(context.Background(), ev, d, f, b, sigma, samples, seed, workers)
-}
-
-// MonteCarloCtx is MonteCarloWorkers bounded by a context: cancellation
-// or an expired deadline stops the sample fan-out early and surfaces
-// ctx.Err() so callers (the serving layer) can distinguish a timeout
-// from an infeasible study.
+// Cancellation or an expired deadline stops the sample fan-out early and
+// surfaces ctx.Err() so callers (the serving layer) can distinguish a
+// timeout from an infeasible study.
 func MonteCarloCtx(ctx context.Context, ev Optimizer, d core.Design, f float64, b bounds.Budgets, sigma float64, samples int, seed int64, workers int) (Interval, error) {
 	if sigma <= 0 || samples < 10 {
 		return Interval{}, errors.New("sensitivity: need sigma > 0 and samples >= 10")

@@ -15,14 +15,14 @@ func FuzzParsePeers(f *testing.F) {
 	f.Add("127.0.0.1:9000", "127.0.0.1:9000,127.0.0.1:9001,127.0.0.1:9002")
 	f.Add("http://a:1", "http://a:1/,b:2")
 	f.Add("https://secure:443", "https://secure:443,http://plain:80")
-	f.Add("a:1", "a:1,a:1")              // duplicate
-	f.Add("a:1", "b:2,c:3")              // self missing
-	f.Add("", "a:1")                     // empty self
-	f.Add("a:1", "")                     // empty list
-	f.Add("a:1", ",,,")                  // only separators
-	f.Add("ftp://a:1", "ftp://a:1")      // bad scheme
-	f.Add("http://", "http://")          // empty host
-	f.Add("a:1?q=1", "a:1?q=1")          // query
+	f.Add("a:1", "a:1,a:1")         // duplicate
+	f.Add("a:1", "b:2,c:3")         // self missing
+	f.Add("", "a:1")                // empty self
+	f.Add("a:1", "")                // empty list
+	f.Add("a:1", ",,,")             // only separators
+	f.Add("ftp://a:1", "ftp://a:1") // bad scheme
+	f.Add("http://", "http://")     // empty host
+	f.Add("a:1?q=1", "a:1?q=1")     // query
 	f.Add("http://u:p@h:1", "http://u:p@h:1")
 	f.Add("  spaced:80  ", " spaced:80 , other:81 ")
 	f.Add("[::1]:8080", "[::1]:8080,127.0.0.1:1")

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 
 	"github.com/calcm/heterosim/internal/bounds"
-	"github.com/calcm/heterosim/internal/core"
 	"github.com/calcm/heterosim/internal/engine"
 	"github.com/calcm/heterosim/internal/model"
 	"github.com/calcm/heterosim/internal/paper"
@@ -57,24 +56,6 @@ var registryOps = func() map[string]engine.Op {
 	return m
 }()
 
-// defaultEvaluator is the shared paper-default evaluator: Evaluator is
-// an immutable value, so every request using the default (or explicit
-// paper) alpha reuses this one instead of revalidating the law.
-var defaultEvaluator = core.NewEvaluator()
-
-// evaluatorFor builds the core evaluator, honoring an alpha override
-// (0 means the paper default of 1.75).
-func evaluatorFor(alpha float64) (core.Evaluator, error) {
-	if alpha == 0 || alpha == pollack.DefaultAlpha {
-		return defaultEvaluator, nil
-	}
-	law, err := pollack.New(alpha)
-	if err != nil {
-		return core.Evaluator{}, badRequest("%v", err)
-	}
-	return core.Evaluator{Law: law, MaxR: defaultEvaluator.MaxR}, nil
-}
-
 // nodeBudgets resolves a request's (workload, node-name) pair to its
 // default-configuration budgets via the precomputed project tables,
 // mapping failures (unknown node names) to 400s.
@@ -101,27 +82,30 @@ func workersOr(reqWorkers *int, env engine.Env) int {
 
 // resolveModel canonicalizes a request's (model, modelParams) pair in
 // place, reports the resolved backend to the serving layer, and
-// constructs it. The default backend returns a nil Model: the legacy
-// Chung evaluator answers those requests, so default responses stay
-// byte-identical to the pre-backend contract. Canonicalization also
-// clears every spelling of the default ("", "chung", "CHUNG") back to
-// the omitted form and re-marshals other backends' params with their
-// defaults filled, so equivalent requests share one cache entry.
-// alpha <= 0 means the paper default; maxR is always the serving
-// default sweep bound.
+// constructs it. Canonicalization clears every spelling of the default
+// ("", "chung", "CHUNG") back to the omitted form, so default responses
+// never echo a model field, and re-marshals other backends' params with
+// their defaults filled, so equivalent requests share one cache entry.
+// alpha 0 means the paper default and a negative alpha is a 400; maxR
+// is always the paper's sweep bound.
 func resolveModel(name *string, params *json.RawMessage, alpha float64, env engine.Env) (model.Model, error) {
+	// model.New maps every alpha <= 0 to the default, so the sign is
+	// checked here, before the name, with pollack's own message.
+	if !(alpha >= 0) {
+		_, err := pollack.New(alpha)
+		return nil, badRequest("%v", err)
+	}
 	canon, err := model.Canonical(*name)
 	if err != nil {
 		return nil, badRequest("%v", err)
 	}
 	env.ReportModel(canon)
-	m, cp, err := model.New(canon, alpha, defaultEvaluator.MaxR, *params)
+	m, cp, err := model.New(canon, alpha, 0, *params)
 	if err != nil {
 		return nil, badRequest("model %s: %v", canon, err)
 	}
 	if canon == model.DefaultName {
-		*name, *params = "", nil
-		return nil, nil
+		canon = "" // chung takes no params, so cp is already nil
 	}
 	*name, *params = canon, cp
 	return m, nil
@@ -132,8 +116,8 @@ func resolveModel(name *string, params *json.RawMessage, alpha float64, env engi
 // model.Factory so configuration transforms applied later — scenario
 // 6's alpha override, the ablation's MaxR pinning — reach the backend.
 // The pair is still validated and canonicalized here, at request
-// decode time; a nil factory keeps the projection's analytic Chung
-// path.
+// decode time; the default backend gets a nil factory, which the
+// projection resolves to chung itself.
 func resolveModelFactory(name *string, params *json.RawMessage, env engine.Env) (model.Factory, error) {
 	if _, err := resolveModel(name, params, 0, env); err != nil {
 		return nil, err

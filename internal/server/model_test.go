@@ -248,3 +248,38 @@ func TestModelHeaderAndCacheCoalescing(t *testing.T) {
 		t.Errorf("%s = %q, want %q", headerModel, got, "chung")
 	}
 }
+
+// TestAlphaContract pins how every evaluating endpoint treats alpha,
+// with the model omitted and with a non-default backend: a negative
+// alpha is a 400 naming the Pollack-law constraint, and an omitted
+// alpha answers exactly as the paper's explicit 1.75 does.
+func TestAlphaContract(t *testing.T) {
+	const wantErr = `{"error":"pollack: alpha must be a positive finite number, got -1"}`
+	bodies := map[string]string{
+		"optimize":    `{"workload":"MMM","f":0.9,"design":{"kind":"asym"}`,
+		"sweep":       `{"workload":"MMM","design":{"kind":"asym"},"f":{"values":[0.5,0.9]}`,
+		"sensitivity": `{"workload":"MMM","f":0.9,"design":{"kind":"asym"},"samples":20`,
+	}
+	s := newTestServer(t, Config{})
+	for _, ep := range []string{"optimize", "sweep", "sensitivity"} {
+		for _, mdl := range []string{"", `,"model":"sqrtm"`} {
+			post := func(alpha string) (int, string) {
+				t.Helper()
+				rec := do(t, s, http.MethodPost, "/v1/"+ep, bodies[ep]+mdl+alpha+"}")
+				return rec.Code, strings.TrimSpace(rec.Body.String())
+			}
+			name := ep + mdl
+			if code, body := post(`,"alpha":-1`); code != http.StatusBadRequest || body != wantErr {
+				t.Errorf("%s alpha -1: %d %s, want 400 %s", name, code, body, wantErr)
+			}
+			code0, body0 := post(`,"alpha":0`)
+			code1, body1 := post(`,"alpha":1.75`)
+			if code0 != http.StatusOK || code1 != http.StatusOK {
+				t.Fatalf("%s: alpha 0 -> %d, alpha 1.75 -> %d, want 200 both\n%s\n%s", name, code0, code1, body0, body1)
+			}
+			if body0 != body1 {
+				t.Errorf("%s: alpha 0 and alpha 1.75 differ:\n%s\n%s", name, body0, body1)
+			}
+		}
+	}
+}

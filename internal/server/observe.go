@@ -201,5 +201,5 @@ func (s *Server) writePrometheus(w io.Writer) error {
 }
 
 // Telemetry exposes the server's histogram registry, for tests and the
-// measurement harness.
+// benchmark's per-layer trace.
 func (s *Server) Telemetry() *telemetry.Registry { return s.tel }

@@ -48,7 +48,7 @@ type AblationResponse struct {
 	Model    string              `json:"model,omitempty"`
 }
 
-// ablationStudyNames names ablation.StudiesCtx's fixed return order.
+// ablationStudyNames names ablation.StudiesModelCtx's fixed return order.
 var ablationStudyNames = [...]string{"bandwidthBound", "powerBound", "sequentialSizing"}
 
 var opAblation = engine.New("ablation", buildAblation)

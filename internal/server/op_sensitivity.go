@@ -76,21 +76,9 @@ func buildSensitivity(req *SensitivityRequest, env engine.Env) (func(context.Con
 	if err != nil {
 		return nil, err
 	}
-	ev, err := evaluatorFor(req.Alpha)
-	if err != nil {
-		return nil, err
-	}
 	mdl, err := resolveModel(&req.Model, &req.ModelParams, req.Alpha, env)
 	if err != nil {
 		return nil, err
-	}
-	// The sensitivity machinery optimizes through its Optimizer
-	// interface, so a non-default backend substitutes for the evaluator
-	// wholesale: elasticities and Monte Carlo intervals perturb the
-	// selected model, not the Chung baseline.
-	var opt sensitivity.Optimizer = ev
-	if mdl != nil {
-		opt = mdl
 	}
 	// Defaults are materialized into the request before keying so every
 	// spelling of "the defaults" shares one cache entry. The comparisons
@@ -122,11 +110,11 @@ func buildSensitivity(req *SensitivityRequest, env engine.Env) (func(context.Con
 	}
 	workers := workersOr(&req.Workers, env)
 	return func(ctx context.Context) (SensitivityResponse, error) {
-		prof, err := sensitivity.ProfileCtx(ctx, opt, d, req.F, b, req.Step, workers)
+		prof, err := sensitivity.ProfileCtx(ctx, mdl, d, req.F, b, req.Step, workers)
 		if err != nil {
 			return SensitivityResponse{}, evalFailure(err, unprocessable)
 		}
-		iv, err := sensitivity.MonteCarloCtx(ctx, opt, d, req.F, b, req.Sigma, req.Samples, req.Seed, workers)
+		iv, err := sensitivity.MonteCarloCtx(ctx, mdl, d, req.F, b, req.Sigma, req.Samples, req.Seed, workers)
 		if err != nil {
 			return SensitivityResponse{}, evalFailure(err, unprocessable)
 		}
