@@ -2,8 +2,10 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -174,6 +176,64 @@ func TestBatchItemMatchesStandalone(t *testing.T) {
 		if it.Cache != "hit" {
 			t.Errorf("item %d cache = %q, want hit (standalone call warmed the key)", i, it.Cache)
 		}
+	}
+}
+
+// doCtx is do with the request bound to ctx, so a test can hand the
+// server a request whose deadline has already passed or whose client
+// has already gone.
+func doCtx(t *testing.T, s *Server, ctx context.Context, path, body string) *httptest.ResponseRecorder {
+	t.Helper()
+	req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)).WithContext(ctx)
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, req)
+	return rec
+}
+
+// TestBatchItemDeadlineMatchesStandalone: when the batch's deadline
+// passes or its client goes before the fan-out claims an item, the
+// item reports what a standalone request stopped the same way answers
+// (504 or 503 with the standalone message), never status 0.
+func TestBatchItemDeadlineMatchesStandalone(t *testing.T) {
+	expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	gone, goneCancel := context.WithCancel(context.Background())
+	goneCancel()
+	for _, tc := range []struct {
+		name string
+		ctx  context.Context
+		want int
+	}{
+		{"deadline", expired, http.StatusGatewayTimeout},
+		{"cancel", gone, http.StatusServiceUnavailable},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newTestServer(t, Config{})
+			std := doCtx(t, s, tc.ctx, "/v1/sweep", sampleBodies["sweep"])
+			var stdErr apiError
+			if err := json.Unmarshal(std.Body.Bytes(), &stdErr); err != nil || std.Code != tc.want {
+				t.Fatalf("standalone sweep = %d %s, want %d with an error body", std.Code, std.Body, tc.want)
+			}
+			rec := doCtx(t, s, tc.ctx, "/v1/batch", `{"items":[`+
+				`{"op":"optimize","request":`+sampleBodies["optimize"]+`},`+
+				`{"op":"sweep","request":`+sampleBodies["sweep"]+`}]}`)
+			if rec.Code != http.StatusOK {
+				t.Fatalf("batch status = %d (body %s)", rec.Code, rec.Body)
+			}
+			var resp BatchResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+				t.Fatal(err)
+			}
+			if resp.OK != 0 || resp.Failed != 2 {
+				t.Errorf("ok/failed = %d/%d, want 0/2", resp.OK, resp.Failed)
+			}
+			for _, it := range resp.Items {
+				if it.Status != std.Code || it.Error != stdErr.Message {
+					t.Errorf("%s item = {%d, %q}, want the standalone {%d, %q}",
+						it.Op, it.Status, it.Error, std.Code, stdErr.Message)
+				}
+			}
+		})
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -145,50 +146,87 @@ func TestCompareModelHeader(t *testing.T) {
 	}
 }
 
-// TestStreamParamDispatch holds the generic pipeline's query-param
-// contract: ?stream=ndjson on a buffered-only op is a clear 400, an
-// unknown stream value is a 400 everywhere, and the stream-only
-// frontier endpoint takes bare POSTs (no param needed) but still
-// rejects non-POST methods.
+// TestStreamParamDispatch holds the route table's query-param and
+// method contract on every endpoint Endpoints() lists, for GET and POST
+// with no stream parameter, stream=ndjson and stream=xml. A POST route
+// checks the parameter before the method: ?stream= on a buffered-only
+// route is a 400 naming the route, an unknown stream value is a 400 on
+// a streaming route, and the stream-only frontier streams on a bare
+// POST. GET routes answer any method and ignore the parameter.
 func TestStreamParamDispatch(t *testing.T) {
+	const (
+		ok        = "200"
+		usePOST   = "405 use POST"
+		badFormat = `400 unknown stream format "xml" (want ndjson)`
+	)
+	noStream := func(name string) string {
+		return "400 " + name + " does not stream: drop the stream parameter"
+	}
+	buffered := func(name string) [6]string {
+		n := noStream(name)
+		return [6]string{usePOST, n, n, ok, n, n}
+	}
+	streams := [6]string{usePOST, usePOST, badFormat, ok, ok, badFormat}
+	getRoute := [6]string{ok, ok, ok, ok, ok, ok}
+	// Cells: GET with no param, ?stream=ndjson, ?stream=xml, then POST
+	// with the same three.
+	want := map[string][6]string{
+		"POST /v1/optimize":        buffered("optimize"),
+		"POST /v1/sweep":           streams,
+		"POST /v1/project":         buffered("project"),
+		"POST /v1/scenario":        buffered("scenario"),
+		"POST /v1/sensitivity":     buffered("sensitivity"),
+		"POST /v1/ablation":        buffered("ablation"),
+		"POST /v1/compare":         buffered("compare"),
+		"POST /v1/frontier/stream": streams,
+		"POST /v1/batch":           buffered("batch"),
+		"GET /v1/version":          getRoute,
+		"GET /v1/models":           getRoute,
+		"GET /healthz":             getRoute,
+		"GET /metrics":             getRoute,
+	}
+	bodies := map[string]string{
+		"/v1/frontier/stream": `{"workload":"MMM","f":0.9}`,
+		"/v1/batch":           `{"items":[{"op":"optimize","request":` + sampleBodies["optimize"] + `}]}`,
+	}
+	for _, op := range registry.Ops() {
+		bodies[op.Path()] = sampleBodies[op.Name()]
+	}
+
+	eps := Endpoints()
+	if len(eps) != len(want) {
+		t.Errorf("Endpoints() has %d routes, the table pins %d", len(eps), len(want))
+	}
 	s := newTestServer(t, Config{})
-
-	rec := do(t, s, http.MethodPost, "/v1/optimize?stream=ndjson",
-		`{"workload":"MMM","f":0.9,"design":{"kind":"sym"}}`)
-	if rec.Code != http.StatusBadRequest {
-		t.Errorf("optimize?stream=ndjson: status = %d, want 400 (body %s)", rec.Code, rec.Body)
-	}
-	if !strings.Contains(rec.Body.String(), "does not stream") {
-		t.Errorf("optimize?stream=ndjson: error should say the op does not stream, got %s", rec.Body)
-	}
-
-	rec = do(t, s, http.MethodPost, "/v1/compare?stream=ndjson",
-		`{"workload":"MMM","f":0.9,"pairs":[{"scenario":1}]}`)
-	if rec.Code != http.StatusBadRequest {
-		t.Errorf("compare?stream=ndjson: status = %d, want 400 (body %s)", rec.Code, rec.Body)
-	}
-
-	rec = do(t, s, http.MethodPost, "/v1/sweep?stream=xml", streamSweepBody)
-	if rec.Code != http.StatusBadRequest {
-		t.Errorf("sweep?stream=xml: status = %d, want 400 (body %s)", rec.Code, rec.Body)
-	}
-
-	rec = do(t, s, http.MethodPost, "/v1/frontier/stream?stream=xml", `{"workload":"MMM","f":0.9}`)
-	if rec.Code != http.StatusBadRequest {
-		t.Errorf("frontier?stream=xml: status = %d, want 400 (body %s)", rec.Code, rec.Body)
-	}
-
-	// The stream-only endpoint needs no param: bare POST streams, and
-	// the redundant-but-correct ?stream=ndjson spelling works too.
-	for _, path := range []string{"/v1/frontier/stream", "/v1/frontier/stream?stream=ndjson"} {
-		rec = do(t, s, http.MethodPost, path, `{"workload":"MMM","f":0.9}`)
-		if rec.Code != http.StatusOK {
-			t.Errorf("%s: status = %d, want 200 (body %s)", path, rec.Code, rec.Body)
+	for _, ep := range eps {
+		cells, ok := want[ep]
+		if !ok {
+			t.Errorf("%s: no row in the dispatch table", ep)
+			continue
 		}
-	}
-
-	rec = do(t, s, http.MethodGet, "/v1/frontier/stream", "")
-	if rec.Code != http.StatusMethodNotAllowed {
-		t.Errorf("GET frontier: status = %d, want 405", rec.Code)
+		path := ep[strings.IndexByte(ep, ' ')+1:]
+		i := 0
+		for _, method := range []string{http.MethodGet, http.MethodPost} {
+			for _, param := range []string{"", "?stream=ndjson", "?stream=xml"} {
+				cell := cells[i]
+				i++
+				rec := do(t, s, method, path+param, bodies[path])
+				status, msg, _ := strings.Cut(cell, " ")
+				if got := strconv.Itoa(rec.Code); got != status {
+					t.Errorf("%s %s%s: status = %s, want %s (body %s)", method, path, param, got, status, rec.Body)
+					continue
+				}
+				if msg == "" {
+					continue
+				}
+				var body apiError
+				if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || body.Message != msg {
+					t.Errorf("%s %s%s: body = %s, want error %q", method, path, param, rec.Body, msg)
+				}
+				if rec.Code == http.StatusMethodNotAllowed && rec.Header().Get("Allow") != http.MethodPost {
+					t.Errorf("%s %s%s: Allow = %q, want POST", method, path, param, rec.Header().Get("Allow"))
+				}
+			}
+		}
 	}
 }

@@ -183,12 +183,26 @@ func TestInfeasibleMapsTo422(t *testing.T) {
 	}
 }
 
+// TestMethodNotAllowed: every POST route Endpoints() lists answers
+// any other method with 405, an Allow header and the same error body.
 func TestMethodNotAllowed(t *testing.T) {
 	s := newTestServer(t, Config{})
-	for _, path := range []string{"/v1/optimize", "/v1/sweep", "/v1/project", "/v1/scenario"} {
-		rec := do(t, s, http.MethodGet, path, "")
-		if rec.Code != http.StatusMethodNotAllowed {
-			t.Errorf("GET %s: status = %d, want 405", path, rec.Code)
+	for _, ep := range Endpoints() {
+		path, isPOST := strings.CutPrefix(ep, "POST ")
+		if !isPOST {
+			continue
+		}
+		for _, method := range []string{http.MethodGet, http.MethodPut, http.MethodDelete} {
+			rec := do(t, s, method, path, "")
+			if rec.Code != http.StatusMethodNotAllowed {
+				t.Errorf("%s %s: status = %d, want 405", method, path, rec.Code)
+			}
+			if got := rec.Header().Get("Allow"); got != http.MethodPost {
+				t.Errorf("%s %s: Allow = %q, want POST", method, path, got)
+			}
+			if got := strings.TrimSpace(rec.Body.String()); got != `{"error":"use POST"}` {
+				t.Errorf("%s %s: body = %s, want the use-POST error", method, path, got)
+			}
 		}
 	}
 }
