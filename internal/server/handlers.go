@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"net/http"
 
 	"github.com/calcm/heterosim/internal/bounds"
 	"github.com/calcm/heterosim/internal/engine"
@@ -12,12 +13,13 @@ import (
 	"github.com/calcm/heterosim/internal/project"
 )
 
-// registry is the model-serving surface: every POST /v1 endpoint is one
-// engine.Op built from a request type, a validation/canonicalization
-// step, and a ctx-aware evaluation closure (see the op_*.go files). The
-// serving pipeline — strict decode, canonical cache key, coalescing,
-// admission, deadlines, telemetry, error mapping — is written once in
-// model(); adding an endpoint is one entry here plus its op file.
+// registry is the model-serving surface: every buffered POST /v1
+// endpoint is one engine.Op built from a request type, a
+// validation/canonicalization step, and a ctx-aware evaluation closure
+// (see the op_*.go files). The serving pipeline — strict decode,
+// canonical cache key, coalescing, admission, deadlines, telemetry,
+// error mapping — is written once in serveOp; adding an endpoint is one
+// entry here plus its op file.
 var registry = engine.NewRegistry(
 	opOptimize,
 	opSweep,
@@ -28,24 +30,61 @@ var registry = engine.NewRegistry(
 	opCompare,
 )
 
-// extraEndpoints are the hand-rolled routes counted beside the
-// registry ops in /metrics, in their fixed counter order: the GET
-// surface plus the batch fan-out (POST, but not a registry op — one
-// batch carries many per-item cache keys, so it cannot ride the
-// one-key pipeline).
-var extraEndpoints = [...]string{"healthz", "metrics", "version", "models", "batch", "frontier"}
+// route is one endpoint of the serving surface. A POST route has a
+// buffered form (serve), a stream form (stream), or both, dispatched
+// on `?stream=`; a GET route has only serve.
+type route struct {
+	name, method, path string
+	serve              func(*Server, http.ResponseWriter, *http.Request) // nil on a stream-only route
+	stream             engine.StreamOp                                   // nil on a route that does not stream
+}
 
-// Counter indices of the hand-rolled endpoints: they follow the
-// registry ops. frontier is a stream-only op (no buffered form, so not
-// a registry entry) routed through the generic stream pipeline.
-var (
-	idxHealthz  = len(registry.Names())
-	idxMetrics  = idxHealthz + 1
-	idxVersion  = idxHealthz + 2
-	idxModels   = idxHealthz + 3
-	idxBatch    = idxHealthz + 4
-	idxFrontier = idxHealthz + 5
-)
+// routes is the serving surface in Endpoints() order: the registry
+// ops, the stream-only frontier, the batch fan-out, then the GET
+// routes. It is the one list behind mux registration, the
+// per-endpoint counters (indexed like it) and Endpoints(). It is built
+// in init because its handlers read it back (the metrics handler
+// labels the counters from it), which a package-level initializer may
+// not.
+var routes []route
+
+func init() {
+	// A stream op named like a registry op shares that op's route and
+	// counter.
+	streams := map[string]engine.StreamOp{streamSweep.Name(): streamSweep}
+	var rs []route
+	for _, op := range registry.Ops() {
+		rs = append(rs, route{op.Name(), http.MethodPost, op.Path(),
+			func(s *Server, w http.ResponseWriter, r *http.Request) { s.serveOp(w, r, op) },
+			streams[op.Name()]})
+	}
+	routes = append(rs,
+		route{streamFrontier.Name(), http.MethodPost, streamFrontier.Path(), nil, streamFrontier},
+		route{"batch", http.MethodPost, "/v1/batch", (*Server).handleBatch, nil},
+		route{"version", http.MethodGet, "/v1/version", (*Server).handleVersion, nil},
+		route{"models", http.MethodGet, "/v1/models", (*Server).handleModels, nil},
+		route{"healthz", http.MethodGet, "/healthz", (*Server).handleHealthz, nil},
+		route{"metrics", http.MethodGet, "/metrics", (*Server).handleMetrics, nil},
+	)
+}
+
+// wantsStream classifies a POST route's stream parameter: absent means
+// the buffered form (the stream on a stream-only route), "ndjson" the
+// stream. On a route with no stream form any value is a 400 naming the
+// route, and on a streaming route any other value is a 400, so the
+// parameter is never silently ignored.
+func (rt *route) wantsStream(r *http.Request) (bool, error) {
+	switch v := r.URL.Query().Get("stream"); {
+	case v == "":
+		return rt.serve == nil, nil
+	case rt.stream == nil:
+		return false, badRequest("%s does not stream: drop the stream parameter", rt.name)
+	case v == "ndjson":
+		return true, nil
+	default:
+		return false, badRequest("unknown stream format %q (want ndjson)", v)
+	}
+}
 
 // registryOps resolves a batch item's op field against the registry.
 var registryOps = func() map[string]engine.Op {
@@ -136,14 +175,13 @@ type ModelsResponse struct {
 	Models  []model.Info `json:"models"`
 }
 
-// Endpoints lists the serving surface — derived from the registry so
-// startup logs and smoke checks can never drift from what is actually
-// routed.
+// Endpoints lists the serving surface as "METHOD /path", read off the
+// route table so startup logs and smoke checks can never drift from
+// what is actually routed.
 func Endpoints() []string {
-	out := make([]string, 0, len(registry.Ops())+6)
-	for _, op := range registry.Ops() {
-		out = append(out, "POST "+op.Path())
+	out := make([]string, len(routes))
+	for i, rt := range routes {
+		out[i] = rt.method + " " + rt.path
 	}
-	return append(out, "POST "+streamFrontier.Path(), "POST /v1/batch",
-		"GET /v1/version", "GET /v1/models", "GET /healthz", "GET /metrics")
+	return out
 }

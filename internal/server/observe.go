@@ -103,13 +103,13 @@ func (w *statusWriter) Flush() {
 
 // timeEndpoint starts the per-endpoint latency clock; the returned stop
 // records into the request-duration family under the endpoint's name
-// (i indexes Server.names). Call it where the endpoint's request
+// (i indexes routes). Call it where the endpoint's request
 // counter increments, so histogram counts and the JSON counters always
 // agree.
 func (s *Server) timeEndpoint(i int) func() {
 	start := time.Now()
 	return func() {
-		s.reqHist.Observe(s.names[i], time.Since(start))
+		s.reqHist.Observe(routes[i].name, time.Since(start))
 	}
 }
 
@@ -182,8 +182,8 @@ func (s *Server) writePrometheus(w io.Writer) error {
 	if err := telemetry.WriteType(w, "heterosimd_requests_total", "counter"); err != nil {
 		return err
 	}
-	for _, name := range s.names {
-		if err := telemetry.WriteCounter(w, "heterosimd_requests_total", "endpoint", name, m.Requests[name]); err != nil {
+	for _, rt := range routes {
+		if err := telemetry.WriteCounter(w, "heterosimd_requests_total", "endpoint", rt.name, m.Requests[rt.name]); err != nil {
 			return err
 		}
 	}

@@ -166,10 +166,8 @@ type Server struct {
 	reqHist   *telemetry.Family
 	stageHist *telemetry.Family
 
-	// names and requests are the per-endpoint counters, indexed in
-	// registry order with the GET endpoints appended — both derived from
-	// the registry in New, so a new op gets its counter for free.
-	names     []string
+	// requests are the per-endpoint counters, indexed like routes, so a
+	// new route gets its counter for free.
 	requests  []atomic.Int64
 	responses struct{ ok, clientErr, serverErr atomic.Int64 }
 
@@ -210,27 +208,10 @@ func New(cfg Config) (*Server, error) {
 	if err := s.initCluster(); err != nil {
 		return nil, err
 	}
-	ops := registry.Ops()
-	s.names = append(append(s.names, registry.Names()...), extraEndpoints[:]...)
-	s.requests = make([]atomic.Int64, len(s.names))
-	for i, op := range ops {
-		h := s.model(i, op)
-		// An op with a streaming form shares its route and counter with
-		// it, dispatched on `?stream=`; the rest reject the parameter
-		// outright so it can never be silently ignored.
-		if sop, ok := streamRegistry[op.Name()]; ok {
-			h = s.streamRoute(i, sop, h)
-		} else {
-			h = s.rejectStreamParam(i, op.Name(), h)
-		}
-		s.mux.HandleFunc(op.Path(), h)
+	s.requests = make([]atomic.Int64, len(routes))
+	for i := range routes {
+		s.mux.HandleFunc(routes[i].path, s.handle(i))
 	}
-	s.mux.HandleFunc(streamFrontier.Path(), s.streamRoute(idxFrontier, streamFrontier, nil))
-	s.mux.HandleFunc("/v1/batch", s.handleBatch)
-	s.mux.HandleFunc("/healthz", s.handleHealthz)
-	s.mux.HandleFunc("/metrics", s.handleMetrics)
-	s.mux.HandleFunc("/v1/version", s.handleVersion)
-	s.mux.HandleFunc("/v1/models", s.handleModels)
 	s.handler = http.Handler(s.mux)
 	if cfg.Middleware != nil {
 		s.handler = cfg.Middleware(s.handler)
@@ -285,72 +266,121 @@ func (s *Server) ListenAndServe(ctx context.Context, ready chan<- net.Addr) erro
 	return s.Serve(ctx, ln)
 }
 
-// model wraps a registry op with the serving pipeline — written once
-// for every POST endpoint: method and body checks, strict decode +
-// validation + canonical cache key (op.Prepare), coalescing lookup,
-// admission gate (misses only — cached work is free and must stay
-// admissible under overload), per-request deadline enforcement, stale
-// fallback, and error-to-status mapping. i indexes the op's counter.
-func (s *Server) model(i int, op engine.Op) http.HandlerFunc {
+// handle wraps route i with the bookkeeping every endpoint shares: the
+// request counter and latency clock, then on POST routes the stream
+// parameter (checked before the method) and the method. GET routes
+// answer any method and ignore the parameter.
+func (s *Server) handle(i int) http.HandlerFunc {
+	rt := &routes[i]
 	return func(w http.ResponseWriter, r *http.Request) {
 		s.requests[i].Add(1)
 		defer s.timeEndpoint(i)()
-		if r.Method != http.MethodPost {
+		if rt.method == http.MethodGet {
+			rt.serve(s, w, r)
+			return
+		}
+		stream, err := rt.wantsStream(r)
+		switch {
+		case err != nil:
+			s.writeError(w, err)
+		case r.Method != http.MethodPost:
 			w.Header().Set("Allow", http.MethodPost)
 			s.writeError(w, &apiError{Status: http.StatusMethodNotAllowed, Message: "use POST"})
-			return
+		case stream:
+			s.serveStream(w, r, rt.stream)
+		default:
+			rt.serve(s, w, r)
 		}
-		decode := telemetry.StartSpan(r.Context(), stageDecode)
-		body, err := readBody(r)
-		if err != nil {
-			decode.End()
-			s.writeError(w, err)
-			return
-		}
-		// Env.Meta is per-request: Prepare reports the resolved model
-		// backend through it, which the response header and the access
-		// log carry (it never reaches cache keys or response bodies).
-		meta := engine.Meta{}
-		env := engine.Env{Workers: s.cfg.Workers, Meta: &meta}
-		key, eval, err := op.Prepare(body, env)
-		decode.End()
-		if meta.Model != "" {
-			w.Header().Set(headerModel, meta.Model)
-		}
-		if err != nil {
-			s.writeError(w, err)
-			return
-		}
-		ctx := r.Context()
-		if s.cfg.RequestTimeout > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
-			defer cancel()
-		}
-		resp, outcome, err := s.lookup(r, ctx, key, func(ctx context.Context) ([]byte, error) {
-			release, status := s.gate.acquire(ctx)
-			if status != 0 {
-				return nil, &apiError{Status: status, Message: "server saturated, retry later"}
-			}
-			defer release()
-			if s.onEvaluate != nil {
-				s.onEvaluate(op.Name())
-			}
-			defer telemetry.StartSpan(ctx, stageEvaluate).End()
-			return eval(ctx)
-		})
-		if err != nil {
-			s.writeError(w, err)
-			return
-		}
-		encode := telemetry.StartSpan(ctx, stageEncode)
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("X-Heterosim-Cache", outcome.String())
-		w.Header().Set("Content-Length", strconv.Itoa(len(resp)))
-		s.responses.ok.Add(1)
-		w.Write(resp)
-		encode.End()
 	}
+}
+
+// serveOp is the buffered pipeline of a registry op: prepare (strict
+// decode + validation + canonical cache key), coalescing lookup,
+// admission (misses only — cached work is free and must stay
+// admissible under overload), per-request deadline, stale fallback,
+// and error-to-status mapping.
+func (s *Server) serveOp(w http.ResponseWriter, r *http.Request, op engine.Op) {
+	var key string
+	var eval func(context.Context) ([]byte, error)
+	if !s.prepare(w, r, func(body []byte, env engine.Env) (err error) {
+		key, eval, err = op.Prepare(body, env)
+		return err
+	}) {
+		return
+	}
+	ctx, cancel := s.withDeadline(r.Context())
+	defer cancel()
+	resp, outcome, err := s.lookup(r, ctx, key, func(ctx context.Context) ([]byte, error) {
+		return s.evaluate(ctx, s.gate, op.Name(), eval)
+	})
+	if err != nil {
+		s.writeError(w, err)
+		return
+	}
+	encode := telemetry.StartSpan(ctx, stageEncode)
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("X-Heterosim-Cache", outcome.String())
+	w.Header().Set("Content-Length", strconv.Itoa(len(resp)))
+	s.responses.ok.Add(1)
+	w.Write(resp)
+	encode.End()
+}
+
+// prepare is the decode step of every POST pipeline: it reads the body
+// and runs decode inside the decode span, with a per-request
+// engine.Meta through which Prepare reports the resolved model backend
+// for the response header and the access log (it never reaches cache
+// keys or response bodies). On failure it writes the error response
+// and returns false.
+func (s *Server) prepare(w http.ResponseWriter, r *http.Request, decode func(body []byte, env engine.Env) error) bool {
+	span := telemetry.StartSpan(r.Context(), stageDecode)
+	body, err := readBody(r)
+	meta := engine.Meta{}
+	if err == nil {
+		err = decode(body, engine.Env{Workers: s.cfg.Workers, Meta: &meta})
+	}
+	span.End()
+	if meta.Model != "" {
+		w.Header().Set(headerModel, meta.Model)
+	}
+	if err != nil {
+		s.writeError(w, err)
+		return false
+	}
+	return true
+}
+
+// withDeadline bounds one request end to end — queue wait plus
+// evaluation, a whole batch or a whole stream — by
+// Config.RequestTimeout, unless per-request deadlines are off.
+func (s *Server) withDeadline(ctx context.Context) (context.Context, context.CancelFunc) {
+	if s.cfg.RequestTimeout > 0 {
+		return context.WithTimeout(ctx, s.cfg.RequestTimeout)
+	}
+	return ctx, func() {}
+}
+
+// admitter grants an evaluation its admission slot: the server's gate
+// for a standalone request or a stream, the shared slot for a batch
+// item.
+type admitter interface {
+	acquire(ctx context.Context) (release func(), status int)
+}
+
+// evaluate is the admit-and-evaluate step every evaluation passes:
+// admission (a rejection is the saturation error with the gate's
+// status), the onEvaluate hook, and the evaluate span around eval.
+func (s *Server) evaluate(ctx context.Context, adm admitter, name string, eval func(context.Context) ([]byte, error)) ([]byte, error) {
+	release, status := adm.acquire(ctx)
+	if status != 0 {
+		return nil, &apiError{Status: status, Message: "server saturated, retry later"}
+	}
+	defer release()
+	if s.onEvaluate != nil {
+		s.onEvaluate(name)
+	}
+	defer telemetry.StartSpan(ctx, stageEvaluate).End()
+	return eval(ctx)
 }
 
 // maxBodyBytes bounds request bodies; the largest legitimate request (a
@@ -367,26 +397,37 @@ func readBody(r *http.Request) ([]byte, error) {
 	return body, nil
 }
 
-// writeError maps an error to a JSON error response; apiError carries
-// its own status, an expired request deadline is 504, a disconnected
-// client 503 (moot — nobody reads it), anything else a 500.
-func (s *Server) writeError(w http.ResponseWriter, err error) {
+// classify is the serving layer's one error classifier: an apiError
+// keeps its status, an expired request deadline is 504, a disconnected
+// client 503 (moot — nobody reads it), anything else a 500. Standalone
+// error bodies, batch items and in-band stream lines all use it.
+func classify(err error) *apiError {
 	var ae *apiError
-	if !errors.As(err, &ae) {
-		switch {
-		case errors.Is(err, context.DeadlineExceeded):
-			ae = &apiError{Status: http.StatusGatewayTimeout, Message: "request deadline exceeded"}
-		case errors.Is(err, context.Canceled):
-			ae = &apiError{Status: http.StatusServiceUnavailable, Message: "request cancelled"}
-		default:
-			ae = &apiError{Status: http.StatusInternalServerError, Message: err.Error()}
-		}
+	switch {
+	case errors.As(err, &ae):
+		return ae
+	case errors.Is(err, context.DeadlineExceeded):
+		return &apiError{Status: http.StatusGatewayTimeout, Message: "request deadline exceeded"}
+	case errors.Is(err, context.Canceled):
+		return &apiError{Status: http.StatusServiceUnavailable, Message: "request cancelled"}
+	default:
+		return &apiError{Status: http.StatusInternalServerError, Message: err.Error()}
 	}
-	if ae.Status >= 500 {
+}
+
+// countError counts a failed response under its status class.
+func (s *Server) countError(status int) {
+	if status >= 500 {
 		s.responses.serverErr.Add(1)
 	} else {
 		s.responses.clientErr.Add(1)
 	}
+}
+
+// writeError answers with the classified error as a JSON body.
+func (s *Server) writeError(w http.ResponseWriter, err error) {
+	ae := classify(err)
+	s.countError(ae.Status)
 	w.Header().Set("Content-Type", "application/json")
 	if ae.Status == http.StatusServiceUnavailable || ae.Status == http.StatusTooManyRequests {
 		w.Header().Set("Retry-After", "1")
@@ -397,8 +438,6 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 
 // handleHealthz reports liveness.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	s.requests[idxHealthz].Add(1)
-	defer s.timeEndpoint(idxHealthz)()
 	w.Header().Set("Content-Type", "application/json")
 	fmt.Fprintln(w, `{"status":"ok"}`)
 }
@@ -406,8 +445,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // handleVersion reports the build identity, stamped with the model
 // backends this build can serve.
 func (s *Server) handleVersion(w http.ResponseWriter, r *http.Request) {
-	s.requests[idxVersion].Add(1)
-	defer s.timeEndpoint(idxVersion)()
 	w.Header().Set("Content-Type", "application/json")
 	info := version.Get()
 	info.Models = model.Names()
@@ -418,8 +455,6 @@ func (s *Server) handleVersion(w http.ResponseWriter, r *http.Request) {
 // capabilities and parameters, plus the default answering requests
 // that omit the model field.
 func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
-	s.requests[idxModels].Add(1)
-	defer s.timeEndpoint(idxModels)()
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(ModelsResponse{Default: model.DefaultName, Models: model.Infos()})
 }
@@ -440,9 +475,9 @@ type Metrics struct {
 
 // Snapshot returns the current metrics document.
 func (s *Server) Snapshot() Metrics {
-	reqs := make(map[string]int64, len(s.names))
-	for i, name := range s.names {
-		reqs[name] = s.requests[i].Load()
+	reqs := make(map[string]int64, len(routes))
+	for i := range routes {
+		reqs[routes[i].name] = s.requests[i].Load()
 	}
 	m := Metrics{
 		UptimeSeconds: time.Since(s.start).Seconds(),
@@ -469,8 +504,6 @@ func (s *Server) Snapshot() Metrics {
 // change), Prometheus text exposition when the client asks via
 // ?format=prometheus or an Accept header (see wantsPrometheus).
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.requests[idxMetrics].Add(1)
-	defer s.timeEndpoint(idxMetrics)()
 	if wantsPrometheus(r) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		if err := s.writePrometheus(w); err != nil {

@@ -8,91 +8,21 @@ import (
 	"net/http"
 
 	"github.com/calcm/heterosim/internal/engine"
-	"github.com/calcm/heterosim/internal/telemetry"
 )
 
 // This file is the one generic NDJSON stream pipeline, written once
-// against engine.StreamOp the way model() is written once against
-// engine.Op: method check, body read, strict decode + validation
-// (decode span), model header, per-request deadline, gate admission
-// (one slot for the whole stream), evaluate span, chunked flush, and
-// in-band error lines. Streams always evaluate: the response never
-// enters the result cache or the peer tier — a stream is a bulk
-// export, not a cacheable unit — and the X-Heterosim-Cache header says
-// "stream" so clients can tell.
+// against engine.StreamOp the way serveOp is written once against
+// engine.Op, and sharing its prepare, deadline, admit-and-evaluate and
+// error-classification steps: one gate slot for the whole stream, a
+// chunked flush, and in-band error lines once frames are out. Streams
+// always evaluate: the response never enters the result cache or the
+// peer tier — a stream is a bulk export, not a cacheable unit — and the
+// X-Heterosim-Cache header says "stream" so clients can tell.
 //
 // An op may shadow a buffered registry op under the same route (the
 // sweep does — `?stream=ndjson` picks the stream) or own a stream-only
-// route (the frontier). Either way the stream query parameter is
-// classified here, so `?stream=ndjson` on an endpoint with no stream
-// form is a clear 400, never silently buffered.
-
-// streamRegistry is the streaming surface, keyed by op name. An entry
-// whose name matches a registry op shares that op's route and counter;
-// the rest get stream-only routes.
-var streamRegistry = map[string]engine.StreamOp{
-	streamSweep.Name():    streamSweep,
-	streamFrontier.Name(): streamFrontier,
-}
-
-// wantsStream classifies a route's stream parameter: absent means the
-// buffered form, "ndjson" the stream; anything else is a 400 so typos
-// fail loudly instead of silently buffering.
-func wantsStream(r *http.Request) (bool, error) {
-	switch v := r.URL.Query().Get("stream"); v {
-	case "":
-		return false, nil
-	case "ndjson":
-		return true, nil
-	default:
-		return false, badRequest("unknown stream format %q (want ndjson)", v)
-	}
-}
-
-// streamRoute dispatches a shared route on its stream parameter: the
-// generic buffered pipeline (untouched — its bytes, caching, and
-// counters are the pre-stream contract) or the NDJSON stream. A nil
-// buffered handler marks a stream-only route, where the bare POST and
-// `?stream=ndjson` both stream. i indexes the op's counter, shared by
-// both forms.
-func (s *Server) streamRoute(i int, op engine.StreamOp, buffered http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		stream, err := wantsStream(r)
-		if err != nil {
-			s.requests[i].Add(1)
-			defer s.timeEndpoint(i)()
-			s.writeError(w, err)
-			return
-		}
-		if !stream && buffered != nil {
-			buffered(w, r)
-			return
-		}
-		s.requests[i].Add(1)
-		defer s.timeEndpoint(i)()
-		if r.Method != http.MethodPost {
-			w.Header().Set("Allow", http.MethodPost)
-			s.writeError(w, &apiError{Status: http.StatusMethodNotAllowed, Message: "use POST"})
-			return
-		}
-		s.handleStream(w, r, op)
-	}
-}
-
-// rejectStreamParam guards a buffered-only route: a stream parameter —
-// any value, even the well-formed "ndjson" — is a 400 naming the op,
-// instead of being silently ignored and buffering the response.
-func (s *Server) rejectStreamParam(i int, name string, buffered http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if v := r.URL.Query().Get("stream"); v != "" {
-			s.requests[i].Add(1)
-			defer s.timeEndpoint(i)()
-			s.writeError(w, badRequest("%s does not stream: drop the stream parameter", name))
-			return
-		}
-		buffered(w, r)
-	}
-}
+// route (the frontier); the route table declares which, and
+// route.wantsStream classifies the query parameter.
 
 // streamEmitter adapts an http.ResponseWriter to engine.StreamEmitter.
 // Emit buffers complete NDJSON lines; Flush writes the buffer and
@@ -152,104 +82,57 @@ func (e *streamEmitter) write() error {
 // log's byte count.
 var errStreamClientGone = errors.New("stream client gone")
 
-// handleStream serves one stream; the route has already counted the
-// request and checked the method.
-func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, op engine.StreamOp) {
-	decode := telemetry.StartSpan(r.Context(), stageDecode)
-	body, err := readBody(r)
-	if err != nil {
-		decode.End()
-		s.writeError(w, err)
+// serveStream serves one stream; the route has already counted the
+// request, checked the method and picked the stream form.
+func (s *Server) serveStream(w http.ResponseWriter, r *http.Request, op engine.StreamOp) {
+	var stream engine.StreamFunc
+	if !s.prepare(w, r, func(body []byte, env engine.Env) (err error) {
+		stream, err = op.PrepareStream(body, env)
+		return err
+	}) {
 		return
 	}
-	meta := engine.Meta{}
-	stream, err := op.PrepareStream(body, engine.Env{Workers: s.cfg.Workers, Meta: &meta})
-	decode.End()
-	if meta.Model != "" {
-		w.Header().Set(headerModel, meta.Model)
-	}
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-
-	ctx := r.Context()
-	if s.cfg.RequestTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
-		defer cancel()
-	}
-	// Streams always evaluate, so they are admitted like any miss — one
-	// slot for the whole stream.
-	release, status := s.gate.acquire(ctx)
-	if status != 0 {
-		s.writeError(w, &apiError{Status: status, Message: "server saturated, retry later"})
-		return
-	}
-	defer release()
-	if s.onEvaluate != nil {
-		s.onEvaluate(op.Name())
-	}
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Heterosim-Cache", "stream")
+	ctx, cancel := s.withDeadline(r.Context())
+	defer cancel()
 	flusher, _ := w.(http.Flusher)
 	e := &streamEmitter{w: w, flusher: flusher}
-	evalSpan := telemetry.StartSpan(ctx, stageEvaluate)
-	err = stream(ctx, e)
-	evalSpan.End()
-	if err != nil {
-		if e.dead {
-			return // client gone; nothing to clean up
+	// Streams always evaluate, so they are admitted like any miss — one
+	// slot for the whole stream.
+	_, err := s.evaluate(ctx, s.gate, op.Name(), func(ctx context.Context) ([]byte, error) {
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		w.Header().Set("X-Heterosim-Cache", "stream")
+		return nil, stream(ctx, e)
+	})
+	switch {
+	case err == nil:
+		if e.Flush() == nil {
+			s.responses.ok.Add(1)
 		}
-		if !e.started {
-			// Nothing emitted: the HTTP status is still ours to spend.
-			s.writeError(w, err)
-			return
-		}
+	case e.dead:
+		// Client gone; nothing to clean up.
+	case !e.started:
+		// Nothing emitted: the HTTP status is still ours to spend.
+		s.writeError(w, err)
+	default:
 		s.streamError(r.Context(), op.Name(), e, err)
-		return
 	}
-	if err := e.Flush(); err != nil {
-		return
-	}
-	s.responses.ok.Add(1)
 }
 
 // streamError reports a failure after frames are on the wire: an
-// in-band NDJSON error line, counted under the same response class
-// writeError would have used, and logged — a stream that dies with no
-// trailer must always be attributable in the access log's vicinity,
-// because its HTTP status is a lie (200).
+// in-band NDJSON error line carrying the classified message, counted
+// under the same response class writeError would have used, and
+// logged — a stream that dies with no trailer must always be
+// attributable in the access log's vicinity, because its HTTP status
+// is a lie (200).
 func (s *Server) streamError(ctx context.Context, name string, e *streamEmitter, err error) {
-	var ae *apiError
-	status := http.StatusInternalServerError
-	if errors.As(err, &ae) {
-		status = ae.Status
-	} else if errors.Is(err, context.DeadlineExceeded) {
-		status = http.StatusGatewayTimeout
-	} else if errors.Is(err, context.Canceled) {
-		status = http.StatusServiceUnavailable
-	}
-	if status >= 500 {
-		s.responses.serverErr.Add(1)
-	} else {
-		s.responses.clientErr.Add(1)
-	}
+	ae := classify(err)
+	s.countError(ae.Status)
 	s.logger.LogAttrs(ctx, slog.LevelWarn, "stream failed in-band",
 		slog.String("endpoint", name),
-		slog.Int("status", status),
+		slog.Int("status", ae.Status),
 		slog.String("error", err.Error()))
-	line, merr := json.Marshal(SweepStreamError{Error: err.Error()})
-	if merr != nil {
-		// The error line itself is unmarshalable — the stream ends
-		// truncated, so leave a trace instead of returning silently.
-		s.logger.LogAttrs(ctx, slog.LevelError, "stream error line marshal failed",
-			slog.String("endpoint", name),
-			slog.String("error", merr.Error()))
-		e.Flush()
-		return
-	}
+	// A one-string struct always marshals.
+	line, _ := json.Marshal(SweepStreamError{Error: ae.Message})
 	if e.Emit(line) != nil {
 		return
 	}
