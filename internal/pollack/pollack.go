@@ -42,7 +42,8 @@ type Law struct {
 	// per-candidate path of the analytic optimizer, and a general-exponent
 	// Pow per feasibility probe dominated the optimize cost. Entries are
 	// the exact Pow values, so table hits are bit-identical to the direct
-	// computation.
+	// computation. The table is never written after New, so Laws of the
+	// same alpha may share it.
 	powTab *[powTabSize]float64
 }
 
@@ -52,11 +53,30 @@ func New(alpha float64) (Law, error) {
 	if alpha <= 0 || math.IsNaN(alpha) || math.IsInf(alpha, 0) {
 		return Law{}, fmt.Errorf("pollack: alpha must be a positive finite number, got %v", alpha)
 	}
-	l := Law{alpha: alpha, powTab: new([powTabSize]float64)}
-	for i := range l.powTab {
-		l.powTab[i] = math.Pow(float64(i+1), alpha/2)
+	switch alpha {
+	case DefaultAlpha:
+		return Law{alpha: alpha, powTab: defaultPowTab}, nil
+	case ScenarioSixAlpha:
+		return Law{alpha: alpha, powTab: scenarioSixPowTab}, nil
 	}
-	return l, nil
+	return Law{alpha: alpha, powTab: powTable(alpha)}, nil
+}
+
+// The paper's two exponents share one read-only table each, so building
+// a Law for them (once per served request) costs no Pow and no
+// allocation.
+var (
+	defaultPowTab     = powTable(DefaultAlpha)
+	scenarioSixPowTab = powTable(ScenarioSixAlpha)
+)
+
+// powTable tabulates Pow(r, alpha/2) for r = 1..powTabSize.
+func powTable(alpha float64) *[powTabSize]float64 {
+	t := new([powTabSize]float64)
+	for i := range t {
+		t[i] = math.Pow(float64(i+1), alpha/2)
+	}
+	return t
 }
 
 // Default returns the paper's baseline law (alpha = 1.75).

@@ -168,3 +168,27 @@ func TestMaxRMonotone(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestPowerTableExact holds the power table, shared for the paper's two
+// exponents and built per Law for any other, to the direct computation
+// bit for bit, and building a Law for a shared exponent to no
+// allocation.
+func TestPowerTableExact(t *testing.T) {
+	for _, alpha := range []float64{DefaultAlpha, ScenarioSixAlpha, 1.3} {
+		l, err := New(alpha)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := 1.0; r <= powTabSize; r++ {
+			got, err := l.Power(r)
+			if want := math.Pow(r, alpha/2); err != nil || math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("alpha %g: Power(%g) = %v, %v; want %v bit for bit", alpha, r, got, err, want)
+			}
+		}
+	}
+	for _, alpha := range []float64{DefaultAlpha, ScenarioSixAlpha} {
+		if n := testing.AllocsPerRun(100, func() { New(alpha) }); n != 0 {
+			t.Errorf("New(%g) allocates %v times, want 0", alpha, n)
+		}
+	}
+}

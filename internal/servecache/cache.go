@@ -21,6 +21,7 @@ import (
 	"container/list"
 	"context"
 	"errors"
+	"fmt"
 	"hash/fnv"
 	"sync"
 	"sync/atomic"
@@ -176,7 +177,8 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 // an identical evaluation is already in flight the call waits for it and
 // shares its result (Coalesced); otherwise this call runs fn and, on
 // success, fills the cache (Miss). Errors are shared with coalesced
-// waiters but never cached, so a failed evaluation can be retried.
+// waiters but never cached, so a failed evaluation can be retried; a
+// panic in fn comes back the same way, as an error.
 //
 // ctx bounds this caller's participation: fn receives it (so evaluation
 // work can observe the request deadline), and a coalesced waiter whose
@@ -234,7 +236,7 @@ func (c *Cache) Do(ctx context.Context, key string, fn func(ctx context.Context)
 	c.inflight.Add(1)
 	span.End()
 
-	cl.val, cl.err = fn(ctx)
+	cl.val, cl.err = lead(ctx, fn)
 
 	s.mu.Lock()
 	delete(s.inflight, key)
@@ -251,6 +253,20 @@ func (c *Cache) Do(ctx context.Context, key string, fn func(ctx context.Context)
 		}
 	}
 	return cl.val, Miss, cl.err
+}
+
+// lead runs the leader's evaluation, turning a panic into an error:
+// the leader must still clear its in-flight entry and release its
+// waiters, or every later request for the key would wait on a call
+// that never completes. The error is shared and never cached, like any
+// other.
+func lead(ctx context.Context, fn func(ctx context.Context) ([]byte, error)) (val []byte, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			val, err = nil, fmt.Errorf("servecache: evaluation panicked: %v", p)
+		}
+	}()
+	return fn(ctx)
 }
 
 // insert adds (or refreshes) key under the shard lock, evicting the

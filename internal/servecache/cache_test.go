@@ -6,9 +6,11 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestNewValidation(t *testing.T) {
@@ -80,6 +82,56 @@ func TestErrorsAreSharedButNotCached(t *testing.T) {
 	}
 	if c.Len() != 1 {
 		t.Errorf("Len = %d, want 1 (only the success cached)", c.Len())
+	}
+}
+
+// TestDoLeaderPanicDoesNotPoisonKey panics inside the leader's
+// evaluation while a second caller waits on it: both must get an error
+// (not a panic, not a hang), nothing is cached, and the next call for
+// the key evaluates afresh instead of waiting on the dead call.
+func TestDoLeaderPanicDoesNotPoisonKey(t *testing.T) {
+	c, err := New(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entered, release := make(chan struct{}), make(chan struct{})
+	leaderErr := make(chan error, 1)
+	go func() {
+		_, _, err := c.Do(context.Background(), "k", func(context.Context) ([]byte, error) {
+			close(entered)
+			<-release
+			panic("boom")
+		})
+		leaderErr <- err
+	}()
+	<-entered
+	waiterErr := make(chan error, 1)
+	go func() {
+		_, out, err := c.Do(context.Background(), "k", func(context.Context) ([]byte, error) {
+			return nil, errors.New("waiter must not evaluate")
+		})
+		if out != Coalesced {
+			err = fmt.Errorf("waiter outcome %v, want coalesced (err %v)", out, err)
+		}
+		waiterErr <- err
+	}()
+	for c.Stats().Coalesced == 0 {
+		runtime.Gosched()
+	}
+	close(release)
+	for name, ch := range map[string]chan error{"leader": leaderErr, "waiter": waiterErr} {
+		if err := <-ch; err == nil || !strings.Contains(err.Error(), "panicked: boom") {
+			t.Errorf("%s error = %v, want the recovered panic", name, err)
+		}
+	}
+	if st := c.Stats(); st.Entries != 0 || st.Inflight != 0 {
+		t.Errorf("stats after panic = %+v, want nothing cached or in flight", st)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	v, out, err := c.Do(ctx, "k", func(context.Context) ([]byte, error) { return []byte("ok"), nil })
+	if err != nil || out != Miss || string(v) != "ok" {
+		t.Fatalf("Do after panic = (%q, %v, %v), want a fresh miss", v, out, err)
 	}
 }
 

@@ -295,7 +295,7 @@ func (cl *Cluster) doPeer(ctx context.Context, key string, fn func(ctx context.C
 	// served; it fills the live tier here so repeated requests during
 	// the outage are local hits.
 	c.misses.Add(1)
-	call.val, call.err = fn(ctx)
+	call.val, call.err = lead(ctx, fn)
 	s.mu.Lock()
 	delete(s.inflight, key)
 	if call.err == nil {

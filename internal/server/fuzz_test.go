@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -12,7 +13,11 @@ import (
 // handler to the error contract — it must never panic, never answer a
 // malformed or absurd request with a 5xx (bad input is the client's
 // fault: 400 for shape errors, 422 for infeasible-but-well-formed), and
-// must always produce valid JSON.
+// must always produce valid JSON. On a buffered op the body is then
+// sent twice more and must get the same status, bytes and model header
+// each time, whether its key comes from Prepare or from the
+// repeated-body memo. A batch is exempt: its body reports each item's
+// cache outcome, which a repeat changes by design.
 func fuzzEndpoint(f *testing.F, path string, seeds []string) {
 	f.Helper()
 	for _, s := range seeds {
@@ -35,7 +40,26 @@ func fuzzEndpoint(f *testing.F, path string, seeds []string) {
 		if !json.Valid(rec.Body.Bytes()) {
 			t.Fatalf("%s: body %q got non-JSON response %q", path, body, rec.Body.String())
 		}
+		if path != "/v1/batch" {
+			requireRepeatable(t, h, path, body, rec)
+		}
 	})
+}
+
+// requireRepeatable sends body twice more and requires the first
+// response's status, bytes and model header each time.
+func requireRepeatable(t *testing.T, h http.Handler, path string, body []byte, first *httptest.ResponseRecorder) {
+	t.Helper()
+	for i := 2; i <= 3; i++ {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		if rec.Code != first.Code || !bytes.Equal(rec.Body.Bytes(), first.Body.Bytes()) ||
+			rec.Header().Get(headerModel) != first.Header().Get(headerModel) {
+			t.Fatalf("%s: body %q send %d = %d %q (model %q), want %d %q (model %q)", path, body, i,
+				rec.Code, rec.Body.String(), rec.Header().Get(headerModel),
+				first.Code, first.Body.String(), first.Header().Get(headerModel))
+		}
+	}
 }
 
 func FuzzOptimize(f *testing.F) {
@@ -162,6 +186,7 @@ func FuzzFrontier(f *testing.F) {
 		default:
 			t.Fatalf("body %q got status %d (%s)", body, rec.Code, rec.Body.String())
 		}
+		requireRepeatable(t, h, "/v1/frontier/stream", body, rec)
 	})
 }
 

@@ -53,9 +53,9 @@ func init() {
 	// counter.
 	streams := map[string]engine.StreamOp{streamSweep.Name(): streamSweep}
 	var rs []route
-	for _, op := range registry.Ops() {
+	for i, op := range registry.Ops() {
 		rs = append(rs, route{op.Name(), http.MethodPost, op.Path(),
-			func(s *Server, w http.ResponseWriter, r *http.Request) { s.serveOp(w, r, op) },
+			func(s *Server, w http.ResponseWriter, r *http.Request) { s.serveOp(w, r, op, i) },
 			streams[op.Name()]})
 	}
 	routes = append(rs,

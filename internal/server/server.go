@@ -154,6 +154,7 @@ type Server struct {
 	cfg     Config
 	cache   *servecache.Cache
 	cluster *servecache.Cluster // nil when single-node
+	memo    *bodyMemo           // repeated body -> canonical key, see serveOp
 	gate    *gate
 	mux     *http.ServeMux
 	handler http.Handler // mux, possibly wrapped by cfg.Middleware, inside observe
@@ -194,6 +195,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:    cfg,
 		cache:  cache,
+		memo:   newBodyMemo(cfg.CacheEntries),
 		gate:   newGate(cfg.MaxInflight, cfg.MaxQueue, cfg.QueueTimeout),
 		mux:    http.NewServeMux(),
 		start:  time.Now(),
@@ -294,28 +296,51 @@ func (s *Server) handle(i int) http.HandlerFunc {
 	}
 }
 
-// serveOp is the buffered pipeline of a registry op: prepare (strict
-// decode + validation + canonical cache key), coalescing lookup,
-// admission (misses only — cached work is free and must stay
-// admissible under overload), per-request deadline, stale fallback,
-// and error-to-status mapping.
-func (s *Server) serveOp(w http.ResponseWriter, r *http.Request, op engine.Op) {
-	var key string
+// serveOp is the buffered pipeline of registry op op, served on route
+// i: prepare (strict decode + validation + canonical cache key),
+// coalescing lookup, admission (misses only — cached work is free and
+// must stay admissible under overload), per-request deadline, stale
+// fallback, and error-to-status mapping.
+//
+// A body the memo remembers skips Prepare: its key and model come from
+// the memo, and Prepare runs only if the lookup needs an evaluation,
+// inside the cache leader. A body that ran Prepare and was answered
+// from the cache is remembered for next time.
+func (s *Server) serveOp(w http.ResponseWriter, r *http.Request, op engine.Op, i int) {
+	var body []byte
+	var entry memoEntry
+	var remembered bool
 	var eval func(context.Context) ([]byte, error)
-	if !s.prepare(w, r, func(body []byte, env engine.Env) (err error) {
-		key, eval, err = op.Prepare(body, env)
+	if !s.prepare(w, r, func(b []byte, env engine.Env) (err error) {
+		body = b
+		if entry, remembered = s.memo.get(i, b); remembered {
+			env.ReportModel(entry.model)
+			eval = func(ctx context.Context) ([]byte, error) {
+				_, build, err := op.Prepare(b, engine.Env{Workers: env.Workers})
+				if err != nil {
+					return nil, err
+				}
+				return build(ctx)
+			}
+			return nil
+		}
+		entry.key, eval, err = op.Prepare(b, env)
+		entry.model = env.Meta.Model
 		return err
 	}) {
 		return
 	}
 	ctx, cancel := s.withDeadline(r.Context())
 	defer cancel()
-	resp, outcome, err := s.lookup(r, ctx, key, func(ctx context.Context) ([]byte, error) {
+	resp, outcome, err := s.lookup(r, ctx, entry.key, func(ctx context.Context) ([]byte, error) {
 		return s.evaluate(ctx, s.gate, op.Name(), eval)
 	})
 	if err != nil {
 		s.writeError(w, err)
 		return
+	}
+	if outcome == servecache.Hit && !remembered {
+		s.memo.put(i, body, entry)
 	}
 	encode := telemetry.StartSpan(ctx, stageEncode)
 	w.Header().Set("Content-Type", "application/json")
