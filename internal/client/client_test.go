@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"github.com/calcm/heterosim/internal/server"
+	"github.com/calcm/heterosim/internal/telemetry"
 )
 
 // optimizeBody is a minimal /v1/optimize request.
@@ -301,6 +302,92 @@ func TestOnAttemptObserver(t *testing.T) {
 	}
 	if seen[0].Endpoint != "/v1/optimize" {
 		t.Errorf("Endpoint = %q", seen[0].Endpoint)
+	}
+}
+
+// TestOneRequestIDPerCall: every attempt of one call carries the same
+// X-Request-ID, taken from the caller's context when it sets one and
+// minted once otherwise, for buffered calls and for a stream whose
+// establishment is retried. The observer sees each stream attempt's
+// number and status.
+func TestOneRequestIDPerCall(t *testing.T) {
+	srv, err := server.New(server.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		mu    sync.Mutex
+		ids   []string
+		calls atomic.Int32
+	)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		ids = append(ids, r.Header.Get(telemetry.HeaderRequestID))
+		mu.Unlock()
+		if calls.Add(1)%3 != 0 {
+			http.Error(w, `{"error":"overloaded"}`, http.StatusServiceUnavailable)
+			return
+		}
+		srv.Handler().ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+	var attempts []Attempt
+	c := newTestClient(t, ts.URL, func(cfg *Config) {
+		cfg.Sleeper = &recordingSleeper{}
+		cfg.OnAttempt = func(_ context.Context, a Attempt) {
+			mu.Lock()
+			attempts = append(attempts, a)
+			mu.Unlock()
+		}
+	})
+	// drain returns the IDs and attempts recorded since the last call.
+	drain := func() ([]string, []Attempt) {
+		mu.Lock()
+		defer mu.Unlock()
+		got, seen := ids, attempts
+		ids, attempts = nil, nil
+		return got, seen
+	}
+	sameID := func(name string, got []string, want string) {
+		t.Helper()
+		if len(got) != 3 {
+			t.Fatalf("%s: server saw %d attempts, want 3", name, len(got))
+		}
+		for i, id := range got {
+			if id == "" || id != got[0] || (want != "" && id != want) {
+				t.Errorf("%s: attempt %d carried X-Request-ID %q, want %q on all: %q", name, i+1, id, want, got)
+			}
+		}
+	}
+
+	if _, err := c.Sweep(telemetry.WithRequestID(context.Background(), "pin-buffered"), sweepReq()); err != nil {
+		t.Fatal(err)
+	}
+	got, _ := drain()
+	sameID("buffered, caller ID", got, "pin-buffered")
+
+	if _, err := c.Sweep(context.Background(), sweepReq()); err != nil {
+		t.Fatal(err)
+	}
+	got, _ = drain()
+	sameID("buffered, minted ID", got, "")
+
+	for _, tc := range []struct{ name, id string }{{"stream, caller ID", "pin-stream"}, {"stream, minted ID", ""}} {
+		ctx := telemetry.WithRequestID(context.Background(), tc.id)
+		if _, err := c.SweepStream(ctx, sweepReq(), func(server.SweepPointJSON) error { return nil }); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		got, seen := drain()
+		sameID(tc.name, got, tc.id)
+		wantStatus := []int{http.StatusServiceUnavailable, http.StatusServiceUnavailable, http.StatusOK}
+		if len(seen) != len(wantStatus) {
+			t.Fatalf("%s: observer saw %d attempts, want %d", tc.name, len(seen), len(wantStatus))
+		}
+		for i, a := range seen {
+			if a.N != i+1 || a.Status != wantStatus[i] || a.Endpoint != sweepStreamPath {
+				t.Errorf("%s: attempt %d = %+v, want N=%d status %d", tc.name, i+1, a, i+1, wantStatus[i])
+			}
+		}
 	}
 }
 

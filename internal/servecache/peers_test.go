@@ -6,9 +6,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func testPeers(n int) []string {
@@ -270,6 +273,87 @@ func TestClusterFetchFailureFallsBackToLocalCompute(t *testing.T) {
 	}
 	if computes.Load() != 1 {
 		t.Fatalf("computes = %d", computes.Load())
+	}
+}
+
+// The non-owner path keeps the cache-level counters honest: a
+// successful fetch is not a cache miss (nothing was evaluated here), a
+// failed fetch followed by local compute is exactly one, and the
+// in-flight gauge returns to zero either way.
+func TestClusterCacheCountersOnPeerPath(t *testing.T) {
+	healthy := true
+	cl, key := clusterPair(t, func(context.Context, string, string) ([]byte, string, error) {
+		if healthy {
+			return []byte("owner-bytes"), "hit", nil
+		}
+		return nil, "", errors.New("connection refused")
+	})
+	fn := func(context.Context) ([]byte, error) { return []byte("local"), nil }
+	if _, out, err := cl.Do(context.Background(), key, fn); err != nil || out != Peer {
+		t.Fatalf("fetch Do = %v, %v, want Peer", out, err)
+	}
+	if st := cl.cache.Stats(); st.Misses != 0 || st.Inflight != 0 {
+		t.Fatalf("after a peer fetch: misses=%d inflight=%d, want 0/0", st.Misses, st.Inflight)
+	}
+	healthy = false
+	if _, out, err := cl.Do(context.Background(), key, fn); err != nil || out != Miss {
+		t.Fatalf("fallback Do = %v, %v, want Miss", out, err)
+	}
+	if st := cl.cache.Stats(); st.Misses != 1 || st.Inflight != 0 {
+		t.Fatalf("after a local fallback: misses=%d inflight=%d, want 1/0", st.Misses, st.Inflight)
+	}
+}
+
+// TestClusterFallbackLeaderPanicDoesNotPoisonKey is
+// TestDoLeaderPanicDoesNotPoisonKey on the non-owner path: the owner is
+// unreachable and the local fallback evaluation panics while a second
+// caller waits on it. Both get an error, nothing is cached in either
+// tier, and the next call evaluates afresh.
+func TestClusterFallbackLeaderPanicDoesNotPoisonKey(t *testing.T) {
+	cl, key := clusterPair(t, func(context.Context, string, string) ([]byte, string, error) {
+		return nil, "", errors.New("connection refused")
+	})
+	entered, release := make(chan struct{}), make(chan struct{})
+	leaderErr := make(chan error, 1)
+	go func() {
+		_, _, err := cl.Do(context.Background(), key, func(context.Context) ([]byte, error) {
+			close(entered)
+			<-release
+			panic("boom")
+		})
+		leaderErr <- err
+	}()
+	<-entered
+	waiterErr := make(chan error, 1)
+	go func() {
+		_, out, err := cl.Do(context.Background(), key, func(context.Context) ([]byte, error) {
+			return nil, errors.New("waiter must not evaluate")
+		})
+		if out != Coalesced {
+			err = fmt.Errorf("waiter outcome %v, want coalesced (err %v)", out, err)
+		}
+		waiterErr <- err
+	}()
+	for cl.cache.Stats().Coalesced == 0 {
+		runtime.Gosched()
+	}
+	close(release)
+	for name, ch := range map[string]chan error{"leader": leaderErr, "waiter": waiterErr} {
+		if err := <-ch; err == nil || !strings.Contains(err.Error(), "panicked: boom") {
+			t.Errorf("%s error = %v, want the recovered panic", name, err)
+		}
+	}
+	if st := cl.cache.Stats(); st.Entries != 0 || st.StaleEntries != 0 || st.Inflight != 0 {
+		t.Errorf("stats after panic = %+v, want nothing cached or in flight", st)
+	}
+	if st := cl.Stats(); st.LocalFallbacks != 0 {
+		t.Errorf("a panicked fallback counted as a local fallback: %+v", st)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	v, out, err := cl.Do(ctx, key, func(context.Context) ([]byte, error) { return []byte("ok"), nil })
+	if err != nil || out != Miss || string(v) != "ok" {
+		t.Fatalf("Do after panic = (%q, %v, %v), want a fresh miss", v, out, err)
 	}
 }
 
