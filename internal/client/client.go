@@ -309,6 +309,16 @@ func (c *Client) backoff(n int, retryAfter time.Duration) time.Duration {
 	return jittered
 }
 
+// retryAfterOf extracts the server's Retry-After floor from a prior
+// attempt's error, when it carried one.
+func retryAfterOf(err error) time.Duration {
+	var ae *APIError
+	if errors.As(err, &ae) {
+		return ae.retryAfter
+	}
+	return 0
+}
+
 // pace waits d (through the configured Sleeper) or until ctx expires,
 // whichever is first. It refuses to start a sleep the deadline cannot
 // survive, so a tight deadline fails fast instead of burning its budget
@@ -320,19 +330,9 @@ func (c *Client) pace(ctx context.Context, d time.Duration) error {
 	return c.cfg.Sleeper.Sleep(ctx, d)
 }
 
-// call runs the retry loop for one endpoint: marshal once, attempt up to
-// MaxAttempts times, decode into out on success. Every attempt of one
-// call carries the same X-Request-ID — taken from the caller's context
-// when present (telemetry.WithRequestID), minted otherwise — so server
-// access logs and injected-fault lines can be joined back to this call.
+// call is one buffered exchange: marshal once, attempt through retry,
+// decode into out on success.
 func (c *Client) call(ctx context.Context, method, path string, in, out any) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	id := telemetry.SanitizeRequestID(telemetry.RequestID(ctx))
-	if id == "" {
-		id = telemetry.NewRequestID()
-	}
 	var body []byte
 	if in != nil {
 		var err error
@@ -340,25 +340,42 @@ func (c *Client) call(ctx context.Context, method, path string, in, out any) err
 			return fmt.Errorf("client: %s: encoding request: %w", path, err)
 		}
 	}
+	return c.retry(ctx, path, func(ctx context.Context, base, id string, n int) (bool, error) {
+		return false, c.attempt(ctx, method, base, path, body, out, id, n)
+	})
+}
+
+// retry is the one retry loop behind every call, buffered or streamed:
+// up to MaxAttempts tries of try against the current pick-first
+// endpoint, with jittered backoff floored by the server's Retry-After,
+// failover to the next endpoint after each retryable failure, and a
+// *RetryError once the attempts or the caller's deadline run out. A
+// try that reports itself settled is never repeated, whatever its
+// error. Every attempt of one call carries the same X-Request-ID —
+// taken from the caller's context when present
+// (telemetry.WithRequestID), minted otherwise — so server access logs
+// and injected-fault lines can be joined back to this call.
+func (c *Client) retry(ctx context.Context, path string, try func(ctx context.Context, base, id string, n int) (settled bool, err error)) error {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	id := telemetry.SanitizeRequestID(telemetry.RequestID(ctx))
+	if id == "" {
+		id = telemetry.NewRequestID()
+	}
 	var last error
 	for attempt := 1; attempt <= c.cfg.MaxAttempts; attempt++ {
 		if attempt > 1 {
-			var retryAfter time.Duration
-			var ae *APIError
-			if errors.As(last, &ae) {
-				retryAfter = ae.retryAfter
-			}
-			if err := c.pace(ctx, c.backoff(attempt-1, retryAfter)); err != nil {
+			if err := c.pace(ctx, c.backoff(attempt-1, retryAfterOf(last))); err != nil {
 				return c.giveUp(ctx, &RetryError{Endpoint: path, Attempts: attempt - 1, Last: last}, id)
 			}
 		}
 		idx := c.cur.Load()
-		base := c.endpoints[int(idx)%len(c.endpoints)]
-		err := c.attempt(ctx, method, base, path, body, out, id, attempt)
+		settled, err := try(ctx, c.endpoints[int(idx)%len(c.endpoints)], id, attempt)
 		if err == nil {
 			return nil
 		}
-		if !retryable(err) {
+		if settled || !retryable(err) {
 			return err
 		}
 		// Pick-first failover: the current peer failed retryably, so
@@ -390,8 +407,45 @@ func (c *Client) giveUp(ctx context.Context, re *RetryError, id string) error {
 	return re
 }
 
-// attempt is one wire exchange against base; n is the 1-based attempt
-// number, passed through to the OnAttempt observer.
+// send is the wire step every attempt shares: build the request with
+// its request-ID and content-type headers, issue it, and record the
+// response's status, cache and fault headers in a. It returns the
+// response only for a 200, whose body the caller reads and closes;
+// any other status comes back as the *APIError its body describes.
+func (c *Client) send(ctx context.Context, method, base, path string, body []byte, id string, a *Attempt) (*http.Response, error) {
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, base+path, rd)
+	if err != nil {
+		return nil, fmt.Errorf("client: %s: %w", path, err)
+	}
+	req.Header.Set(telemetry.HeaderRequestID, id)
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	res, err := c.cfg.HTTPClient.Do(req)
+	if err != nil {
+		return nil, &TransportError{Endpoint: path, Err: err}
+	}
+	a.Status = res.StatusCode
+	a.Cache = res.Header.Get("X-Heterosim-Cache")
+	a.Fault = res.Header.Get("X-Fault-Injected")
+	if res.StatusCode == http.StatusOK {
+		return res, nil
+	}
+	defer res.Body.Close()
+	buf, err := c.readBody(res, path)
+	if err != nil {
+		return nil, err
+	}
+	defer buf.free()
+	return nil, apiErrorFrom(res, buf.Bytes(), path)
+}
+
+// attempt is one buffered wire exchange against base; n is the 1-based
+// attempt number, passed through to the OnAttempt observer.
 func (c *Client) attempt(ctx context.Context, method, base, path string, body []byte, out any, id string, n int) (err error) {
 	a := Attempt{Endpoint: path, N: n}
 	if c.cfg.OnAttempt != nil {
@@ -400,34 +454,16 @@ func (c *Client) attempt(ctx context.Context, method, base, path string, body []
 			c.cfg.OnAttempt(ctx, a)
 		}()
 	}
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, base+path, rd)
+	res, err := c.send(ctx, method, base, path, body, id, &a)
 	if err != nil {
-		return fmt.Errorf("client: %s: %w", path, err)
-	}
-	req.Header.Set(telemetry.HeaderRequestID, id)
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	res, err := c.cfg.HTTPClient.Do(req)
-	if err != nil {
-		return &TransportError{Endpoint: path, Err: err}
+		return err
 	}
 	defer res.Body.Close()
-	a.Status = res.StatusCode
-	a.Cache = res.Header.Get("X-Heterosim-Cache")
-	a.Fault = res.Header.Get("X-Fault-Injected")
 	buf, err := c.readBody(res, path)
 	if err != nil {
 		return err
 	}
 	defer buf.free()
-	if res.StatusCode != http.StatusOK {
-		return apiErrorFrom(res, buf.Bytes(), path)
-	}
 	if out == nil {
 		return nil
 	}

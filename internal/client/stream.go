@@ -5,15 +5,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
-	"log/slog"
 	"net/http"
-	"time"
 
 	"github.com/calcm/heterosim/internal/server"
-	"github.com/calcm/heterosim/internal/telemetry"
 )
 
 // This file is the client side of the multi-result surfaces: the batch
@@ -96,69 +92,32 @@ func (c *Client) FrontierStream(ctx context.Context, req server.FrontierRequest,
 	return out, nil
 }
 
-// retryAfterOf extracts the server's Retry-After floor from a prior
-// attempt's error, when it carried one.
-func retryAfterOf(err error) time.Duration {
-	var ae *APIError
-	if errors.As(err, &ae) {
-		return ae.retryAfter
-	}
-	return 0
-}
-
-// streamCall is the generic NDJSON stream exchange with the client's
-// retry schedule, shared by every streaming endpoint: marshal the
-// request once, then attempt until a stream completes or delivers —
-// establishment failures (connection errors, 429/5xx) retry with
+// streamCall is the generic NDJSON stream exchange, shared by every
+// streaming endpoint: marshal the request once, then attempt through
+// retry. Establishment failures (connection errors, 429/5xx) retry with
 // backoff and failover exactly like buffered calls, but once a row has
 // reached the callback the call is no longer transparently repeatable,
-// so mid-stream failures are terminal. hdr and trl receive the decoded
-// header and trailer lines; the returned int counts delivered rows.
+// so the attempt settles and mid-stream failures are terminal. hdr and
+// trl receive the decoded header and trailer lines; the returned int
+// counts delivered rows.
 func streamCall[Row any](ctx context.Context, c *Client, path string, req any, hdr, trl any, row func(Row) error) (int, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if row == nil {
 		return 0, fmt.Errorf("client: %s requires a row callback", path)
-	}
-	id := telemetry.SanitizeRequestID(telemetry.RequestID(ctx))
-	if id == "" {
-		id = telemetry.NewRequestID()
 	}
 	body, err := json.Marshal(req)
 	if err != nil {
 		return 0, fmt.Errorf("client: %s: encoding request: %w", path, err)
 	}
-	var last error
-	for attempt := 1; attempt <= c.cfg.MaxAttempts; attempt++ {
-		if attempt > 1 {
-			if err := c.pace(ctx, c.backoff(attempt-1, retryAfterOf(last))); err != nil {
-				return 0, c.giveUp(ctx, &RetryError{Endpoint: path, Attempts: attempt - 1, Last: last}, id)
-			}
-		}
-		idx := c.cur.Load()
-		base := c.endpoints[int(idx)%len(c.endpoints)]
-		delivered, err := attemptStream(ctx, c, base, path, body, id, attempt, hdr, trl, row)
-		if err == nil {
-			return delivered, nil
-		}
-		if delivered > 0 || !retryable(err) {
-			// Rows already reached the callback: repeating the call would
-			// deliver them twice, so the failure is the caller's.
-			return 0, err
-		}
-		c.failover(idx)
-		last = err
-		if c.cfg.Logger != nil {
-			c.cfg.Logger.LogAttrs(ctx, slog.LevelWarn, "attempt failed",
-				slog.String("id", id), slog.String("endpoint", path),
-				slog.Int("attempt", attempt), slog.String("error", err.Error()))
-		}
-		if ctx.Err() != nil {
-			return 0, c.giveUp(ctx, &RetryError{Endpoint: path, Attempts: attempt, Last: last}, id)
-		}
+	var delivered int
+	err = c.retry(ctx, path, func(ctx context.Context, base, id string, n int) (bool, error) {
+		var err error
+		delivered, err = attemptStream(ctx, c, base, path, body, id, n, hdr, trl, row)
+		return delivered > 0, err
+	})
+	if err != nil {
+		return 0, err
 	}
-	return 0, c.giveUp(ctx, &RetryError{Endpoint: path, Attempts: c.cfg.MaxAttempts, Last: last}, id)
+	return delivered, nil
 }
 
 // streamProbe classifies one NDJSON line. Row lines never carry an
@@ -190,28 +149,11 @@ func attemptStream[Row any](ctx context.Context, c *Client, base, path string, b
 			c.cfg.OnAttempt(ctx, a)
 		}()
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+path, bytes.NewReader(body))
+	res, err := c.send(ctx, http.MethodPost, base, path, body, id, &a)
 	if err != nil {
-		return 0, fmt.Errorf("client: %s: %w", path, err)
-	}
-	req.Header.Set(telemetry.HeaderRequestID, id)
-	req.Header.Set("Content-Type", "application/json")
-	res, err := c.cfg.HTTPClient.Do(req)
-	if err != nil {
-		return 0, &TransportError{Endpoint: path, Err: err}
+		return 0, err
 	}
 	defer res.Body.Close()
-	a.Status = res.StatusCode
-	a.Cache = res.Header.Get("X-Heterosim-Cache")
-	a.Fault = res.Header.Get("X-Fault-Injected")
-	if res.StatusCode != http.StatusOK {
-		buf, err := c.readBody(res, path)
-		if err != nil {
-			return 0, err
-		}
-		defer buf.free()
-		return 0, apiErrorFrom(res, buf.Bytes(), path)
-	}
 
 	br := bufio.NewReader(res.Body)
 	line, err := readLine(br)

@@ -122,8 +122,10 @@ func New(entries int) (*Cache, error) {
 	return NewSharded(entries, DefaultShards)
 }
 
-// NewSharded is New with an explicit shard count. The entry budget is
-// spread evenly; each shard gets at least one slot when entries > 0.
+// NewSharded is New with an explicit shard count. A budget smaller
+// than the shard count uses one shard per entry, and the remainder of
+// an uneven budget goes one slot each to the first shards, so Capacity
+// is exactly entries.
 func NewSharded(entries, shards int) (*Cache, error) {
 	if entries < 0 {
 		return nil, errors.New("servecache: entries must be >= 0")
@@ -131,12 +133,15 @@ func NewSharded(entries, shards int) (*Cache, error) {
 	if shards < 1 {
 		return nil, errors.New("servecache: shards must be >= 1")
 	}
-	perShard := entries / shards
-	if entries > 0 && perShard == 0 {
-		perShard = 1
+	if entries > 0 && entries < shards {
+		shards = entries
 	}
 	c := &Cache{shards: make([]*shard, shards)}
 	for i := range c.shards {
+		perShard := entries / shards
+		if i < entries%shards {
+			perShard++
+		}
 		c.shards[i] = &shard{
 			capacity:   perShard,
 			entries:    make(map[string]*list.Element),
@@ -190,13 +195,33 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 //
 // The returned bytes are shared across callers: treat them as immutable.
 func (c *Cache) Do(ctx context.Context, key string, fn func(ctx context.Context) ([]byte, error)) ([]byte, Outcome, error) {
+	return c.do(ctx, key, func(ctx context.Context) ([]byte, Outcome, error) {
+		return c.evaluate(ctx, fn)
+	})
+}
+
+// evaluate is the leader's local evaluation: one cache miss, fn run
+// through lead.
+func (c *Cache) evaluate(ctx context.Context, fn func(ctx context.Context) ([]byte, error)) ([]byte, Outcome, error) {
+	c.misses.Add(1)
+	val, err := lead(ctx, fn)
+	return val, Miss, err
+}
+
+// do is the one lookup protocol behind Cache.Do and Cluster.Do: a live
+// hit, else a coalesced wait on the key's in-flight call, else this call
+// leads by running step. A successful result is stored by its outcome:
+// Peer bytes (another process holds the live copy) go to the stale tier,
+// anything evaluated here to the live tier. A failed lead or an
+// abandoned wait falls back to the stale tier when it holds the key.
+func (c *Cache) do(ctx context.Context, key string, step func(ctx context.Context) ([]byte, Outcome, error)) ([]byte, Outcome, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	// The "cache" stage records time spent inside the cache machinery:
 	// the lookup on every path, plus the coalesced wait for another
-	// caller's evaluation. A miss's own evaluation is excluded — fn's
-	// cost belongs to the gate/evaluate stages the caller records.
+	// caller's evaluation. The leader's step is excluded — its cost
+	// belongs to the peer/gate/evaluate stages.
 	span := telemetry.StartSpan(ctx, "cache")
 	s := c.shardFor(key)
 	s.mu.Lock()
@@ -214,45 +239,45 @@ func (c *Cache) Do(ctx context.Context, key string, fn func(ctx context.Context)
 		defer span.End()
 		select {
 		case <-cl.done:
-			if cl.err != nil {
-				if val, ok := s.staleGet(key); ok {
-					c.staleServed.Add(1)
-					return val, Stale, nil
-				}
-			}
-			return cl.val, Coalesced, cl.err
+			return c.orStale(s, key, cl.val, Coalesced, cl.err)
 		case <-ctx.Done():
-			if val, ok := s.staleGet(key); ok {
-				c.staleServed.Add(1)
-				return val, Stale, nil
-			}
-			return nil, Coalesced, ctx.Err()
+			return c.orStale(s, key, nil, Coalesced, ctx.Err())
 		}
 	}
 	cl := &call{done: make(chan struct{})}
 	s.inflight[key] = cl
 	s.mu.Unlock()
-	c.misses.Add(1)
 	c.inflight.Add(1)
 	span.End()
 
-	cl.val, cl.err = lead(ctx, fn)
+	val, outcome, err := step(ctx)
+	cl.val, cl.err = val, err
 
 	s.mu.Lock()
 	delete(s.inflight, key)
-	if cl.err == nil {
-		s.insert(key, cl.val, c)
+	switch {
+	case err != nil: // shared with the waiters, never stored
+	case outcome == Peer:
+		s.retain(key, val)
+	default:
+		s.insert(key, val, c)
 	}
 	s.mu.Unlock()
 	c.inflight.Add(-1)
 	close(cl.done)
-	if cl.err != nil {
-		if val, ok := s.staleGet(key); ok {
+	return c.orStale(s, key, val, outcome, err)
+}
+
+// orStale returns the result unchanged unless it failed and the stale
+// tier still holds key; then the retained bytes are served instead.
+func (c *Cache) orStale(s *shard, key string, val []byte, outcome Outcome, err error) ([]byte, Outcome, error) {
+	if err != nil {
+		if stale, ok := s.staleGet(key); ok {
 			c.staleServed.Add(1)
-			return val, Stale, nil
+			return stale, Stale, nil
 		}
 	}
-	return cl.val, Miss, cl.err
+	return val, outcome, err
 }
 
 // lead runs the leader's evaluation, turning a panic into an error:

@@ -24,9 +24,29 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A sub-shard entry budget still gets one slot per shard.
-	if got := c.Capacity(); got != 8 {
-		t.Errorf("Capacity() = %d, want 8 (one slot per shard)", got)
+	// A sub-shard entry budget holds exactly the budget.
+	if got := c.Capacity(); got != 3 {
+		t.Errorf("Capacity() = %d, want 3 (the configured budget)", got)
+	}
+}
+
+// TestCapacityIsTheBudget: every positive budget, below, at, or not a
+// multiple of the shard count, is held exactly, and no shard is empty.
+func TestCapacityIsTheBudget(t *testing.T) {
+	for _, entries := range []int{1, 3, 15, 16, 17, 20, 4096, 4097} {
+		c, err := New(entries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := c.Stats()
+		if st.Capacity != entries || st.Shards != min(entries, DefaultShards) {
+			t.Errorf("New(%d): capacity %d over %d shards", entries, st.Capacity, st.Shards)
+		}
+		for i, s := range c.shards {
+			if s.capacity == 0 {
+				t.Errorf("New(%d): shard %d has no slot", entries, i)
+			}
+		}
 	}
 }
 

@@ -214,105 +214,31 @@ func (cl *Cluster) Do(ctx context.Context, key string, fn func(ctx context.Conte
 	if cl.IsLocal(key) {
 		return cl.cache.Do(ctx, key, fn)
 	}
-	return cl.doPeer(ctx, key, fn)
-}
-
-// doPeer is the non-owner path. It reuses the shard's entry and
-// inflight tables so local hits and coalescing behave identically to
-// Cache.Do; only the "compute" step differs — fetch the owner first,
-// evaluate locally only when that fails.
-func (cl *Cluster) doPeer(ctx context.Context, key string, fn func(ctx context.Context) ([]byte, error)) ([]byte, Outcome, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	c := cl.cache
-	span := telemetry.StartSpan(ctx, "cache")
-	s := c.shardFor(key)
-	s.mu.Lock()
-	if el, ok := s.entries[key]; ok {
-		// A locally computed fallback copy from an earlier owner outage.
-		s.order.MoveToFront(el)
-		val := el.Value.(*lruEntry).val
-		s.mu.Unlock()
-		c.hits.Add(1)
-		span.End()
-		return val, Hit, nil
-	}
-	if call, ok := s.inflight[key]; ok {
-		s.mu.Unlock()
-		c.coalesced.Add(1)
-		defer span.End()
-		select {
-		case <-call.done:
-			if call.err != nil {
-				if val, ok := s.staleGet(key); ok {
-					c.staleServed.Add(1)
-					return val, Stale, nil
-				}
+	return cl.cache.do(ctx, key, func(ctx context.Context) ([]byte, Outcome, error) {
+		pspan := telemetry.StartSpan(ctx, "peer")
+		val, outcome, err := cl.fetch(ctx, cl.ring.Owner(key), key)
+		pspan.End()
+		cl.fetches.Add(1)
+		if err == nil {
+			switch outcome {
+			case "hit", "coalesced", "stale":
+				cl.peerHits.Add(1)
+			default:
+				cl.peerMisses.Add(1)
 			}
-			return call.val, Coalesced, call.err
-		case <-ctx.Done():
-			if val, ok := s.staleGet(key); ok {
-				c.staleServed.Add(1)
-				return val, Stale, nil
-			}
-			return nil, Coalesced, ctx.Err()
+			return val, Peer, nil
 		}
-	}
-	call := &call{done: make(chan struct{})}
-	s.inflight[key] = call
-	s.mu.Unlock()
-	c.inflight.Add(1)
-	span.End()
-
-	owner := cl.ring.Owner(key)
-	pspan := telemetry.StartSpan(ctx, "peer")
-	val, outcome, ferr := cl.fetch(ctx, owner, key)
-	pspan.End()
-	cl.fetches.Add(1)
-	if ferr == nil {
-		switch outcome {
-		case "hit", "coalesced", "stale":
-			cl.peerHits.Add(1)
-		default:
-			cl.peerMisses.Add(1)
+		cl.fetchErrors.Add(1)
+		// Owner unreachable: compute locally. The model is pure, so the
+		// local result is byte-identical to whatever the owner would
+		// have served, and filling the live tier makes repeated requests
+		// during the outage local hits.
+		val, out, err := cl.cache.evaluate(ctx, fn)
+		if err == nil {
+			cl.localFallbacks.Add(1)
 		}
-		call.val, call.err = val, nil
-		s.mu.Lock()
-		delete(s.inflight, key)
-		// Retain, don't insert: the live copy lives at the owner; the
-		// stale shadow is this peer's insurance against owner loss.
-		s.retain(key, val)
-		s.mu.Unlock()
-		c.inflight.Add(-1)
-		close(call.done)
-		return val, Peer, nil
-	}
-	cl.fetchErrors.Add(1)
-
-	// Owner unreachable: compute locally. The model is pure, so the
-	// local result is byte-identical to whatever the owner would have
-	// served; it fills the live tier here so repeated requests during
-	// the outage are local hits.
-	c.misses.Add(1)
-	call.val, call.err = lead(ctx, fn)
-	s.mu.Lock()
-	delete(s.inflight, key)
-	if call.err == nil {
-		s.insert(key, call.val, c)
-	}
-	s.mu.Unlock()
-	c.inflight.Add(-1)
-	close(call.done)
-	if call.err == nil {
-		cl.localFallbacks.Add(1)
-		return call.val, Miss, nil
-	}
-	if val, ok := s.staleGet(key); ok {
-		c.staleServed.Add(1)
-		return val, Stale, nil
-	}
-	return call.val, Miss, call.err
+		return val, out, err
+	})
 }
 
 // PeerStats is a point-in-time snapshot of the peer-tier counters.
