@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+
+	"github.com/calcm/heterosim/internal/par"
 )
 
 type testReq struct {
@@ -132,6 +134,12 @@ func TestEvalFailure(t *testing.T) {
 	var e *Error
 	if err := EvalFailure(errors.New("boom"), Unprocessable); !errors.As(err, &e) || e.Status != http.StatusUnprocessableEntity {
 		t.Errorf("model error must wrap as 422, got %v", err)
+	}
+	// A panic in a pool worker is the server's fault: it passes through
+	// unwrapped, so the transport answers 500, not 400/422.
+	panicked := par.ForEach(context.Background(), 8, 4, func(context.Context, int) error { panic("boom") })
+	if err := EvalFailure(panicked, BadRequest); !errors.Is(err, par.ErrPanic) || errors.As(err, &e) {
+		t.Errorf("worker panic must pass through unwrapped, got %v", err)
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+
+	"github.com/calcm/heterosim/internal/par"
 )
 
 // Error is an error with an HTTP status. Operations return it from
@@ -31,10 +33,11 @@ func Unprocessable(format string, args ...any) *Error {
 
 // EvalFailure classifies an evaluation error: context cancellation and
 // deadline errors pass through untouched so the transport can map them
-// to 503/504, anything else is wrapped with mk (BadRequest or
-// Unprocessable).
+// to 503/504, as does a panic recovered by the worker pool (par.ErrPanic),
+// which is a server fault (500) and never the request's; anything else
+// is wrapped with mk (BadRequest or Unprocessable).
 func EvalFailure(err error, mk func(string, ...any) *Error) error {
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) || errors.Is(err, par.ErrPanic) {
 		return err
 	}
 	return mk("%v", err)

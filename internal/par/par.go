@@ -15,15 +15,28 @@
 //     concurrently observed failures the lowest-indexed error wins, which
 //     makes the returned error deterministic whenever errors are not
 //     racing each other (and always at workers = 1).
+//   - A panic in fn comes back as an error wrapping ErrPanic, at every
+//     worker count, instead of killing the process from a worker
+//     goroutine no caller can recover.
 //   - workers <= 0 means runtime.GOMAXPROCS(0).
 package par
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
 )
+
+// ErrPanic is wrapped by the error ForEach and Map return when fn
+// panics; the message adds the index and the panic value.
+var ErrPanic = errors.New("par: fn panicked")
+
+func panicError(i int, p any) error {
+	return fmt.Errorf("%w at index %d: %v", ErrPanic, i, p)
+}
 
 // Workers resolves a worker-count request: values <= 0 mean
 // runtime.GOMAXPROCS(0), anything else passes through.
@@ -53,9 +66,10 @@ func Normalize(n int) int {
 // calls happen in ascending index order on the calling goroutine.
 //
 // The first error cancels the derived context and drains the pool; the
-// lowest-indexed observed error is returned. A pre-cancelled ctx returns
-// its error without invoking fn.
-func ForEach(ctx context.Context, n, workers int, fn func(ctx context.Context, i int) error) error {
+// lowest-indexed observed error is returned. A panic in fn is such an
+// error, wrapping ErrPanic. A pre-cancelled ctx returns its error
+// without invoking fn.
+func ForEach(ctx context.Context, n, workers int, fn func(ctx context.Context, i int) error) (err error) {
 	if n <= 0 {
 		return nil
 	}
@@ -70,7 +84,13 @@ func ForEach(ctx context.Context, n, workers int, fn func(ctx context.Context, i
 		w = n
 	}
 	if w == 1 {
-		for i := 0; i < n; i++ {
+		i := 0
+		defer func() {
+			if p := recover(); p != nil {
+				err = panicError(i, p)
+			}
+		}()
+		for ; i < n; i++ {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
@@ -102,8 +122,14 @@ func ForEach(ctx context.Context, n, workers int, fn func(ctx context.Context, i
 	for g := 0; g < w; g++ {
 		go func() {
 			defer wg.Done()
+			var i int
+			defer func() {
+				if p := recover(); p != nil {
+					report(i, panicError(i, p))
+				}
+			}()
 			for {
-				i := int(next.Add(1)) - 1
+				i = int(next.Add(1)) - 1
 				if i >= n || cctx.Err() != nil {
 					return
 				}

@@ -232,3 +232,30 @@ func TestNormalize(t *testing.T) {
 		}
 	}
 }
+
+// TestPanicBecomesError: a panic in fn, on the calling goroutine or a
+// worker, comes back from ForEach and Map as an error wrapping ErrPanic
+// that names the index and the panic value.
+func TestPanicBecomesError(t *testing.T) {
+	for _, w := range []int{1, 4} {
+		err := ForEach(context.Background(), 16, w, func(_ context.Context, i int) error {
+			if i == 3 {
+				panic("boom")
+			}
+			return nil
+		})
+		if !errors.Is(err, ErrPanic) || err.Error() != "par: fn panicked at index 3: boom" {
+			t.Errorf("ForEach workers=%d: err = %v, want the recovered panic at index 3", w, err)
+		}
+		out, err := Map(context.Background(), 16, w, func(_ context.Context, i int) (int, error) {
+			if i == 0 {
+				var m map[string]int
+				m["x"] = 1 // a runtime panic, not a panic(value) call
+			}
+			return i, nil
+		})
+		if !errors.Is(err, ErrPanic) || out != nil {
+			t.Errorf("Map workers=%d: out = %v, err = %v, want nil and the recovered panic", w, out, err)
+		}
+	}
+}
