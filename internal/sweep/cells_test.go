@@ -64,24 +64,28 @@ func TestCellsMatchesPointAt(t *testing.T) {
 	}
 }
 
-// TestCellsError checks that a failing cell cancels the sweep and the
-// lowest-indexed observed error is returned at one worker.
+// TestCellsError checks that a failing cell cancels the sweep and its
+// error is returned at every worker count: index 0 always runs, so it
+// is the lowest-indexed failure observed whatever the interleaving. At
+// one worker no cell runs after it.
 func TestCellsError(t *testing.T) {
 	g := cellsTestGrid(t)
 	boom := errors.New("boom")
-	var calls atomic.Int64
-	err := g.Cells(context.Background(), 1, func(flat int, _ []float64) error {
-		calls.Add(1)
-		if flat == 5 {
-			return boom
+	for _, w := range determinismWorkerCounts() {
+		var calls atomic.Int64
+		err := g.Cells(context.Background(), w, func(flat int, _ []float64) error {
+			calls.Add(1)
+			if flat == 0 {
+				return boom
+			}
+			return nil
+		})
+		if !errors.Is(err, boom) {
+			t.Fatalf("workers=%d: err = %v, want boom", w, err)
 		}
-		return nil
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want boom", err)
-	}
-	if n := calls.Load(); n != 6 {
-		t.Fatalf("serial sweep made %d calls after error at flat 5, want 6", n)
+		if n := calls.Load(); w == 1 && n != 1 {
+			t.Fatalf("serial sweep made %d calls after error at flat 0, want 1", n)
+		}
 	}
 }
 

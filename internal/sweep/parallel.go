@@ -20,20 +20,15 @@ func (g *Grid) decodeValsInto(i int, vals []float64) {
 	}
 }
 
-// blocks partitions [0, Size()) into one contiguous chunk per worker
-// slot and fans the chunks out through the par pool. Each chunk is
-// visited in ascending index order, so per-chunk scratch state can be
-// reused across cells without allocation; ctx is polled between cells so
-// request deadlines still propagate into long grids. Errors follow par's
-// contract: the first failure cancels the pool and the lowest-indexed
-// observed error is returned (chunks are in index order and stop at
-// their first error, so this is the lowest-indexed failing cell among
-// those observed).
-func (g *Grid) blocks(ctx context.Context, workers int, run func(ctx context.Context, lo, hi int) error) error {
-	return g.blocksRange(ctx, workers, 0, g.Size(), run)
-}
-
-// blocksRange is blocks over the half-open index window [lo, hi).
+// blocksRange partitions the half-open index window [lo, hi) into one
+// contiguous chunk per worker slot and fans the chunks out through the
+// par pool. Each chunk is visited in ascending index order, so
+// per-chunk scratch state can be reused across cells without
+// allocation; ctx is polled between cells so request deadlines still
+// propagate into long grids. Errors follow par's contract: the first
+// failure cancels the pool and the lowest-indexed observed error is
+// returned (chunks are in index order and stop at their first error,
+// so this is the lowest-indexed failing cell among those observed).
 func (g *Grid) blocksRange(ctx context.Context, workers, lo, hi int, run func(ctx context.Context, lo, hi int) error) error {
 	n := hi - lo
 	if n <= 0 {
@@ -50,8 +45,7 @@ func (g *Grid) blocksRange(ctx context.Context, workers, lo, hi int, run func(ct
 
 // Cells invokes fn for every grid point across a bounded worker pool
 // (workers <= 0 means GOMAXPROCS), passing the point's flat row-major
-// index and its values indexed by axis position — the allocation-free
-// counterpart of EachParallel for hot paths that would otherwise pay a
+// index and its values indexed by axis position, so hot paths pay no
 // map per cell. vals is per-worker scratch, valid only for the duration
 // of the call: fn must copy anything it keeps. fn runs concurrently and
 // must be safe for parallel use; the first error cancels the sweep, and
@@ -95,35 +89,6 @@ func (g *Grid) CellsRange(ctx context.Context, workers, lo, hi int, fn func(flat
 	})
 }
 
-// EachParallel invokes fn for every grid point across a bounded worker
-// pool (workers <= 0 means GOMAXPROCS). Points are decoded from their
-// row-major indices — there is no shared multi-index state — so any
-// interleaving visits exactly the same points as Each. The Point is
-// per-worker scratch, valid only for the duration of the call (use Copy
-// to keep one). The first error cancels the sweep; the lowest-indexed
-// observed error is returned. Cancelling ctx (nil means Background)
-// stops the sweep between points and returns ctx.Err(), so request
-// deadlines propagate into long grids.
-//
-// fn runs concurrently: it must be safe for parallel use.
-func (g *Grid) EachParallel(ctx context.Context, workers int, fn func(Point) error) error {
-	// Recorded as the "sweep" telemetry stage, exactly like Cells.
-	defer telemetry.StartSpan(ctx, "sweep").End()
-	return g.blocks(ctx, workers, func(ctx context.Context, lo, hi int) error {
-		p := make(Point, len(g.axes))
-		for i := lo; i < hi; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			g.decodeInto(i, p)
-			if err := fn(p); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
 // cell is one evaluated grid point in an ArgMaxParallel sweep.
 type cell struct {
 	value float64
@@ -144,7 +109,7 @@ type cell struct {
 // objective runs concurrently: it must be safe for parallel use.
 func (g *Grid) ArgMaxParallel(ctx context.Context, workers int, objective func(Point) (float64, error)) (Result, error) {
 	cells := make([]cell, g.Size())
-	err := g.blocks(ctx, workers, func(ctx context.Context, lo, hi int) error {
+	err := g.blocksRange(ctx, workers, 0, g.Size(), func(ctx context.Context, lo, hi int) error {
 		p := make(Point, len(g.axes))
 		for i := lo; i < hi; i++ {
 			if err := ctx.Err(); err != nil {

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
-	"sort"
-	"sync"
 	"testing"
 
 	"github.com/calcm/heterosim/internal/bounds"
@@ -70,55 +68,6 @@ func TestPointAtMatchesEachOrder(t *testing.T) {
 	}
 	if _, err := g.PointAt(g.Size()); err == nil {
 		t.Error("PointAt(Size) must fail")
-	}
-}
-
-// key serializes a point for order-independent set comparison.
-func key(p Point) string { return fmt.Sprintf("%v|%v|%v", p["x"], p["y"], p["z"]) }
-
-func TestEachParallelVisitsSamePoints(t *testing.T) {
-	g := testGrid(t)
-	var want []string
-	if err := g.Each(func(p Point) error {
-		want = append(want, key(p))
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	sort.Strings(want)
-	for _, w := range determinismWorkerCounts() {
-		var (
-			mu  sync.Mutex
-			got []string
-		)
-		if err := g.EachParallel(context.Background(), w, func(p Point) error {
-			mu.Lock()
-			got = append(got, key(p))
-			mu.Unlock()
-			return nil
-		}); err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
-		sort.Strings(got)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: visited point set differs from Each", w)
-		}
-	}
-}
-
-func TestEachParallelPropagatesError(t *testing.T) {
-	g := testGrid(t)
-	boom := errors.New("boom")
-	for _, w := range determinismWorkerCounts() {
-		err := g.EachParallel(context.Background(), w, func(p Point) error {
-			if p["x"] == -2 && p["y"] == 0 && p["z"] == 1 { // index 0
-				return boom
-			}
-			return nil
-		})
-		if !errors.Is(err, boom) {
-			t.Errorf("workers=%d: err = %v", w, err)
-		}
 	}
 }
 

@@ -85,57 +85,3 @@ func TestPropertyArgMaxParallelMatchesSerial(t *testing.T) {
 		}
 	}
 }
-
-// TestPropertyEachParallelCoversGrid: EachParallel visits every point
-// exactly once for random grids and worker counts.
-func TestPropertyEachParallelCoversGrid(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 40; trial++ {
-		g := randomGrid(t, rng)
-		workers := 1 + rng.Intn(8)
-		counts := make([]int32, g.Size())
-		// Index points by position: re-derive the flat index from the
-		// row-major serial order for comparison.
-		serial := make([]Point, 0, g.Size())
-		if err := g.Each(func(p Point) error {
-			serial = append(serial, p.Copy())
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		match := func(p Point) int {
-			for i, sp := range serial {
-				same := true
-				for k, v := range sp {
-					if p[k] != v {
-						same = false
-						break
-					}
-				}
-				if same && counts[i] == 0 {
-					return i
-				}
-			}
-			return -1
-		}
-		var mu = make(chan struct{}, 1)
-		mu <- struct{}{}
-		if err := g.EachParallel(context.Background(), workers, func(p Point) error {
-			<-mu
-			defer func() { mu <- struct{}{} }()
-			i := match(p)
-			if i < 0 {
-				return fmt.Errorf("point %v unmatched or visited twice", p)
-			}
-			counts[i]++
-			return nil
-		}); err != nil {
-			t.Fatalf("trial %d (workers=%d): %v", trial, workers, err)
-		}
-		for i, c := range counts {
-			if c != 1 {
-				t.Fatalf("trial %d: point %d visited %d times", trial, i, c)
-			}
-		}
-	}
-}
