@@ -17,6 +17,16 @@ import (
 // encoding/json scans the whole input once to validate it and again to
 // decode it. Each Go type gets a decode plan once, built with reflect.
 //
+// Two things keep a body cheap to decode. Equal plain strings within
+// one body may share memory: a per-call table hands out the string
+// already copied for an earlier equal literal, since a response repeats
+// the same labels, kinds and node names hundreds of times. The table
+// lives on the decode call's stack and its strings are still copies, so
+// nothing outlives the call or aliases the input. And numbers convert
+// in the scan that validates them: an integer of at most 18 digits, or
+// a float64 whose decimal mantissa and power of ten are both exact,
+// converts directly; every other literal goes to strconv as before.
+//
 // The contract is json.Unmarshal's. For a fresh zero target, decodeJSON
 // rejects exactly the inputs json.Unmarshal rejects and otherwise
 // produces a reflect.DeepEqual value (FuzzDecodeMatchesUnmarshal). That
@@ -220,7 +230,8 @@ func (p *plan) field(key []byte, next int) int {
 
 // decodeJSON decodes data into v, a non-nil pointer, with
 // json.Unmarshal's contract (see the top of this file). Decoded strings
-// and raw messages are copies: nothing in v aliases data.
+// and raw messages are copies: nothing in v aliases data, though equal
+// strings decoded from one body may share one copy.
 func decodeJSON(data []byte, v any) error {
 	rv := reflect.ValueOf(v)
 	if rv.Kind() != reflect.Pointer || rv.IsNil() {
@@ -249,11 +260,12 @@ type syntaxError struct {
 func (e *syntaxError) Error() string { return fmt.Sprintf("%s (offset %d)", e.msg, e.off) }
 
 // decoder is one pass over data; depth counts the open arrays and
-// objects.
+// objects, and strs holds strings decoded so far (see intern).
 type decoder struct {
 	data  []byte
 	off   int
 	depth int
+	strs  [64]string
 }
 
 func (d *decoder) eof() error {
@@ -423,21 +435,33 @@ func (d *decoder) value(p *plan, v reflect.Value) error {
 	}
 	switch p.kind {
 	case kindInt:
-		n, err := strconv.ParseInt(string(num), 10, p.bits)
-		if err != nil {
-			return rangeError(p, num, start)
+		n, ok := num.small()
+		i := int64(n)
+		if !ok {
+			i, err = strconv.ParseInt(string(num.lit), 10, 64)
+		} else if num.neg {
+			i = -i
 		}
-		v.SetInt(n)
+		if err != nil || v.OverflowInt(i) {
+			return rangeError(p, num.lit, start)
+		}
+		v.SetInt(i)
 	case kindUint:
-		n, err := strconv.ParseUint(string(num), 10, p.bits)
-		if err != nil {
-			return rangeError(p, num, start)
+		n, ok := num.small()
+		if !ok || num.neg {
+			n, err = strconv.ParseUint(string(num.lit), 10, 64)
+		}
+		if err != nil || v.OverflowUint(n) {
+			return rangeError(p, num.lit, start)
 		}
 		v.SetUint(n)
 	default:
-		f, err := strconv.ParseFloat(string(num), p.bits)
+		f, ok := num.float64()
+		if !ok || p.bits != 64 {
+			f, err = strconv.ParseFloat(string(num.lit), p.bits)
+		}
 		if err != nil {
-			return rangeError(p, num, start)
+			return rangeError(p, num.lit, start)
 		}
 		v.SetFloat(f)
 	}
@@ -491,7 +515,9 @@ func (d *decoder) mapObject(p *plan, v reflect.Value) error {
 	if d.emptyClose('}') {
 		return nil
 	}
-	elem := reflect.New(p.elem.typ).Elem()
+	// SetMapIndex copies the key and the element, so one of each serves
+	// every member.
+	k, elem := reflect.New(p.typ.Key()).Elem(), reflect.New(p.elem.typ).Elem()
 	for {
 		key, err := d.key()
 		if err != nil {
@@ -501,8 +527,7 @@ func (d *decoder) mapObject(p *plan, v reflect.Value) error {
 		if err := d.value(p.elem, elem); err != nil {
 			return err
 		}
-		k := reflect.New(p.typ.Key()).Elem()
-		k.SetString(string(key))
+		k.SetString(d.intern(key))
 		v.SetMapIndex(k, elem)
 		if done, err := d.more('}'); done || err != nil {
 			return err
@@ -585,9 +610,37 @@ func (d *decoder) str() (string, error) {
 		return "", err
 	}
 	if plain {
-		return string(d.data[start+1 : d.off-1]), nil
+		return d.intern(d.data[start+1 : d.off-1]), nil
 	}
 	return unquote(d.data[start:d.off])
+}
+
+// intern returns b as a string: the copy made for an equal string
+// earlier in this body when strs holds it, else a fresh copy that takes
+// a slot. A string hashes to a slot and may sit in any of the next few;
+// when they are all taken by other strings, it replaces the first.
+func (d *decoder) intern(b []byte) string {
+	if len(b) == 0 {
+		return ""
+	}
+	h := uint32(2166136261) // FNV-1a
+	for _, c := range b {
+		h = (h ^ uint32(c)) * 16777619
+	}
+	const probes = 4
+	for i := uint32(0); i < probes; i++ {
+		slot := &d.strs[(h+i)%uint32(len(d.strs))]
+		if *slot == string(b) {
+			return *slot
+		}
+		if *slot == "" {
+			*slot = string(b)
+			return *slot
+		}
+	}
+	slot := &d.strs[h%uint32(len(d.strs))]
+	*slot = string(b)
+	return *slot
 }
 
 // unquote decodes a validated string literal that has escapes or
@@ -665,51 +718,127 @@ func isHex(c byte) bool {
 
 func isDigit(c byte) bool { return '0' <= c && c <= '9' }
 
+// numLit is a validated number literal. It has digits significant
+// decimal digits; when there are at most 19, its value is
+// ±mant × 10^exp. integral means it has neither a fraction nor an
+// exponent.
+type numLit struct {
+	lit      []byte
+	mant     uint64
+	exp      int
+	digits   int
+	neg      bool
+	integral bool
+}
+
+// small returns the magnitude of an integer literal of at most 18
+// digits, which any int64 holds.
+func (n *numLit) small() (uint64, bool) {
+	return n.mant, n.integral && n.digits <= 18
+}
+
+// pow10 holds the powers of ten a float64 represents exactly.
+var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
+
+// float64 converts the literal by Clinger's fast path, the one strconv
+// tries first: a mantissa of at most 2^53 (so at most 16 digits, all
+// kept) and a power of ten within ±22 are both exact float64s, and one
+// correctly rounded multiply or divide gives the correctly rounded
+// value, which is strconv's.
+func (n *numLit) float64() (float64, bool) {
+	if n.mant > 1<<53 || n.exp < -22 || n.exp > 22 {
+		return 0, false
+	}
+	f := float64(n.mant)
+	if n.exp < 0 {
+		f /= pow10[-n.exp]
+	} else {
+		f *= pow10[n.exp]
+	}
+	if n.neg {
+		f = -f
+	}
+	return f, true
+}
+
+// digitsAt consumes the digits at data[i:] into n's mantissa and
+// returns the offset after them. Leading zeros are not significant;
+// past 19 significant digits only the count grows.
+func (n *numLit) digitsAt(data []byte, i int) int {
+	mant, digits := n.mant, n.digits
+	for ; i < len(data); i++ {
+		c := data[i] - '0'
+		if c > 9 {
+			break
+		}
+		if digits < 19 {
+			mant = mant*10 + uint64(c)
+			if mant == 0 {
+				continue
+			}
+		}
+		digits++
+	}
+	n.mant, n.digits = mant, digits
+	return i
+}
+
 // number consumes a number in the strict JSON grammar,
 // -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, and returns it.
-func (d *decoder) number() ([]byte, error) {
+func (d *decoder) number() (numLit, error) {
 	data, start := d.data, d.off
+	n := numLit{integral: true}
 	i := start
 	if i < len(data) && data[i] == '-' {
+		n.neg = true
 		i++
 	}
 	switch {
 	case i < len(data) && data[i] == '0':
 		i++
 	case i < len(data) && '1' <= data[i] && data[i] <= '9':
-		i = skipDigits(data, i+1)
+		i = n.digitsAt(data, i)
 	default:
-		return nil, d.badNumber(i, "in numeric literal")
+		return n, d.badNumber(i, "in numeric literal")
 	}
 	if i < len(data) && data[i] == '.' {
 		if i++; i >= len(data) || !isDigit(data[i]) {
-			return nil, d.badNumber(i, "after decimal point in numeric literal")
+			return n, d.badNumber(i, "after decimal point in numeric literal")
 		}
-		i = skipDigits(data, i)
+		frac := i
+		i = n.digitsAt(data, i)
+		n.exp, n.integral = frac-i, false
 	}
 	if i < len(data) && (data[i] == 'e' || data[i] == 'E') {
+		n.integral = false
+		sign := 1
 		if i++; i < len(data) && (data[i] == '+' || data[i] == '-') {
+			if data[i] == '-' {
+				sign = -1
+			}
 			i++
 		}
 		if i >= len(data) || !isDigit(data[i]) {
-			return nil, d.badNumber(i, "in exponent of numeric literal")
+			return n, d.badNumber(i, "in exponent of numeric literal")
 		}
-		i = skipDigits(data, i)
+		// Any exponent past 10000 is far outside the fast path.
+		e := 0
+		for ; i < len(data) && isDigit(data[i]); i++ {
+			if e < 10000 {
+				e = e*10 + int(data[i]-'0')
+			}
+		}
+		n.exp += sign * e
 	}
 	d.off = i
-	return data[start:i], nil
+	n.lit = data[start:i]
+	return n, nil
 }
 
 func (d *decoder) badNumber(i int, context string) error {
 	d.off = i
 	return d.invalid(context)
-}
-
-func skipDigits(data []byte, i int) int {
-	for i < len(data) && isDigit(data[i]) {
-		i++
-	}
-	return i
 }
 
 // literal consumes the literal lit (true, false or null).

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -13,6 +15,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"github.com/calcm/heterosim/internal/server"
 )
@@ -269,6 +272,26 @@ var handSeeds = []string{
 	`[`,
 	`{"a":1 "b":2}`,
 	`{1:2}`,
+	// Equal strings in one body share one copy; each must still decode
+	// to its own value.
+	`{"node":"HET","best":"HET","points":[` + strings.Repeat(`{"label":"HET","kind":"HET","limit":"HET"},`, 40) + `{"kind":"HET"}]}`,
+	`{"points":[{"kind":"a\u0062","label":"ab"},{"kind":"ab","label":"a\u0062"}],"elasticities":{"ab":1,"a\u0062":2}}`,
+	"{\"points\":[{\"kind\":\"caf\xc3\xa9\",\"label\":\"caf\xc3\xa9\"},{\"kind\":\"caf\xc3\xa9\"}],\"node\":\"caf\xc3\xa9\"}",
+	`{"node":"","best":"","points":[{"label":"","kind":"","limit":""},{"kind":""}],"elasticities":{"":1,"":2}}`,
+	// More distinct strings than the table holds, each seen twice.
+	distinctStrings(100),
+}
+
+// distinctStrings is a frontier row whose points carry n distinct
+// labels, then the same n again.
+func distinctStrings(n int) string {
+	var b strings.Builder
+	b.WriteString(`{"points":[`)
+	for i := 0; i < 2*n; i++ {
+		fmt.Fprintf(&b, `{"label":"design %d"},`, i%n)
+	}
+	b.WriteString(`{}]}`)
+	return b.String()
 }
 
 // depthSeeds sit at encoding/json's nesting limit: 10000 levels decode
@@ -318,32 +341,51 @@ func truncate(b []byte) []byte {
 	return b
 }
 
-// TestDecodedValuesDoNotAliasBuffer decodes a batch response whose items
-// carry raw messages out of a pooled read buffer, then reuses the
-// buffer: the decoded value must not change.
+// TestDecodedValuesDoNotAliasBuffer decodes responses out of a pooled
+// read buffer, then reuses the buffer: the decoded value must not
+// change. The batch carries raw messages; the compare repeats its
+// labels, kinds and node names, which decode to shared copies.
 func TestDecodedValuesDoNotAliasBuffer(t *testing.T) {
-	body, err := os.ReadFile("../server/testdata/batch_shape.golden")
+	t.Run("batch", func(t *testing.T) {
+		var got, want server.BatchResponse
+		decodeFromReusedBuffer(t, "../server/testdata/batch_shape.golden", &got, &want)
+		if len(want.Items) == 0 || len(want.Items[0].Response) == 0 {
+			t.Fatal("golden batch has no raw item responses")
+		}
+	})
+	t.Run("compare", func(t *testing.T) {
+		var got, want server.CompareResponse
+		decodeFromReusedBuffer(t, "../../cmd/heterosimd/testdata/compare_smoke.golden", &got, &want)
+		if len(got.Nodes) == 0 || len(got.Pairs) == 0 || len(got.Pairs[0].Rows) == 0 {
+			t.Fatal("golden compare has no rows")
+		}
+		if node, row := got.Nodes[0], got.Pairs[0].Rows[0].Node; node != row || unsafe.StringData(node) != unsafe.StringData(row) {
+			t.Fatalf("nodes[0] %q and the first row's node %q do not share one copy", node, row)
+		}
+	})
+}
+
+// decodeFromReusedBuffer decodes the file at path into got through the
+// client's pooled read buffer, overwrites that buffer the way the next
+// call would, and checks got still equals json.Unmarshal's want.
+func decodeFromReusedBuffer[T any](t *testing.T, path string, got, want *T) {
+	t.Helper()
+	body, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want server.BatchResponse
-	if err := json.Unmarshal(body, &want); err != nil {
+	if err := json.Unmarshal(body, want); err != nil {
 		t.Fatal(err)
-	}
-	if len(want.Items) == 0 || len(want.Items[0].Response) == 0 {
-		t.Fatal("golden batch has no raw item responses")
 	}
 	c := &Client{maxBody: maxResponseBytes}
 	res := &http.Response{ContentLength: int64(len(body)), Body: io.NopCloser(bytes.NewReader(body))}
-	buf, err := c.readBody(res, "/v1/batch")
+	buf, err := c.readBody(res, "/v1/test")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got server.BatchResponse
-	if err := decodeJSON(buf.Bytes(), &got); err != nil {
+	if err := decodeJSON(buf.Bytes(), got); err != nil {
 		t.Fatal(err)
 	}
-	// Reuse the buffer the way the next call would: overwrite in place.
 	b := buf.Bytes()
 	for i := range b {
 		b[i] = 'x'
@@ -352,7 +394,7 @@ func TestDecodedValuesDoNotAliasBuffer(t *testing.T) {
 	buf.Write(bytes.Repeat([]byte{'y'}, len(body)))
 	buf.free()
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("decoded batch changed after its buffer was reused:\n got %+v\nwant %+v", got, want)
+		t.Fatalf("decoded value changed after its buffer was reused:\n got %+v\nwant %+v", got, want)
 	}
 }
 
@@ -403,24 +445,54 @@ func TestConcurrentCallsDecodeIndependently(t *testing.T) {
 	wg.Wait()
 }
 
+// decodeCases are the golden response bodies BenchmarkDecode times and
+// TestDecodeAllocs pins, one per response shape.
+var decodeCases = []struct {
+	name, body string
+	typ        reflect.Type
+}{
+	{"optimize", "prerefactor/optimize/0", reflect.TypeFor[server.OptimizeResponse]()},
+	{"sweep", "prerefactor/sweep/3", reflect.TypeFor[server.SweepResponse]()},
+	{"project", "project_fft_999.json", reflect.TypeFor[server.ProjectResponse]()},
+	{"scenario", "prerefactor/scenario/7", reflect.TypeFor[server.ScenarioResponse]()},
+	{"compare", "compare_smoke.golden", reflect.TypeFor[server.CompareResponse]()},
+	{"sensitivity", "sensitivity_smoke.golden", reflect.TypeFor[server.SensitivityResponse]()},
+	{"batch", "batch_shape.golden", reflect.TypeFor[server.BatchResponse]()},
+	{"frontier-row", "frontier_stream.golden#1", reflect.TypeFor[server.FrontierRowJSON]()},
+}
+
+// TestDecodeAllocs pins the allocations of one decodeJSON call, the
+// target's included, on the map-free golden bodies. Equal strings in a
+// body share one copy and numbers convert without a string copy, so
+// what is left is mostly the distinct strings and the slices' growth.
+func TestDecodeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	pins := map[string]float64{"optimize": 6, "sweep": 18, "project": 37, "scenario": 52, "compare": 76}
+	bodies := goldenBodies(t)
+	for _, tc := range decodeCases {
+		pin, ok := pins[tc.name]
+		if !ok {
+			continue
+		}
+		body := bodies[tc.body]
+		got := testing.AllocsPerRun(100, func() {
+			if err := decodeJSON(body, reflect.New(tc.typ).Interface()); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > pin {
+			t.Errorf("decoding %s allocates %.0f times, want <= %.0f", tc.name, got, pin)
+		}
+	}
+}
+
 // BenchmarkDecode decodes each golden response body with decodeJSON
 // and, for comparison, with json.Unmarshal.
 func BenchmarkDecode(b *testing.B) {
 	bodies := goldenBodies(b)
-	cases := []struct {
-		name, body string
-		typ        reflect.Type
-	}{
-		{"optimize", "prerefactor/optimize/0", reflect.TypeFor[server.OptimizeResponse]()},
-		{"sweep", "prerefactor/sweep/3", reflect.TypeFor[server.SweepResponse]()},
-		{"project", "project_fft_999.json", reflect.TypeFor[server.ProjectResponse]()},
-		{"scenario", "prerefactor/scenario/7", reflect.TypeFor[server.ScenarioResponse]()},
-		{"compare", "compare_smoke.golden", reflect.TypeFor[server.CompareResponse]()},
-		{"sensitivity", "sensitivity_smoke.golden", reflect.TypeFor[server.SensitivityResponse]()},
-		{"batch", "batch_shape.golden", reflect.TypeFor[server.BatchResponse]()},
-		{"frontier-row", "frontier_stream.golden#1", reflect.TypeFor[server.FrontierRowJSON]()},
-	}
-	for _, tc := range cases {
+	for _, tc := range decodeCases {
 		body, ok := bodies[tc.body]
 		if !ok {
 			b.Fatalf("no golden body %q", tc.body)
@@ -440,4 +512,64 @@ func BenchmarkDecode(b *testing.B) {
 			})
 		}
 	}
+}
+
+// FuzzNumberMatchesStrconv checks the number conversion done in the
+// scan against strconv: for every literal number accepts, decoding it
+// into each numeric field gives strconv's value bit for bit, and fails
+// exactly when strconv fails.
+func FuzzNumberMatchesStrconv(f *testing.F) {
+	for _, lit := range []string{
+		"0", "-0", "-0.0", "0e5", "0.000", "1", "-1", "127", "128", "-128", "-129", "255", "256",
+		"9007199254740992", "9007199254740993", "-9007199254740993",
+		"1e22", "1e23", "1e-22", "1e-23", "123456e17", "1.5e-30",
+		"123456789012345678", "-123456789012345678",
+		"1234567890123456789", "12345678901234567890",
+		"9223372036854775807", "-9223372036854775808", "9223372036854775808",
+		"18446744073709551615", "18446744073709551616",
+		"2.2250738585072011e-308", "4.9406564584124654e-324", "1.7976931348623157e308",
+		"0.15894664117636143", "26.853508613850938", "1e999", "-1e-999",
+	} {
+		f.Add(lit)
+	}
+	f.Fuzz(func(t *testing.T, lit string) {
+		d := decoder{data: []byte(lit)}
+		if _, err := d.number(); err != nil || d.off != len(lit) {
+			t.Skip()
+		}
+		check := func(field string, got, want uint64, gerr, werr error) {
+			t.Helper()
+			if (gerr == nil) != (werr == nil) {
+				t.Fatalf("%s from %q: decodeJSON error %v, strconv error %v", field, lit, gerr, werr)
+			}
+			if werr == nil && got != want {
+				t.Fatalf("%s from %q: decodeJSON %#x, strconv %#x", field, lit, got, want)
+			}
+		}
+		g64, gerr := decodeField[float64](lit)
+		w64, werr := strconv.ParseFloat(lit, 64)
+		check("float64", math.Float64bits(g64), math.Float64bits(w64), gerr, werr)
+		g32, gerr := decodeField[float32](lit)
+		w32, werr := strconv.ParseFloat(lit, 32)
+		check("float32", uint64(math.Float32bits(g32)), uint64(math.Float32bits(float32(w32))), gerr, werr)
+		gi, gerr := decodeField[int](lit)
+		wi, werr := strconv.ParseInt(lit, 10, 0)
+		check("int", uint64(gi), uint64(wi), gerr, werr)
+		gi8, gerr := decodeField[int8](lit)
+		wi8, werr := strconv.ParseInt(lit, 10, 8)
+		check("int8", uint64(gi8), uint64(wi8), gerr, werr)
+		gu, gerr := decodeField[uint](lit)
+		wu, werr := strconv.ParseUint(lit, 10, 0)
+		check("uint", uint64(gu), wu, gerr, werr)
+		gu8, gerr := decodeField[uint8](lit)
+		wu8, werr := strconv.ParseUint(lit, 10, 8)
+		check("uint8", uint64(gu8), wu8, gerr, werr)
+	})
+}
+
+// decodeField decodes the number literal lit into a field of type T.
+func decodeField[T any](lit string) (T, error) {
+	var v struct{ V T }
+	err := decodeJSON([]byte(`{"V":`+lit+`}`), &v)
+	return v.V, err
 }

@@ -200,11 +200,10 @@ func (c *Cache) Do(ctx context.Context, key string, fn func(ctx context.Context)
 	})
 }
 
-// evaluate is the leader's local evaluation: one cache miss, fn run
-// through lead.
+// evaluate is the leader's local evaluation: one cache miss.
 func (c *Cache) evaluate(ctx context.Context, fn func(ctx context.Context) ([]byte, error)) ([]byte, Outcome, error) {
 	c.misses.Add(1)
-	val, err := lead(ctx, fn)
+	val, err := fn(ctx)
 	return val, Miss, err
 }
 
@@ -214,6 +213,8 @@ func (c *Cache) evaluate(ctx context.Context, fn func(ctx context.Context) ([]by
 // Peer bytes (another process holds the live copy) go to the stale tier,
 // anything evaluated here to the live tier. A failed lead or an
 // abandoned wait falls back to the stale tier when it holds the key.
+// A panic in step (evaluation, peer fetch or fallback alike) fails the
+// lead like any other error.
 func (c *Cache) do(ctx context.Context, key string, step func(ctx context.Context) ([]byte, Outcome, error)) ([]byte, Outcome, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -250,7 +251,17 @@ func (c *Cache) do(ctx context.Context, key string, step func(ctx context.Contex
 	c.inflight.Add(1)
 	span.End()
 
-	val, outcome, err := step(ctx)
+	// A panicking step must still clear the in-flight entry and release
+	// the waiters, or every later request for the key would wait on a
+	// call that never completes; the panic becomes the shared error.
+	val, outcome, err := func() (val []byte, outcome Outcome, err error) {
+		defer func() {
+			if p := recover(); p != nil {
+				val, err = nil, fmt.Errorf("servecache: leader panicked: %v", p)
+			}
+		}()
+		return step(ctx)
+	}()
 	cl.val, cl.err = val, err
 
 	s.mu.Lock()
@@ -278,20 +289,6 @@ func (c *Cache) orStale(s *shard, key string, val []byte, outcome Outcome, err e
 		}
 	}
 	return val, outcome, err
-}
-
-// lead runs the leader's evaluation, turning a panic into an error:
-// the leader must still clear its in-flight entry and release its
-// waiters, or every later request for the key would wait on a call
-// that never completes. The error is shared and never cached, like any
-// other.
-func lead(ctx context.Context, fn func(ctx context.Context) ([]byte, error)) (val []byte, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			val, err = nil, fmt.Errorf("servecache: evaluation panicked: %v", p)
-		}
-	}()
-	return fn(ctx)
 }
 
 // insert adds (or refreshes) key under the shard lock, evicting the

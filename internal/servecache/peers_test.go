@@ -357,6 +357,61 @@ func TestClusterFallbackLeaderPanicDoesNotPoisonKey(t *testing.T) {
 	}
 }
 
+// TestClusterPeerFetchPanicDoesNotPoisonKey is
+// TestDoLeaderPanicDoesNotPoisonKey with the panic in the peer fetch
+// itself, before any local fallback: both callers get an error, nothing
+// is stored in either tier, and the next call fetches again.
+func TestClusterPeerFetchPanicDoesNotPoisonKey(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	var fetches atomic.Int64
+	cl, key := clusterPair(t, func(context.Context, string, string) ([]byte, string, error) {
+		if fetches.Add(1) == 1 {
+			close(entered)
+			<-release
+			panic("boom")
+		}
+		return []byte("owner-bytes"), "hit", nil
+	})
+	fn := func(context.Context) ([]byte, error) {
+		return nil, errors.New("a peer fetch panic must not fall back to local evaluation")
+	}
+	leaderErr := make(chan error, 1)
+	go func() {
+		_, _, err := cl.Do(context.Background(), key, fn)
+		leaderErr <- err
+	}()
+	<-entered
+	waiterErr := make(chan error, 1)
+	go func() {
+		_, out, err := cl.Do(context.Background(), key, fn)
+		if out != Coalesced {
+			err = fmt.Errorf("waiter outcome %v, want coalesced (err %v)", out, err)
+		}
+		waiterErr <- err
+	}()
+	for cl.cache.Stats().Coalesced == 0 {
+		runtime.Gosched()
+	}
+	close(release)
+	for name, ch := range map[string]chan error{"leader": leaderErr, "waiter": waiterErr} {
+		if err := <-ch; err == nil || !strings.Contains(err.Error(), "panicked: boom") {
+			t.Errorf("%s error = %v, want the recovered panic", name, err)
+		}
+	}
+	if st := cl.cache.Stats(); st.Entries != 0 || st.StaleEntries != 0 || st.Inflight != 0 {
+		t.Errorf("stats after panic = %+v, want nothing cached or in flight", st)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	v, out, err := cl.Do(ctx, key, fn)
+	if err != nil || out != Peer || string(v) != "owner-bytes" {
+		t.Fatalf("Do after panic = (%q, %v, %v), want a fresh peer fetch", v, out, err)
+	}
+	if n := fetches.Load(); n != 2 {
+		t.Errorf("Fetch ran %d times, want 2", n)
+	}
+}
+
 // Owner unreachable AND local compute failing: previously fetched bytes
 // are served stale.
 func TestClusterStaleServeWhenOwnerAndComputeFail(t *testing.T) {
