@@ -18,7 +18,9 @@ import (
 // Appender is the opt-in fast-path a response type may implement: the
 // operation pipeline calls AppendJSON instead of json.Marshal when
 // present. The appended bytes must be exactly what json.Marshal would
-// have produced for the same value.
+// have produced for the same value. The pipeline appends into a pooled
+// scratch buffer and hands callers an exact-size copy (cap == len), as
+// json.Marshal does, so an implementation need not presize its output.
 type Appender interface {
 	// AppendJSON appends the value's JSON encoding to b and returns the
 	// extended slice.

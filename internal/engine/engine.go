@@ -17,6 +17,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"sync"
 )
 
 // Env carries serving-layer defaults an operation may consult while
@@ -118,10 +119,36 @@ func (o *op[Req, Resp]) Prepare(body []byte, env Env) (string, func(context.Cont
 		// sweep surface) skip the reflection encoder; the bytes are
 		// identical by contract, fuzz-checked per type.
 		if a, ok := any(resp).(Appender); ok {
-			return a.AppendJSON(nil)
+			return appendExact(a)
 		}
 		return json.Marshal(resp)
 	}, nil
+}
+
+// maxPooledEncode is the largest scratch buffer returned to encodeBufs;
+// a rare huge response must not pin its buffer for the life of the
+// process.
+const maxPooledEncode = 1 << 20
+
+var encodeBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// appendExact encodes a into a pooled scratch buffer and returns an
+// exact-size copy. The result outlives the request in the result cache,
+// so spare capacity there would be held for as long as the entry lives.
+func appendExact(a Appender) ([]byte, error) {
+	bp := encodeBufs.Get().(*[]byte)
+	b, err := a.AppendJSON((*bp)[:0])
+	if err != nil {
+		encodeBufs.Put(bp)
+		return nil, err
+	}
+	out := make([]byte, len(b))
+	copy(out, b)
+	if cap(b) <= maxPooledEncode {
+		*bp = b
+		encodeBufs.Put(bp)
+	}
+	return out, nil
 }
 
 // Registry is the fixed set of operations a server exposes. Construct

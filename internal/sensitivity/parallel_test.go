@@ -2,6 +2,7 @@ package sensitivity
 
 import (
 	"context"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"testing"
@@ -67,8 +68,8 @@ func TestProfileParallelStability(t *testing.T) {
 // TestSampleRNGSubStreamsDecorrelated: adjacent seeds must not replay
 // near-identical draw sequences (the reason for the splitmix64 mix).
 func TestSampleRNGSubStreamsDecorrelated(t *testing.T) {
-	a := sampleRNG(7, 0)
-	b := sampleRNG(7, 1)
+	a := rand.New(rand.NewSource(sampleSeed(7, 0)))
+	b := rand.New(rand.NewSource(sampleSeed(7, 1)))
 	same := 0
 	for i := 0; i < 100; i++ {
 		if a.NormFloat64() == b.NormFloat64() {

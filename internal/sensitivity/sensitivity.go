@@ -18,12 +18,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
+	"sort"
 
 	"github.com/calcm/heterosim/internal/bounds"
 	"github.com/calcm/heterosim/internal/core"
 	"github.com/calcm/heterosim/internal/par"
-	"github.com/calcm/heterosim/internal/stats"
 )
 
 // Optimizer is the evaluation surface a sensitivity study perturbs:
@@ -165,80 +164,6 @@ func MonteCarlo(ev Optimizer, d core.Design, f float64, b bounds.Budgets, sigma 
 	return MonteCarloCtx(context.Background(), ev, d, f, b, sigma, samples, seed, 0)
 }
 
-// normKey identifies one deterministic matrix of standard-normal draws:
-// sample i consumes row i (inputs values, in Inputs order). Sigma is
-// deliberately absent — draws are N(0,1) and scaled at use — so studies
-// that vary sigma share one matrix.
-type normKey struct {
-	seed    int64
-	samples int
-	inputs  int
-}
-
-// maxNormCacheFloats bounds the normal-draw cache (2^21 float64s is
-// 16 MiB). Seeding Go's lagged-Fibonacci source costs ~1800 arithmetic
-// steps per sample — with one source per sample for worker-count
-// determinism, that seeding dominated a cold Monte Carlo request by 5x
-// over the actual optimizations. The draws depend only on (seed,
-// samples, inputs), and the serving layer defaults seed to 1, so
-// caching them removes the cost from every request after the first
-// while leaving the interval byte-identical: hit or miss, the same
-// N(0,1) values feed the same perturbation arithmetic.
-const maxNormCacheFloats = 1 << 21
-
-var (
-	normMu     sync.Mutex
-	normCache  = map[normKey][]float64{}
-	normFloats int
-)
-
-// cachedNormals returns the shared (read-only) draw matrix for key.
-func cachedNormals(key normKey) ([]float64, bool) {
-	normMu.Lock()
-	defer normMu.Unlock()
-	m, ok := normCache[key]
-	return m, ok
-}
-
-// storeNormals publishes a completed draw matrix, evicting arbitrary
-// entries if needed; matrices too large for the whole cache are simply
-// not kept.
-func storeNormals(key normKey, m []float64) {
-	if len(m) > maxNormCacheFloats {
-		return
-	}
-	normMu.Lock()
-	defer normMu.Unlock()
-	if _, ok := normCache[key]; ok {
-		return // a concurrent miss computed the identical matrix
-	}
-	for k := range normCache {
-		if normFloats+len(m) <= maxNormCacheFloats {
-			break
-		}
-		normFloats -= len(normCache[k])
-		delete(normCache, k)
-	}
-	normCache[key] = m
-	normFloats += len(m)
-}
-
-// splitmix64 is the SplitMix64 finalizer, used to derive decorrelated
-// per-sample RNG seeds from (seed, sample index). Adjacent raw seeds feed
-// Go's additive-lagged-Fibonacci source nearly identical streams; the
-// finalizer scatters them across the seed space.
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
-}
-
-// sampleRNG returns the deterministic sub-stream for sample i.
-func sampleRNG(seed int64, i int) *rand.Rand {
-	return rand.New(rand.NewSource(int64(splitmix64(uint64(seed) + uint64(i)))))
-}
-
 // MonteCarloCtx evaluates the design under `samples` random
 // perturbations: every input independently scaled by exp(sigma x N(0,1))
 // (log-normal, so a sigma of 0.2 is roughly +-20%). Infeasible draws are
@@ -246,12 +171,14 @@ func sampleRNG(seed int64, i int) *rand.Rand {
 // succeed.
 //
 // Samples fan out over workers goroutines (<= 0 means GOMAXPROCS). Each
-// sample draws from its own deterministic RNG sub-stream derived from
-// (seed, sample index), and the surviving speedups are assembled in
-// sample order, so the interval is identical at every worker count.
-// Cancellation or an expired deadline stops the sample fan-out early and
-// surfaces ctx.Err() so callers (the serving layer) can distinguish a
-// timeout from an infeasible study.
+// sample draws from its own deterministic RNG sub-stream: the math/rand
+// stream of a seed derived from (seed, sample index), seeded lazily in
+// O(draws) on a pooled generator, so a sample allocates nothing and no
+// draw outlives the call. The surviving speedups are assembled in sample
+// order and sorted once, so the interval is identical at every worker
+// count. Cancellation or an expired deadline stops the sample fan-out
+// early and surfaces ctx.Err() so callers (the serving layer) can
+// distinguish a timeout from an infeasible study.
 func MonteCarloCtx(ctx context.Context, ev Optimizer, d core.Design, f float64, b bounds.Budgets, sigma float64, samples int, seed int64, workers int) (Interval, error) {
 	if sigma <= 0 || samples < 10 {
 		return Interval{}, errors.New("sensitivity: need sigma > 0 and samples >= 10")
@@ -264,38 +191,18 @@ func MonteCarloCtx(ctx context.Context, ev Optimizer, d core.Design, f float64, 
 		speedup  float64
 		feasible bool
 	}
-	inputs := len(Inputs)
-	if d.Kind != core.Het {
-		inputs -= 2 // Mu and Phi draw nothing
-	}
-	key := normKey{seed: seed, samples: samples, inputs: inputs}
-	norms, hit := cachedNormals(key)
-	if !hit {
-		norms = make([]float64, samples*inputs)
-	}
 	draws, err := par.Map(ctx, samples, workers,
 		func(_ context.Context, i int) (draw, error) {
-			row := norms[i*inputs : (i+1)*inputs]
-			if !hit {
-				// Each sample owns its own deterministic RNG sub-stream
-				// (and its own row, so the fill is race-free): the matrix
-				// is the same at every worker count, and a cache hit
-				// replays exactly the values a miss would generate.
-				rng := sampleRNG(seed, i)
-				for j := range row {
-					row[j] = rng.NormFloat64()
-				}
-			}
+			rng := streams.Get().(*rand.Rand)
+			rng.Seed(sampleSeed(seed, i))
 			dd, bb := d, b
-			next := 0
 			for _, in := range Inputs {
 				if (in == Mu || in == Phi) && d.Kind != core.Het {
 					continue
 				}
-				k := math.Exp(sigma * row[next])
-				next++
-				dd, bb = perturb(dd, bb, in, k)
+				dd, bb = perturb(dd, bb, in, math.Exp(sigma*rng.NormFloat64()))
 			}
+			streams.Put(rng)
 			p, err := ev.Optimize(dd, f, bb)
 			if err != nil {
 				return draw{}, nil // infeasible draws are skipped, not fatal
@@ -304,9 +211,6 @@ func MonteCarloCtx(ctx context.Context, ev Optimizer, d core.Design, f float64, 
 		})
 	if err != nil {
 		return Interval{}, err
-	}
-	if !hit {
-		storeNormals(key, norms)
 	}
 	vals := make([]float64, 0, samples)
 	for _, dr := range draws {
@@ -317,13 +221,9 @@ func MonteCarloCtx(ctx context.Context, ev Optimizer, d core.Design, f float64, 
 	if len(vals) < samples/2 {
 		return Interval{}, fmt.Errorf("sensitivity: only %d of %d draws feasible", len(vals), samples)
 	}
-	q := func(p float64) float64 {
-		v, err := stats.Quantile(vals, p)
-		if err != nil {
-			return math.NaN() // unreachable: vals is non-empty
-		}
-		return v
-	}
+	// Nearest-rank quantiles, exactly stats.Quantile's, from one sort.
+	sort.Float64s(vals)
+	q := func(p float64) float64 { return vals[int(p*float64(len(vals)-1))] }
 	return Interval{
 		Nominal: nominal.Speedup,
 		P05:     q(0.05),

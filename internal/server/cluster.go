@@ -80,7 +80,7 @@ func (s *Server) peerFetch(hc *http.Client) servecache.Fetch {
 			return nil, "", err
 		}
 		defer res.Body.Close()
-		payload, err := io.ReadAll(io.LimitReader(res.Body, 64<<20))
+		payload, err := readPeerBody(res)
 		if err != nil {
 			return nil, "", err
 		}
@@ -94,6 +94,32 @@ func (s *Server) peerFetch(hc *http.Client) servecache.Fetch {
 		}
 		return payload, res.Header.Get("X-Heterosim-Cache"), nil
 	}
+}
+
+// maxPeerBody bounds one peer response read.
+const maxPeerBody = 64 << 20
+
+// readPeerBody reads an owner's response body, at most maxPeerBody
+// bytes, into a slice exactly its length: a fetched body is retained in
+// the stale tier, where spare capacity would be held for as long as the
+// entry lives. The owner declares Content-Length, so the body is
+// normally read once into a presized buffer.
+func readPeerBody(res *http.Response) ([]byte, error) {
+	lr := io.LimitReader(res.Body, maxPeerBody)
+	if n := res.ContentLength; n >= 0 && n <= maxPeerBody {
+		b := make([]byte, n)
+		if _, err := io.ReadFull(lr, b); err != nil {
+			return nil, err
+		}
+		return b, nil
+	}
+	b, err := io.ReadAll(lr)
+	if err != nil || cap(b) == len(b) {
+		return b, err
+	}
+	exact := make([]byte, len(b))
+	copy(exact, b)
+	return exact, nil
 }
 
 // splitKey splits a canonical cache key back into (path, body).

@@ -227,13 +227,6 @@ func (e *sweepEnc) appendPoint(b []byte, p *SweepPointJSON) ([]byte, error) {
 // the equivalence); keep both in sync when fields change.
 func (r SweepResponse) AppendJSON(b []byte) ([]byte, error) {
 	var err error
-	// ~176 bytes covers a fully populated point, so a normal response
-	// encodes without growing the buffer.
-	if need := 512 + 176*len(r.Points); cap(b)-len(b) < need {
-		nb := make([]byte, len(b), len(b)+need)
-		copy(nb, b)
-		b = nb
-	}
 	var enc sweepEnc
 	b = append(b, `{"workload":`...)
 	b = engine.AppendString(b, r.Workload)

@@ -2,10 +2,13 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math"
 	"math/rand"
 	"testing"
+
+	"github.com/calcm/heterosim/internal/engine"
 )
 
 // shadowSweepResponse mirrors SweepResponse field-for-field but has no
@@ -121,5 +124,59 @@ func TestSweepResponseAppendJSONNonFinite(t *testing.T) {
 		if _, err := r.AppendJSON(nil); err == nil {
 			t.Errorf("AppendJSON(%v) = nil error, want non-finite rejection", bad)
 		}
+	}
+}
+
+// TestAppenderResultExactSize checks that the operation pipeline hands
+// back an Appender's bytes at exactly their length, so a cached sweep
+// holds no spare capacity, and that a repeat encode allocates only that
+// result. The cells carry 16–17-digit coordinates, longer than a
+// fixed per-cell size guess would cover.
+func TestAppenderResultExactSize(t *testing.T) {
+	r := &SweepResponse{Workload: "FFT-1024", Node: "40nm", Design: "het-ASIC", Model: "sqrtm"}
+	for i := 0; i < 200; i++ {
+		r.Points = append(r.Points, SweepPointJSON{
+			F: 0.5 + float64(i)/997, AreaScale: 1 / float64(i+3), PowerScale: math.Sqrt(float64(i + 2)),
+			BandwidthScale: math.Pi / float64(i+7), Valid: true, R: i%16 + 1,
+			Speedup: math.E * float64(i+11) / 3, Limit: "bandwidth", EnergyNorm: 1 / math.Sqrt(float64(i+5)),
+		})
+	}
+	r.Feasible = len(r.Points)
+	r.Best = &r.Points[len(r.Points)-1]
+	op := engine.New("exact", func(*struct{}, engine.Env) (func(context.Context) (*SweepResponse, error), error) {
+		return func(context.Context) (*SweepResponse, error) { return r, nil }, nil
+	})
+	_, eval, err := op.Prepare([]byte(`{}`), engine.Env{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(shadowSweepResponse(*r))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if per := len(want) / len(r.Points); per <= 176 {
+		t.Fatalf("cells average %d bytes; the test needs cells over 176", per)
+	}
+	for i := 0; i < 3; i++ {
+		got, err := eval(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("encode %d differs from json.Marshal", i)
+		}
+		if cap(got) != len(got) {
+			t.Fatalf("encode %d: cap %d, len %d", i, cap(got), len(got))
+		}
+	}
+	if raceEnabled {
+		return // allocation counts differ under -race
+	}
+	if allocs := testing.AllocsPerRun(50, func() {
+		if _, err := eval(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 1 {
+		t.Errorf("repeat encode: %v allocs, want 1 (the result)", allocs)
 	}
 }
