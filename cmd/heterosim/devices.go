@@ -52,12 +52,12 @@ func cmdDevices(args []string) error {
 				report.FormatFloat(rec.Throughput), unit,
 				report.FormatFloat(rec.Power.Compute()))
 		}
-		mmm, errM := s.RunMMM(d.ID, 1024, int(paper.MMMBlockN), false)
+		mmm, errM := s.RunMMM(d.ID, 1024, int(paper.MMMBlockN))
 		row = append(row, cell(mmm, errM, "GF/s"))
-		bs, errB := s.RunBS(d.ID, 1<<20, false)
+		bs, errB := s.RunBS(d.ID, 1<<20)
 		row = append(row, cell(bs, errB, "Mopt/s"))
 		for _, n := range []int{64, 1024, 16384} {
-			rec, err := s.RunFFT(d.ID, n, false)
+			rec, err := s.RunFFT(d.ID, n)
 			row = append(row, cell(rec, err, "GF/s"))
 		}
 		ops.AddRow(row...)

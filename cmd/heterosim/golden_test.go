@@ -16,9 +16,12 @@ import (
 //	go run ./cmd/heterosim figure 2 -csv > cmd/heterosim/testdata/figure2.golden
 //	go run ./cmd/heterosim table 4 > cmd/heterosim/testdata/table4.golden
 //	go run ./cmd/heterosim table 5 > cmd/heterosim/testdata/table5.golden
+//	go run ./cmd/heterosim calibrate -noise 0.05 -samples 50 -seed 7 > cmd/heterosim/testdata/calibrate_noisy.golden
 //
 // Figure 2 and Tables 4-5 execute and verify the real FFT/MMM/BS kernels,
 // so their goldens also pin that kernel rewrites move no published number.
+// The noisy calibration draws every probe reading from one seeded stream,
+// so its golden pins the order in which the database build probes records.
 func TestGoldenOutputs(t *testing.T) {
 	cases := []struct {
 		golden string
@@ -30,6 +33,7 @@ func TestGoldenOutputs(t *testing.T) {
 		{"figure2.golden", []string{"figure", "2", "-csv"}},
 		{"table4.golden", []string{"table", "4"}},
 		{"table5.golden", []string{"table", "5"}},
+		{"calibrate_noisy.golden", []string{"calibrate", "-noise", "0.05", "-samples", "50", "-seed", "7"}},
 		{"project_fft_999.golden", []string{"project", "-workload", "FFT-1024", "-f", "0.999", "-csv"}},
 	}
 	for _, c := range cases {

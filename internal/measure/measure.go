@@ -189,44 +189,47 @@ type Database struct {
 // BuildDatabase measures every (device, workload) pair the paper could
 // obtain: MMM and BS at their Table 4 operating points and the three FFT
 // anchor sizes, each verified compute-bound first. The kernels really
-// execute (execute=true) so a broken kernel poisons calibration, exactly
-// as a broken benchmark would have in the lab.
+// execute, so a broken kernel poisons calibration, exactly as a broken
+// benchmark would have in the lab: each of the five distinct kernel inputs
+// (one MMM product, one BS portfolio, three FFT sizes) is executed and
+// verified once, before the device loop, which then only probes records.
 func (r *Rig) BuildDatabase() (Database, error) {
-	var db Database
-	add := func(rec sim.Record, err error) error {
-		if err != nil {
-			return err
-		}
+	recs, err := r.Sim.Run(databaseJobs(r.Sim), true)
+	if err != nil {
+		return Database{}, err
+	}
+	db := Database{Measurements: make([]ucore.Measurement, 0, len(recs))}
+	for _, rec := range recs {
 		if err := VerifyComputeBound(rec, 0.95); err != nil {
-			return err
+			return Database{}, err
 		}
 		m, err := r.Measurement(rec)
 		if err != nil {
-			return err
+			return Database{}, err
 		}
 		db.Measurements = append(db.Measurements, m)
-		return nil
-	}
-	for _, d := range device.Catalog() {
-		if r.Sim.HasModel(d.ID, paper.MMM) {
-			if err := add(r.Sim.RunMMM(d.ID, 1024, int(paper.MMMBlockN), true)); err != nil {
-				return Database{}, err
-			}
-		}
-		if r.Sim.HasModel(d.ID, paper.BS) {
-			if err := add(r.Sim.RunBS(d.ID, 1<<20, true)); err != nil {
-				return Database{}, err
-			}
-		}
-		if r.Sim.HasModel(d.ID, device.FFTFamily) {
-			for _, n := range []int{64, 1024, 16384} {
-				if err := add(r.Sim.RunFFT(d.ID, n, true)); err != nil {
-					return Database{}, err
-				}
-			}
-		}
 	}
 	return db, nil
+}
+
+// databaseJobs lists the database's runs in catalog order, each device's
+// MMM, BS and FFT anchors in turn — the order the probe samples them.
+func databaseJobs(s *sim.Simulator) []sim.Job {
+	var jobs []sim.Job
+	for _, d := range device.Catalog() {
+		if s.HasModel(d.ID, paper.MMM) {
+			jobs = append(jobs, sim.Job{Device: d.ID, Kernel: sim.KernelMMM, Size: 1024, Block: int(paper.MMMBlockN)})
+		}
+		if s.HasModel(d.ID, paper.BS) {
+			jobs = append(jobs, sim.Job{Device: d.ID, Kernel: sim.KernelBS, Size: 1 << 20})
+		}
+		if s.HasModel(d.ID, device.FFTFamily) {
+			for _, n := range []int{64, 1024, 16384} {
+				jobs = append(jobs, sim.Job{Device: d.ID, Kernel: sim.KernelFFT, Size: n})
+			}
+		}
+	}
+	return jobs
 }
 
 // DeriveTable5 runs the Section 5.1 calibration over the database.

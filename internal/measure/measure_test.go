@@ -76,7 +76,7 @@ func TestNewRigValidation(t *testing.T) {
 
 func TestSubtractionRecoversComputePower(t *testing.T) {
 	r := idealRig(t)
-	rec, err := r.Sim.RunFFT(paper.GTX285, 1024, false)
+	rec, err := r.Sim.RunFFT(paper.GTX285, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestNoisySubtractionConverges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := s.RunFFT(paper.GTX480, 1024, false)
+	rec, err := s.RunFFT(paper.GTX480, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestNoisySubtractionConverges(t *testing.T) {
 
 func TestMeasurementFields(t *testing.T) {
 	r := idealRig(t)
-	rec, err := r.Sim.RunMMM(paper.LX760, 1024, 128, false)
+	rec, err := r.Sim.RunMMM(paper.LX760, 1024, 128)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestMeasurementFields(t *testing.T) {
 
 func TestVerifyComputeBound(t *testing.T) {
 	r := idealRig(t)
-	rec, err := r.Sim.RunFFT(paper.GTX285, 1024, false)
+	rec, err := r.Sim.RunFFT(paper.GTX285, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestVerifyComputeBound(t *testing.T) {
 		t.Error("bad headroom must fail")
 	}
 	// Devices without a published peak pass trivially.
-	asic, err := r.Sim.RunFFT(paper.ASIC, 1024, false)
+	asic, err := r.Sim.RunFFT(paper.ASIC, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestVerifyComputeBound(t *testing.T) {
 // mis-attributed rail) must be rejected, not silently calibrated.
 func TestSubtractionRejectsNegativeCompute(t *testing.T) {
 	r := idealRig(t)
-	rec, err := r.Sim.RunFFT(paper.GTX285, 1024, false)
+	rec, err := r.Sim.RunFFT(paper.GTX285, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,5 +277,35 @@ func TestNoisyEndToEndStillClose(t *testing.T) {
 	}
 	if math.Abs(params.Phi/want.Phi-1) > 0.05 {
 		t.Errorf("noisy phi = %g, want within 5%% of %g", params.Phi, want.Phi)
+	}
+}
+
+// TestBuildDatabaseKernelInputs pins what BuildDatabase verifies: its 25
+// runs name exactly five distinct kernel inputs — one 192³ MMM product,
+// one 2^15-option BS portfolio and the three FFT anchors.
+func TestBuildDatabaseKernelInputs(t *testing.T) {
+	r := idealRig(t)
+	jobs := databaseJobs(r.Sim)
+	if len(jobs) != 25 {
+		t.Fatalf("database names %d runs, want 25", len(jobs))
+	}
+	got := make(map[sim.Input]int)
+	for _, j := range jobs {
+		got[j.Input()]++
+	}
+	want := map[sim.Input]int{
+		{Kernel: sim.KernelMMM, N: 192, Block: 128}: 6,
+		{Kernel: sim.KernelBS, N: 1 << 15}:          4,
+		{Kernel: sim.KernelFFT, N: 64}:              5,
+		{Kernel: sim.KernelFFT, N: 1024}:            5,
+		{Kernel: sim.KernelFFT, N: 16384}:           5,
+	}
+	if len(got) != len(want) {
+		t.Errorf("database verifies %d inputs %v, want %d", len(got), got, len(want))
+	}
+	for in, runs := range want {
+		if got[in] != runs {
+			t.Errorf("input %+v named by %d runs, want %d", in, got[in], runs)
+		}
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 
 	"github.com/calcm/heterosim/internal/device"
 	"github.com/calcm/heterosim/internal/paper"
@@ -40,7 +41,10 @@ type Record struct {
 	CompulsoryGBs float64 // compulsory off-chip bandwidth during the run
 	MeasuredGBs   float64 // simulated observed bandwidth (>= compulsory)
 
-	Executed bool // the real Go kernel ran and was verified
+	// Executed reports that the real Go kernel ran on the record's capped
+	// Input and was verified. A build checks each distinct Input once, so
+	// records that share one share that check.
+	Executed bool
 }
 
 // EnergyJ returns compute energy (compute power x time).
@@ -75,75 +79,99 @@ func (s *Simulator) HasModel(d paper.DeviceID, w paper.WorkloadID) bool {
 	return ok
 }
 
-// RunFFT simulates a size-n FFT on the device. When execute is true the
-// real Go kernel runs on a deterministic random signal and its output is
-// verified against the recursive implementation before the record is
-// produced; an unverified kernel aborts the measurement.
-func (s *Simulator) RunFFT(d paper.DeviceID, n int, execute bool) (Record, error) {
-	m, err := s.Model(d, device.FFTFamily)
-	if err != nil {
-		return Record{}, err
-	}
-	counts, err := workload.FFTCounts(n)
-	if err != nil {
-		return Record{}, err
-	}
-	executed := false
-	if execute {
-		if err := executeFFT(n); err != nil {
-			return Record{}, err
-		}
-		executed = true
-	}
-	return s.finish(m, workloadIDForFFT(n), n, counts, executed)
+// Kernel names one of the real Go kernels the simulator executes.
+type Kernel uint8
+
+const (
+	KernelFFT Kernel = iota
+	KernelMMM
+	KernelBS
+)
+
+// Job asks for one simulated run: a kernel at a size on a device.
+type Job struct {
+	Device paper.DeviceID
+	Kernel Kernel
+	Size   int // FFT length, MMM dimension, or option count
+	Block  int // MMM block edge; ignored by FFT and BS
 }
 
-// RunMMM simulates an n x n x n matrix multiplication. When execute is
-// true, the blocked kernel runs on random matrices and is verified against
-// the naive product (bounded to modest sizes to keep test times sane).
-func (s *Simulator) RunMMM(d paper.DeviceID, n, block int, execute bool) (Record, error) {
-	m, err := s.Model(d, paper.MMM)
-	if err != nil {
-		return Record{}, err
-	}
-	counts, err := workload.MMMCounts(n, float64(block))
-	if err != nil {
-		return Record{}, err
-	}
-	executed := false
-	if execute {
-		if err := executeMMM(n, block); err != nil {
-			return Record{}, err
+// Run builds one record per job, in job order. When execute is set, every
+// distinct Input the jobs name runs its real kernel and is verified
+// against an independent reference exactly once, fanned out over the
+// shared worker pool, before any record is returned; the records are then
+// marked Executed, and an unverified kernel aborts the whole call.
+// Nothing is remembered between calls: a second Run verifies again.
+func (s *Simulator) Run(jobs []Job, execute bool) ([]Record, error) {
+	out := make([]Record, len(jobs))
+	for i, j := range jobs {
+		rec, err := s.record(j)
+		if err != nil {
+			return nil, err
 		}
-		executed = true
+		out[i] = rec
 	}
-	return s.finish(m, paper.MMM, n, counts, executed)
+	if !execute {
+		return out, nil
+	}
+	if err := verify(distinctInputs(jobs)); err != nil {
+		return nil, err
+	}
+	for i := range out {
+		out[i].Executed = true
+	}
+	return out, nil
 }
 
-// RunBS simulates pricing count options. When execute is true a random
-// portfolio is priced in parallel and spot-checked against serial pricing
-// and put-call parity.
-func (s *Simulator) RunBS(d paper.DeviceID, count int, execute bool) (Record, error) {
-	m, err := s.Model(d, paper.BS)
-	if err != nil {
-		return Record{}, err
-	}
-	counts, err := workload.BSCounts(count)
-	if err != nil {
-		return Record{}, err
-	}
-	executed := false
-	if execute {
-		if err := executeBS(count); err != nil {
-			return Record{}, err
-		}
-		executed = true
-	}
-	return s.finish(m, paper.BS, count, counts, executed)
+// RunFFT simulates a size-n FFT on the device from its model alone; Run
+// with execute set is the path that also executes and verifies the kernel.
+func (s *Simulator) RunFFT(d paper.DeviceID, n int) (Record, error) {
+	return s.record(Job{Device: d, Kernel: KernelFFT, Size: n})
 }
 
-// finish maps verified work through the device model into a Record.
-func (s *Simulator) finish(m device.Model, w paper.WorkloadID, size int, counts workload.Counts, executed bool) (Record, error) {
+// RunMMM simulates an n x n x n matrix multiplication blocked at block
+// from the device model alone.
+func (s *Simulator) RunMMM(d paper.DeviceID, n, block int) (Record, error) {
+	return s.record(Job{Device: d, Kernel: KernelMMM, Size: n, Block: block})
+}
+
+// RunBS simulates pricing count options from the device model alone.
+func (s *Simulator) RunBS(d paper.DeviceID, count int) (Record, error) {
+	return s.record(Job{Device: d, Kernel: KernelBS, Size: count})
+}
+
+// record maps one job's nominal work through its device model.
+func (s *Simulator) record(j Job) (Record, error) {
+	var (
+		family, w paper.WorkloadID
+		counts    workload.Counts
+		err       error
+	)
+	switch j.Kernel {
+	case KernelFFT:
+		family, w = device.FFTFamily, workloadIDForFFT(j.Size)
+		counts, err = workload.FFTCounts(j.Size)
+	case KernelMMM:
+		family, w = paper.MMM, paper.MMM
+		counts, err = workload.MMMCounts(j.Size, float64(j.Block))
+	case KernelBS:
+		family, w = paper.BS, paper.BS
+		counts, err = workload.BSCounts(j.Size)
+	default:
+		return Record{}, fmt.Errorf("sim: unknown kernel %d", j.Kernel)
+	}
+	if err != nil {
+		return Record{}, err
+	}
+	m, err := s.Model(j.Device, family)
+	if err != nil {
+		return Record{}, err
+	}
+	return s.finish(m, w, j.Size, counts)
+}
+
+// finish maps nominal work through the device model into a Record.
+func (s *Simulator) finish(m device.Model, w paper.WorkloadID, size int, counts workload.Counts) (Record, error) {
 	thr := m.ThroughputAt(size)
 	if thr <= 0 {
 		return Record{}, fmt.Errorf("sim: model %s/%s has no throughput at size %d", m.Device.ID, w, size)
@@ -178,26 +206,34 @@ func (s *Simulator) finish(m device.Model, w paper.WorkloadID, size int, counts 
 		Power:         m.BreakdownAt(size),
 		CompulsoryGBs: compulsory,
 		MeasuredGBs:   measured,
-		Executed:      executed,
 	}, nil
 }
 
-// SweepFFT simulates FFTs for log2 sizes [lo2, hi2] on one device,
-// executing (and verifying) the real kernel at every size when execute is
-// set. Sizes the device has no model for return an error.
+// SweepFFT simulates FFTs for log2 sizes [lo2, hi2] on one device. With
+// execute set, Run verifies each distinct capped size once: sizes above
+// the execution cap share the capped transform's single check, so 4..20
+// verifies 13 inputs, not 17. Sizes the device has no model for return an
+// error.
 func (s *Simulator) SweepFFT(d paper.DeviceID, lo2, hi2 int, execute bool) ([]Record, error) {
+	jobs, err := fftSweepJobs([]paper.DeviceID{d}, lo2, hi2)
+	if err != nil {
+		return nil, err
+	}
+	return s.Run(jobs, execute)
+}
+
+// fftSweepJobs lists the FFT jobs for log2 sizes [lo2, hi2], device-major.
+func fftSweepJobs(devices []paper.DeviceID, lo2, hi2 int) ([]Job, error) {
 	if lo2 < 1 || hi2 < lo2 {
 		return nil, fmt.Errorf("sim: bad sweep range [%d, %d]", lo2, hi2)
 	}
-	out := make([]Record, 0, hi2-lo2+1)
-	for l2 := lo2; l2 <= hi2; l2++ {
-		rec, err := s.RunFFT(d, 1<<uint(l2), execute)
-		if err != nil {
-			return nil, err
+	jobs := make([]Job, 0, len(devices)*(hi2-lo2+1))
+	for _, d := range devices {
+		for l2 := lo2; l2 <= hi2; l2++ {
+			jobs = append(jobs, Job{Device: d, Kernel: KernelFFT, Size: 1 << uint(l2)})
 		}
-		out = append(out, rec)
 	}
-	return out, nil
+	return jobs, nil
 }
 
 // CompulsoryOnly returns what the record's bandwidth would be if the
@@ -206,14 +242,85 @@ func CompulsoryOnly(r Record) float64 { return r.CompulsoryGBs }
 
 // --- kernel execution & verification ---------------------------------------
 
-const maxExecFFT = 1 << 16 // cap real execution size to keep sweeps fast
+// Input is a kernel input as it really executes: the job's size capped to
+// the kernel's execution bound and, for MMM, the block edge capped to the
+// matrix. The check is a pure function of its Input (the device model,
+// not the Go runtime, determines simulated performance), so jobs that
+// share an Input share one verification.
+type Input struct {
+	Kernel Kernel
+	N      int // capped FFT length, MMM dimension, or option count
+	Block  int // capped MMM block edge; 0 for FFT and BS
+}
 
-func executeFFT(n int) error {
-	if n > maxExecFFT {
-		// Verify a congruent smaller transform instead; the device model,
-		// not the Go runtime, determines simulated performance.
-		n = maxExecFFT
+// Execution caps keep verification cheap: a larger request verifies the
+// congruent transform, product or portfolio at the cap instead.
+const (
+	maxExecFFT = 1 << 16
+	maxExecMMM = 192
+	maxExecBS  = 1 << 15
+)
+
+// Input returns the capped input the job's kernel executes.
+func (j Job) Input() Input {
+	switch j.Kernel {
+	case KernelFFT:
+		return Input{Kernel: KernelFFT, N: min(j.Size, maxExecFFT)}
+	case KernelMMM:
+		n := min(j.Size, maxExecMMM)
+		return Input{Kernel: KernelMMM, N: n, Block: min(j.Block, n)}
+	case KernelBS:
+		return Input{Kernel: KernelBS, N: min(j.Size, maxExecBS)}
 	}
+	return Input{Kernel: j.Kernel, N: j.Size}
+}
+
+// distinctInputs returns each Input the jobs name once, costliest first,
+// so a worker pool starts the long checks before the short ones.
+func distinctInputs(jobs []Job) []Input {
+	seen := make(map[Input]bool, len(jobs))
+	var out []Input
+	for _, j := range jobs {
+		in := j.Input()
+		if !seen[in] {
+			seen[in] = true
+			out = append(out, in)
+		}
+	}
+	sort.SliceStable(out, func(a, b int) bool { return out[a].cost() > out[b].cost() })
+	return out
+}
+
+// cost is a rough operation count of the input's check, used only to
+// order the checks.
+func (in Input) cost() float64 {
+	n := float64(in.N)
+	switch in.Kernel {
+	case KernelFFT:
+		return 2 * 5 * n * sizeLog2(in.N) // planned transform + recursive reference
+	case KernelMMM:
+		return 2 * 2 * n * n * n // blocked parallel product + naive reference
+	default:
+		return 2 * 72 * n // parallel + serial pricing
+	}
+}
+
+// check executes the input's kernel and verifies its output.
+func (in Input) check() error {
+	switch in.Kernel {
+	case KernelFFT:
+		return executeFFT(in.N)
+	case KernelMMM:
+		return executeMMM(in.N, in.Block)
+	case KernelBS:
+		return executeBS(in.N)
+	}
+	return fmt.Errorf("sim: unknown kernel %d", in.Kernel)
+}
+
+// executeFFT transforms a deterministic random signal through the planned
+// kernel and verifies it against the recursive reference.
+func executeFFT(n int) error {
 	rng := rand.New(rand.NewSource(int64(n)))
 	x := make([]complex128, n)
 	for i := range x {
@@ -224,8 +331,9 @@ func executeFFT(n int) error {
 		return err
 	}
 	// Execute through the planned path (the production transform shape)
-	// and cross-check against the recursive reference. The package-level
-	// plan cache makes repeated sweeps at the same sizes setup-free.
+	// and cross-check against the recursive reference. Each build checks
+	// a size once; the package-level plan cache makes the next build's
+	// check of the same size setup-free.
 	plan, err := fft.PlanFor(n)
 	if err != nil {
 		return err
@@ -245,14 +353,9 @@ func executeFFT(n int) error {
 	return nil
 }
 
+// executeMMM multiplies random matrices with the blocked parallel kernel
+// and verifies the product against the naive one.
 func executeMMM(n, block int) error {
-	const maxExecMMM = 192
-	if n > maxExecMMM {
-		n = maxExecMMM
-	}
-	if block > n {
-		block = n
-	}
 	rng := rand.New(rand.NewSource(int64(n)))
 	a, err := mmm.New(n, n)
 	if err != nil {
@@ -280,11 +383,9 @@ func executeMMM(n, block int) error {
 	return nil
 }
 
+// executeBS prices a random portfolio in parallel and checks it against
+// serial pricing and put-call parity.
 func executeBS(count int) error {
-	const maxExecBS = 1 << 15
-	if count > maxExecBS {
-		count = maxExecBS
-	}
 	opts, err := blackscholes.RandomPortfolio(count, int64(count))
 	if err != nil {
 		return err

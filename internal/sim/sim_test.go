@@ -17,9 +17,18 @@ func newSim(t *testing.T) *Simulator {
 	return s
 }
 
+// runExecuted runs one job with its kernel executed and verified.
+func runExecuted(s *Simulator, j Job) (Record, error) {
+	recs, err := s.Run([]Job{j}, true)
+	if err != nil {
+		return Record{}, err
+	}
+	return recs[0], nil
+}
+
 func TestRunFFTProducesConsistentRecord(t *testing.T) {
 	s := newSim(t)
-	rec, err := s.RunFFT(paper.GTX285, 1024, true)
+	rec, err := runExecuted(s, Job{Device: paper.GTX285, Kernel: KernelFFT, Size: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,10 +56,10 @@ func TestRunFFTProducesConsistentRecord(t *testing.T) {
 
 func TestRunFFTUnknownDevice(t *testing.T) {
 	s := newSim(t)
-	if _, err := s.RunFFT(paper.R5870, 1024, false); err == nil {
+	if _, err := s.RunFFT(paper.R5870, 1024); err == nil {
 		t.Error("R5870 has no FFT model; must fail")
 	}
-	if _, err := s.RunFFT(paper.GTX285, 1000, false); err == nil {
+	if _, err := s.RunFFT(paper.GTX285, 1000); err == nil {
 		t.Error("non-power-of-two FFT must fail")
 	}
 }
@@ -58,7 +67,7 @@ func TestRunFFTUnknownDevice(t *testing.T) {
 func TestBandwidthKnee(t *testing.T) {
 	s := newSim(t)
 	// Below the GTX285 knee (2^12): measured == compulsory.
-	small, err := s.RunFFT(paper.GTX285, 1<<10, false)
+	small, err := s.RunFFT(paper.GTX285, 1<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +76,7 @@ func TestBandwidthKnee(t *testing.T) {
 			small.MeasuredGBs, small.CompulsoryGBs)
 	}
 	// Above the knee: measured exceeds compulsory (out-of-core traffic)...
-	big, err := s.RunFFT(paper.GTX285, 1<<16, false)
+	big, err := s.RunFFT(paper.GTX285, 1<<16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +93,7 @@ func TestBandwidthKnee(t *testing.T) {
 
 func TestRunMMMVerifiedAndCalibrated(t *testing.T) {
 	s := newSim(t)
-	rec, err := s.RunMMM(paper.ASIC, 1024, 128, true)
+	rec, err := runExecuted(s, Job{Device: paper.ASIC, Kernel: KernelMMM, Size: 1024, Block: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +113,7 @@ func TestRunMMMVerifiedAndCalibrated(t *testing.T) {
 
 func TestRunBSVerifiedAndCalibrated(t *testing.T) {
 	s := newSim(t)
-	rec, err := s.RunBS(paper.GTX285, 1<<20, true)
+	rec, err := runExecuted(s, Job{Device: paper.GTX285, Kernel: KernelBS, Size: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,10 +134,10 @@ func TestRunBSVerifiedAndCalibrated(t *testing.T) {
 func TestMissingModels(t *testing.T) {
 	s := newSim(t)
 	// GTX480 BS and R5870 BS/FFT were not obtained in the paper.
-	if _, err := s.RunBS(paper.GTX480, 1000, false); err == nil {
+	if _, err := s.RunBS(paper.GTX480, 1000); err == nil {
 		t.Error("GTX480 BS must fail")
 	}
-	if _, err := s.RunBS(paper.R5870, 1000, false); err == nil {
+	if _, err := s.RunBS(paper.R5870, 1000); err == nil {
 		t.Error("R5870 BS must fail")
 	}
 	if s.HasModel(paper.R5870, paper.MMM) != true {
@@ -185,7 +194,7 @@ func TestWorkloadIDForFFT(t *testing.T) {
 
 func TestCompulsoryOnly(t *testing.T) {
 	s := newSim(t)
-	rec, _ := s.RunFFT(paper.GTX285, 4096, false)
+	rec, _ := s.RunFFT(paper.GTX285, 4096)
 	if CompulsoryOnly(rec) != rec.CompulsoryGBs {
 		t.Error("CompulsoryOnly mismatch")
 	}
@@ -214,7 +223,7 @@ func BenchmarkRunFFT1024(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.RunFFT(paper.GTX480, 1024, false); err != nil {
+		if _, err := s.RunFFT(paper.GTX480, 1024); err != nil {
 			b.Fatal(err)
 		}
 	}
