@@ -21,11 +21,7 @@ func cmdDerive(args []string) error {
 		return err
 	}
 	if *dump {
-		rig, err := measure.IdealRig()
-		if err != nil {
-			return err
-		}
-		db, err := rig.BuildDatabase()
+		db, err := idealDatabase()
 		if err != nil {
 			return err
 		}

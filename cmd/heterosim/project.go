@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"strconv"
+	"sync"
 
 	"github.com/calcm/heterosim/internal/baseline"
 	"github.com/calcm/heterosim/internal/measure"
@@ -267,6 +268,9 @@ func cmdAll(args []string) error {
 		return err
 	}
 	wk := *workers
+	// Tables 4 and 5 regenerate from the same measurement database;
+	// whichever step runs first builds it for both.
+	db := sync.OnceValues(idealDatabase)
 	steps := []struct {
 		name string
 		fn   func(io.Writer) error
@@ -274,8 +278,8 @@ func cmdAll(args []string) error {
 		{"Table 1", renderTable1},
 		{"Table 2", renderTable2},
 		{"Table 3", renderTable3},
-		{"Table 4", renderTable4},
-		{"Table 5", renderTable5},
+		{"Table 4", func(out io.Writer) error { return renderTable4(out, db) }},
+		{"Table 5", func(out io.Writer) error { return renderTable5(out, db) }},
 		{"Table 6", renderTable6},
 		{"Figure 2", func(out io.Writer) error { return renderFigure2(out, false) }},
 		{"Figure 3", func(out io.Writer) error { return renderFigure3(out, false) }},

@@ -30,9 +30,9 @@ func cmdTable(args []string) error {
 	case 3:
 		return renderTable3(os.Stdout)
 	case 4:
-		return renderTable4(os.Stdout)
+		return renderTable4(os.Stdout, idealDatabase)
 	case 5:
-		return renderTable5(os.Stdout)
+		return renderTable5(os.Stdout, idealDatabase)
 	case 6:
 		return renderTable6(os.Stdout)
 	default:
@@ -92,12 +92,24 @@ func renderTable3(out io.Writer) error {
 	return nil
 }
 
-func renderTable4(out io.Writer) error {
+// idealDatabase builds the measurement database of the ideal rig, the
+// one Tables 4 and 5 are regenerated from.
+func idealDatabase() (measure.Database, error) {
 	rig, err := measure.IdealRig()
+	if err != nil {
+		return measure.Database{}, err
+	}
+	return rig.BuildDatabase()
+}
+
+// renderTable4 renders Table 4 from the database db returns; heterosim
+// all hands Tables 4 and 5 one shared build.
+func renderTable4(out io.Writer, db func() (measure.Database, error)) error {
+	d, err := db()
 	if err != nil {
 		return err
 	}
-	table, err := baseline.BuildTable4(rig)
+	table, err := baseline.Table4From(d)
 	if err != nil {
 		return err
 	}
@@ -121,12 +133,12 @@ func renderTable4(out io.Writer) error {
 	return nil
 }
 
-func renderTable5(out io.Writer) error {
-	rig, err := measure.IdealRig()
+func renderTable5(out io.Writer, db func() (measure.Database, error)) error {
+	d, err := db()
 	if err != nil {
 		return err
 	}
-	cells, err := baseline.BuildTable5(rig)
+	cells, err := baseline.Table5From(d)
 	if err != nil {
 		return err
 	}

@@ -166,6 +166,12 @@ func BuildTable4(rig *measure.Rig) (map[paper.WorkloadID][]Table4Row, error) {
 	if err != nil {
 		return nil, err
 	}
+	return Table4From(db)
+}
+
+// Table4From regenerates the MMM and Black-Scholes summary from an
+// already built measurement database.
+func Table4From(db measure.Database) (map[paper.WorkloadID][]Table4Row, error) {
 	out := make(map[paper.WorkloadID][]Table4Row)
 	for _, w := range []paper.WorkloadID{paper.MMM, paper.BS} {
 		for _, id := range paper.AllDevices {
@@ -206,6 +212,11 @@ func BuildTable5(rig *measure.Rig) ([]Table5Cell, error) {
 	if err != nil {
 		return nil, err
 	}
+	return Table5From(db)
+}
+
+// Table5From is BuildTable5 over an already built measurement database.
+func Table5From(db measure.Database) ([]Table5Cell, error) {
 	derived, err := db.DeriveTable5()
 	if err != nil {
 		return nil, err

@@ -71,6 +71,11 @@ func Price(o Option) (float64, error) {
 	if err := o.Validate(); err != nil {
 		return 0, err
 	}
+	return price(o)
+}
+
+// price is Price for an option that has passed Validate.
+func price(o Option) (float64, error) {
 	sqrtT := math.Sqrt(o.Time)
 	d1 := (math.Log(o.Spot/o.Strike) + (o.Rate+0.5*o.Vol*o.Vol)*o.Time) / (o.Vol * sqrtT)
 	d2 := d1 - o.Vol*sqrtT
@@ -130,8 +135,8 @@ func PriceBatchParallel(opts []Option, workers int) ([]float64, error) {
 		go func(lo, hi int) {
 			defer wg.Done()
 			for i := lo; i < hi; i++ {
-				// Validation already done; Price cannot fail here.
-				p, _ := Price(opts[i])
+				// Validated up front; an unknown kind prices at zero.
+				p, _ := price(opts[i])
 				out[i] = p
 			}
 		}(lo, hi)

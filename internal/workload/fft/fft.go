@@ -141,10 +141,19 @@ func ForwardRecursive(x []complex128) ([]complex128, error) {
 // recurse writes into out the DFT of in[0], in[stride], ... (len(out)
 // points). tw is twiddles(N) of the top-level N; tw[k*twStride] equals
 // twiddles(len(out))[k] bit for bit, as N/len(out) is a power of two.
+// The two-point leaf does exactly the butterfly a pair of one-point
+// leaves would, twiddle multiply included, so the result is bit-identical
+// to a unit-leaf recursion at half the calls.
 func recurse(out, in []complex128, stride int, tw []complex128, twStride int) {
 	n := len(out)
-	if n == 1 {
+	switch n {
+	case 1:
 		out[0] = in[0]
+		return
+	case 2:
+		e := in[0]
+		t := tw[0] * in[stride]
+		out[0], out[1] = e+t, e-t
 		return
 	}
 	half := n / 2

@@ -68,6 +68,63 @@ func TestRecursiveMatchesIterative(t *testing.T) {
 	}
 }
 
+// unitLeaf is the recursion ForwardRecursive unrolls: one-point leaves
+// and a butterfly at every level. It is the oracle the two-point leaf
+// must match bit for bit.
+func unitLeaf(out, in []complex128, stride int, tw []complex128, twStride int) {
+	n := len(out)
+	if n == 1 {
+		out[0] = in[0]
+		return
+	}
+	half := n / 2
+	even, odd := out[:half], out[half:]
+	unitLeaf(even, in, 2*stride, tw, 2*twStride)
+	unitLeaf(odd, in[stride:], 2*stride, tw, 2*twStride)
+	for k := range even {
+		t := tw[k*twStride] * odd[k]
+		e := even[k]
+		even[k] = e + t
+		odd[k] = e - t
+	}
+}
+
+// sameBits reports the first index where a and b differ in any bit of
+// either component, or -1.
+func sameBits(a, b []complex128) int {
+	for i := range a {
+		if math.Float64bits(real(a[i])) != math.Float64bits(real(b[i])) ||
+			math.Float64bits(imag(a[i])) != math.Float64bits(imag(b[i])) {
+			return i
+		}
+	}
+	return -1
+}
+
+func TestForwardRecursiveMatchesUnitLeafBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for n := 1; n <= 1<<16; n *= 2 {
+		plain := randomSignal(rng, n)
+		// A signed zero and an infinite odd-index input exercise the
+		// leaf's multiply by tw[0] = 1+0i, which must not be skipped:
+		// (1+0i)·(0+∞i) has a NaN real part.
+		special := randomSignal(rng, n)
+		special[0] = complex(math.Copysign(0, -1), 0)
+		special[n-1] = complex(0, math.Inf(1))
+		for _, x := range [][]complex128{plain, special} {
+			got, err := ForwardRecursive(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := make([]complex128, n)
+			unitLeaf(want, x, 1, twiddles(n), 1)
+			if i := sameBits(got, want); i >= 0 {
+				t.Fatalf("n=%d: element %d = %v, unit-leaf recursion %v", n, i, got[i], want[i])
+			}
+		}
+	}
+}
+
 func TestForwardRecursiveAllocatesOnlyResult(t *testing.T) {
 	x := randomSignal(rand.New(rand.NewSource(3)), 4096)
 	if _, err := ForwardRecursive(x); err != nil { // warm the twiddle cache

@@ -3,21 +3,25 @@ package fft
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/cmplx"
 	"sync"
 )
 
 // Plan precomputes everything a fixed-size transform needs — twiddle
-// table, bit-reversal permutation — so repeated transforms of the same
+// tables, bit-reversal permutation — so repeated transforms of the same
 // length do no allocation and no trigonometry, the way tuned FFT
 // libraries (FFTW, Spiral's generated code) amortize setup. A Plan is
 // safe for concurrent use by multiple goroutines: Execute works in the
 // caller's buffer and the plan itself is immutable after NewPlan.
 type Plan struct {
-	n       int
-	twiddle []complex128 // exp(-2πik/n), k in [0, n/2)
-	rev     []int        // bit-reversal permutation
+	n int
+	// stages[s] holds the twiddles of the butterfly stage of span 2<<s,
+	// exp(-2πik/(2<<s)) for k in [0, 1<<s), contiguous. Each is the
+	// package's shared twiddles(2<<s) table: tw_n[k·n/size] equals
+	// twiddles(size)[k] bit for bit, as n/size is a power of two, so
+	// the plan keeps no twiddle values of its own.
+	stages [][]complex128
+	rev    []int // bit-reversal permutation
 }
 
 // NewPlan prepares a transform of length n (a power of two >= 2).
@@ -25,14 +29,9 @@ func NewPlan(n int) (*Plan, error) {
 	if !IsPow2(n) {
 		return nil, ErrNotPow2
 	}
-	p := &Plan{
-		n:       n,
-		twiddle: make([]complex128, n/2),
-		rev:     make([]int, n),
-	}
-	for k := range p.twiddle {
-		angle := -2 * math.Pi * float64(k) / float64(n)
-		p.twiddle[k] = cmplx.Exp(complex(0, angle))
+	p := &Plan{n: n, rev: make([]int, n)}
+	for size := 2; size <= n; size <<= 1 {
+		p.stages = append(p.stages, twiddles(size))
 	}
 	// Bit-reversal permutation table.
 	bits := 0
@@ -86,18 +85,18 @@ func (p *Plan) Execute(x []complex128) error {
 			x[i], x[r] = x[r], x[i]
 		}
 	}
-	// Butterflies with the precomputed twiddles.
-	n := p.n
-	for size := 2; size <= n; size <<= 1 {
-		half := size >> 1
-		step := n / size
-		for start := 0; start < n; start += size {
-			for k := 0; k < half; k++ {
-				w := p.twiddle[k*step]
-				a := x[start+k]
-				b := x[start+k+half] * w
-				x[start+k] = a + b
-				x[start+k+half] = a - b
+	// Butterflies with each stage's contiguous twiddles: the same
+	// products and sums, in the same order, as Forward.
+	for s, tw := range p.stages {
+		half := 1 << s
+		for start := 0; start < len(x); start += 2 * half {
+			lo := x[start : start+half]
+			hi := x[start+half:][:len(lo)]
+			w := tw[:len(lo)]
+			for k, a := range lo {
+				b := hi[k] * w[k]
+				lo[k] = a + b
+				hi[k] = a - b
 			}
 		}
 	}

@@ -32,6 +32,51 @@ func TestPlanMatchesForward(t *testing.T) {
 	}
 }
 
+// TestPlanMatchesForwardBitwise pins that the plan's per-stage twiddle
+// tables and sliced butterflies compute exactly Forward's products and
+// sums at every length the simulator executes.
+func TestPlanMatchesForwardBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	for n := 2; n <= 1<<16; n *= 2 {
+		p, err := NewPlan(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := randomSignal(rng, n)
+		want, err := ForwardCopy(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Execute(x); err != nil {
+			t.Fatal(err)
+		}
+		if i := sameBits(x, want); i >= 0 {
+			t.Fatalf("n=%d: element %d = %v, Forward %v", n, i, x[i], want[i])
+		}
+	}
+}
+
+// TestPlanSharesTwiddleTables pins that a plan holds no twiddle values
+// of its own: each stage's table is the package's cached twiddles(size).
+func TestPlanSharesTwiddleTables(t *testing.T) {
+	p, err := NewPlan(1 << 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := 2
+	for s, tw := range p.stages {
+		shared := twiddles(size)
+		if len(tw) != size/2 || &tw[0] != &shared[0] {
+			t.Errorf("stage %d (span %d): %d twiddles, shared table %v, want the %d cached",
+				s, size, len(tw), &tw[0] == &shared[0], size/2)
+		}
+		size *= 2
+	}
+	if size != 2<<10 {
+		t.Errorf("plan has stages up to span %d, want %d", size/2, 1<<10)
+	}
+}
+
 func TestPlanInverseRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	p, err := NewPlan(512)

@@ -1,6 +1,7 @@
 package mmm
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -111,32 +112,88 @@ func TestParallelMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestVariantsBitIdentical pins that blocking and row-band parallelism
-// only reorder which (i, j) cells are visited: each cell still
-// accumulates k-ascending, so all three variants agree bit for bit.
+// oneK is the plain i-k-j triple loop, one k at a time with exact-zero A
+// entries skipped: the oracle the unrolled kernels must match bit for
+// bit.
+func oneK(a, b *Matrix) *Matrix {
+	c, err := New(a.Rows, b.Cols)
+	if err != nil {
+		panic(err)
+	}
+	for i := 0; i < a.Rows; i++ {
+		for k := 0; k < a.Cols; k++ {
+			av := a.Data[i*a.Cols+k]
+			if av == 0 {
+				continue
+			}
+			for j := 0; j < b.Cols; j++ {
+				c.Data[i*c.Cols+j] += av * b.Data[k*b.Cols+j]
+			}
+		}
+	}
+	return c
+}
+
+// TestVariantsBitIdentical pins that unrolling, blocking and row-band
+// parallelism only reorder which (i, j) cells are visited: each cell
+// still accumulates k-ascending, so all three variants agree bit for bit
+// with the one-k loop, at depths that leave a partial group of four and
+// with exact zeros in A (which the loops skip, so a zero times an
+// infinite B entry adds no NaN).
 func TestVariantsBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	for _, n := range []int{1, 7, 130, 192} {
-		a := randomMatrix(rng, n, n)
-		b := randomMatrix(rng, n, n)
-		want, err := Naive(a, b)
+	for _, sh := range []struct {
+		m, k, n int
+		zeros   bool
+	}{
+		{1, 1, 1, false}, {7, 7, 7, false}, {130, 130, 130, false}, {192, 192, 192, false},
+		{7, 9, 6, false}, {33, 17, 29, false}, {5, 3, 8, false}, {16, 30, 11, false},
+		{7, 9, 6, true}, {33, 17, 29, true}, {40, 41, 37, true},
+	} {
+		a := randomMatrix(rng, sh.m, sh.k)
+		b := randomMatrix(rng, sh.k, sh.n)
+		if sh.zeros {
+			for i := range a.Data {
+				if rng.Intn(5) == 0 {
+					a.Data[i] = 0
+				}
+			}
+			// A zero A entry's B row holds an infinity: multiplying it
+			// in would turn the cell into NaN.
+			for i := range a.Data {
+				if a.Data[i] == 0 {
+					b.Data[(i%sh.k)*sh.n+rng.Intn(sh.n)] = math.Inf(1)
+					break
+				}
+			}
+		}
+		want := oneK(a, b)
+		naive, err := Naive(a, b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, block := range []int{1, 16, 128, n} {
+		same := func(name string, block int, got *Matrix) {
+			t.Helper()
+			for i, w := range want.Data {
+				if math.Float64bits(got.Data[i]) != math.Float64bits(w) {
+					t.Fatalf("%dx%dx%d zeros=%v block=%d: %s element %d = %v, one-k loop %v",
+						sh.m, sh.k, sh.n, sh.zeros, block, name, i, got.Data[i], w)
+				}
+			}
+		}
+		same("naive", 0, naive)
+		for _, block := range []int{1, 3, 16, 128, max(sh.m, sh.k, sh.n)} {
 			blocked, err := Blocked(a, b, block)
 			if err != nil {
 				t.Fatal(err)
 			}
-			par, err := Parallel(a, b, block, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, w := range want.Data {
-				if blocked.Data[i] != w || par.Data[i] != w {
-					t.Fatalf("n=%d block=%d: element %d naive %v blocked %v parallel %v",
-						n, block, i, w, blocked.Data[i], par.Data[i])
+			same("blocked", block, blocked)
+			for _, workers := range []int{0, 3} {
+				par, err := Parallel(a, b, block, workers)
+				if err != nil {
+					t.Fatal(err)
 				}
+				same("parallel", block, par)
 			}
 		}
 	}
