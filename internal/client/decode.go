@@ -5,6 +5,8 @@ import (
 	"encoding"
 	"encoding/json"
 	"fmt"
+	"math"
+	"math/bits"
 	"reflect"
 	"strconv"
 	"strings"
@@ -17,15 +19,24 @@ import (
 // encoding/json scans the whole input once to validate it and again to
 // decode it. Each Go type gets a decode plan once, built with reflect.
 //
-// Two things keep a body cheap to decode. Equal plain strings within
-// one body may share memory: a per-call table hands out the string
-// already copied for an earlier equal literal, since a response repeats
-// the same labels, kinds and node names hundreds of times. The table
-// lives on the decode call's stack and its strings are still copies, so
-// nothing outlives the call or aliases the input. And numbers convert
-// in the scan that validates them: an integer of at most 18 digits, or
-// a float64 whose decimal mantissa and power of ten are both exact,
-// converts directly; every other literal goes to strconv as before.
+// Four things keep a body cheap to decode, down to one allocation per
+// non-empty slice and a few for its strings:
+//
+//   - Slices are allocated once, at their exact length. An array decodes
+//     into a scratch slice kept with its plan and reused across calls,
+//     and at the ']' its elements are copied into the target.
+//   - Strings are copied into one arena per body and handed out as
+//     substrings of it. Equal plain strings within one body share memory:
+//     a per-call table hands out the string already copied for an earlier
+//     equal literal, since a response repeats the same labels, kinds and
+//     node names hundreds of times. Nothing aliases the input.
+//   - Numbers convert in the scan that validates them: an integer of at
+//     most 18 digits converts directly, and so does a float64 of at most
+//     19 significant digits with a power of ten within ±19, by one exact
+//     128-bit multiply or divide and one rounding. Every other literal
+//     goes to strconv.
+//   - The key a struct expects next, the one after the last one matched,
+//     is compared as quoted bytes where it stands, before any scan.
 //
 // The contract is json.Unmarshal's. For a fresh zero target, decodeJSON
 // rejects exactly the inputs json.Unmarshal rejects and otherwise
@@ -69,6 +80,11 @@ type plan struct {
 	bits   int         // bit size of the numeric kinds
 	elem   *plan       // slice, pointer and map element
 	fields []fieldPlan // struct fields, in declaration order
+
+	// A slice plan's empty slice, which every empty array shares, and
+	// its pool of scratch slices (see array).
+	empty   reflect.Value
+	scratch sync.Pool // *reflect.Value: a slice of length 0, zero up to its capacity
 }
 
 type fieldPlan struct {
@@ -123,7 +139,7 @@ func buildPlan(t reflect.Type, seen map[reflect.Type]*plan) (*plan, error) {
 		if t.Elem().Kind() == reflect.Uint8 {
 			return nil, fmt.Errorf("%v decodes as base64", t)
 		}
-		p.kind = kindSlice
+		p.kind, p.empty = kindSlice, reflect.MakeSlice(t, 0, 0)
 		p.elem, err = buildPlan(t.Elem(), seen)
 	case reflect.Pointer:
 		p.kind = kindPtr
@@ -209,12 +225,7 @@ func validTag(s string) bool {
 }
 
 // field returns the index in p.fields of the field key names, or -1.
-// Keys usually arrive in declaration order, so the field after the last
-// one matched is tried first.
-func (p *plan) field(key []byte, next int) int {
-	if next < len(p.fields) && bytes.Equal(key, p.fields[next].name) {
-		return next
-	}
+func (p *plan) field(key []byte) int {
 	for i := range p.fields {
 		if bytes.Equal(key, p.fields[i].name) {
 			return i
@@ -230,8 +241,8 @@ func (p *plan) field(key []byte, next int) int {
 
 // decodeJSON decodes data into v, a non-nil pointer, with
 // json.Unmarshal's contract (see the top of this file). Decoded strings
-// and raw messages are copies: nothing in v aliases data, though equal
-// strings decoded from one body may share one copy.
+// and raw messages are copies: nothing in v aliases data, though the
+// strings decoded from one body share one arena, and equal ones one copy.
 func decodeJSON(data []byte, v any) error {
 	rv := reflect.ValueOf(v)
 	if rv.Kind() != reflect.Pointer || rv.IsNil() {
@@ -260,11 +271,13 @@ type syntaxError struct {
 func (e *syntaxError) Error() string { return fmt.Sprintf("%s (offset %d)", e.msg, e.off) }
 
 // decoder is one pass over data; depth counts the open arrays and
-// objects, and strs holds strings decoded so far (see intern).
+// objects, arena holds the bytes of every string decoded so far, and
+// strs some of those strings (see intern).
 type decoder struct {
 	data  []byte
 	off   int
 	depth int
+	arena strings.Builder
 	strs  [64]string
 }
 
@@ -483,11 +496,22 @@ func (d *decoder) object(p *plan, v reflect.Value) error {
 	}
 	next := 0
 	for {
-		key, err := d.key()
-		if err != nil {
+		// Keys usually arrive in declaration order, so the field after the
+		// last one matched is tried first, on the bytes as they stand. A
+		// tag name holds no quote, backslash or control byte, so equal
+		// bytes are an equal key.
+		i := next
+		if i >= len(p.fields) || !d.quoted(p.fields[i].name) {
+			key, err := d.key()
+			if err != nil {
+				return err
+			}
+			i = p.field(key)
+		} else if err := d.colon(); err != nil {
 			return err
 		}
-		if i := p.field(key, next); i >= 0 {
+		var err error
+		if i >= 0 {
 			f := &p.fields[i]
 			next = i + 1
 			err = d.value(f.plan, v.Field(f.index))
@@ -535,45 +559,73 @@ func (d *decoder) mapObject(p *plan, v reflect.Value) error {
 	}
 }
 
-// array decodes a JSON array into the slice v the way encoding/json
-// does: in place over the elements already there (a shorter duplicate
-// key leaves stale elements past the length, which a longer one reuses),
-// growing past the capacity, then truncating to the array's length.
-// encoding/json grows one element at a time; this grows to at least
-// four. The contents cannot differ: growth happens only when the length
-// has reached the capacity, so it copies every element written so far
-// and the new ones are zero either way.
+// maxScratchBytes bounds the scratch slice a plan keeps for the next
+// array; one grown past it by a huge response is dropped after use.
+const maxScratchBytes = 1 << 20
+
+// array decodes a JSON array into the slice v. The elements decode into
+// a scratch slice from p's pool, and at the ']' they are copied into v,
+// which is allocated once, at the array's length, when its capacity is
+// short. An empty array sets v to p's shared empty slice.
+//
+// That is encoding/json's result. It decodes in place over the elements
+// already in v, up to v's capacity: a shorter duplicate key leaves stale
+// elements past the length, which a longer one reuses. So the scratch
+// starts from a copy of all of them, and v keeps its backing array when
+// it holds the array. A nested array of the same type, which no client
+// type has, takes a second scratch slice from the pool.
 func (d *decoder) array(p *plan, v reflect.Value) error {
 	if err := d.open(); err != nil {
 		return err
 	}
-	i := 0
-	if !d.emptyClose(']') {
-		for {
-			if i >= v.Cap() {
-				v.Grow(max(1, 4-i))
+	if d.emptyClose(']') {
+		v.Set(p.empty)
+		return nil
+	}
+	sp, _ := p.scratch.Get().(*reflect.Value)
+	if sp == nil {
+		s := reflect.New(p.typ).Elem()
+		sp = &s
+	}
+	s := *sp
+	if c := v.Cap(); c > 0 {
+		v.SetLen(c)
+		s.Grow(c)
+		s.SetLen(c)
+		reflect.Copy(s, v)
+	}
+	n := 0
+	for {
+		if n == s.Len() {
+			if n == s.Cap() {
+				s.Grow(1)
 			}
-			if i >= v.Len() {
-				v.SetLen(i + 1)
-			}
-			if err := d.value(p.elem, v.Index(i)); err != nil {
-				return err
-			}
-			i++
-			done, err := d.more(']')
-			if err != nil {
-				return err
-			}
-			if done {
-				break
-			}
+			s.SetLen(n + 1)
+		}
+		// On an error the scratch slice is not returned to the pool, so
+		// what it holds does not matter.
+		if err := d.value(p.elem, s.Index(n)); err != nil {
+			return err
+		}
+		n++
+		done, err := d.more(']')
+		if err != nil {
+			return err
+		}
+		if done {
+			break
 		}
 	}
-	if i < v.Len() {
-		v.SetLen(i)
+	if v.Cap() < n {
+		v.SetZero()
+		v.Grow(n)
 	}
-	if i == 0 {
-		v.Set(reflect.MakeSlice(p.typ, 0, 0))
+	v.SetLen(n)
+	reflect.Copy(v, s)
+	if s.Cap()*int(p.elem.typ.Size()) <= maxScratchBytes {
+		s.Clear()
+		s.SetLen(0)
+		p.scratch.Put(sp)
 	}
 	return nil
 }
@@ -596,11 +648,30 @@ func (d *decoder) key() ([]byte, error) {
 		}
 		key = []byte(s)
 	}
+	return key, d.colon()
+}
+
+// quoted consumes the string literal at d.off, after whitespace, when
+// it is exactly name between quotes, and reports whether it was.
+func (d *decoder) quoted(name []byte) bool {
+	if d.peek() != '"' {
+		return false
+	}
+	start, end := d.off+1, d.off+1+len(name)
+	if end < len(d.data) && d.data[end] == '"' && bytes.Equal(d.data[start:end], name) {
+		d.off = end + 1
+		return true
+	}
+	return false
+}
+
+// colon consumes the colon after an object key.
+func (d *decoder) colon() error {
 	if d.peek() != ':' {
-		return nil, d.invalid("after object key")
+		return d.invalid("after object key")
 	}
 	d.off++
-	return key, nil
+	return nil
 }
 
 // str consumes a string literal and returns its value.
@@ -634,13 +705,26 @@ func (d *decoder) intern(b []byte) string {
 			return *slot
 		}
 		if *slot == "" {
-			*slot = string(b)
+			*slot = d.copyString(b)
 			return *slot
 		}
 	}
 	slot := &d.strs[h%uint32(len(d.strs))]
-	*slot = string(b)
+	*slot = d.copyString(b)
 	return *slot
+}
+
+// copyString appends b to the arena and returns it as a substring. The
+// arena only grows: a string already handed out keeps the bytes it was
+// cut from when a later append moves the arena.
+func (d *decoder) copyString(b []byte) string {
+	if d.arena.Cap() == 0 {
+		// A body's distinct strings rarely come to a sixteenth of it.
+		d.arena.Grow(max(len(b), min(max(len(d.data)/16, 64), 4096)))
+	}
+	start := d.arena.Len()
+	d.arena.Write(b)
+	return d.arena.String()[start:]
 }
 
 // unquote decodes a validated string literal that has escapes or
@@ -737,24 +821,53 @@ func (n *numLit) small() (uint64, bool) {
 	return n.mant, n.integral && n.digits <= 18
 }
 
-// pow10 holds the powers of ten a float64 represents exactly.
-var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
-	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
+// pow10 holds the powers of ten a uint64 holds, 10^0 through 10^19.
+var pow10 = func() (t [20]uint64) {
+	t[0] = 1
+	for i := 1; i < len(t); i++ {
+		t[i] = t[i-1] * 10
+	}
+	return t
+}()
 
-// float64 converts the literal by Clinger's fast path, the one strconv
-// tries first: a mantissa of at most 2^53 (so at most 16 digits, all
-// kept) and a power of ten within ±22 are both exact float64s, and one
-// correctly rounded multiply or divide gives the correctly rounded
-// value, which is strconv's.
+// float64 converts a literal of at most 19 significant digits, whose
+// mantissa is exact, with a power of ten within ±19. mant × 10^exp (or
+// mant / 10^-exp) is formed as a 128-bit product (or a 64-bit quotient
+// of at least 64 significant bits and a remainder) with the inexact
+// bits folded into a sticky low bit; float64 of that rounds once, to
+// nearest even, and math.Ldexp scales it exactly. That is the correctly
+// rounded value, which is strconv's.
 func (n *numLit) float64() (float64, bool) {
-	if n.mant > 1<<53 || n.exp < -22 || n.exp > 22 {
+	if n.digits > 19 || n.exp < -19 || n.exp > 19 {
 		return 0, false
 	}
-	f := float64(n.mant)
-	if n.exp < 0 {
-		f /= pow10[-n.exp]
-	} else {
-		f *= pow10[n.exp]
+	m := n.mant
+	var f float64
+	switch {
+	case m == 0:
+	case n.exp >= 0:
+		hi, lo := bits.Mul64(m, pow10[n.exp])
+		s := bits.Len64(hi)
+		q := hi<<(64-s) | lo>>s
+		if lo<<(64-s) != 0 {
+			q |= 1
+		}
+		f = math.Ldexp(float64(q), s)
+	default:
+		// Both normalized to a top bit of one, m·2^64/d, or m·2^63/d when
+		// m >= d, lies in [2^63, 2^64).
+		d := pow10[-n.exp]
+		lm, ld := bits.LeadingZeros64(m), bits.LeadingZeros64(d)
+		m, d = m<<lm, d<<ld
+		hi, lo, e := m, uint64(0), 64
+		if m >= d {
+			hi, lo, e = m>>1, m<<63, 63
+		}
+		q, r := bits.Div64(hi, lo, d)
+		if r != 0 {
+			q |= 1
+		}
+		f = math.Ldexp(float64(q), ld-lm-e)
 	}
 	if n.neg {
 		f = -f

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -462,19 +463,24 @@ var decodeCases = []struct {
 }
 
 // TestDecodeAllocs pins the allocations of one decodeJSON call, the
-// target's included, on the map-free golden bodies. Equal strings in a
-// body share one copy and numbers convert without a string copy, so
-// what is left is mostly the distinct strings and the slices' growth.
+// target's included, on each golden body. Equal strings in a body share
+// one copy in one arena, numbers convert without a string copy, and
+// each non-empty slice is allocated once, so what is left is about one
+// allocation per slice and map, one or two for the arena, and the raw
+// messages' copies.
 func TestDecodeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
-	pins := map[string]float64{"optimize": 6, "sweep": 18, "project": 37, "scenario": 52, "compare": 76}
+	pins := map[string]float64{
+		"optimize": 2, "sweep": 9, "project": 10, "scenario": 17, "compare": 30,
+		"sensitivity": 6, "batch": 12, "frontier-row": 4,
+	}
 	bodies := goldenBodies(t)
 	for _, tc := range decodeCases {
 		pin, ok := pins[tc.name]
 		if !ok {
-			continue
+			t.Fatalf("no allocation pin for %s", tc.name)
 		}
 		body := bodies[tc.body]
 		got := testing.AllocsPerRun(100, func() {
@@ -486,6 +492,90 @@ func TestDecodeAllocs(t *testing.T) {
 			t.Errorf("decoding %s allocates %.0f times, want <= %.0f", tc.name, got, pin)
 		}
 	}
+}
+
+// TestDecodedSlicesAppendIndependently appends to every slice decoded
+// from a body, into its spare capacity when it has any, and checks that
+// no decoded value changes: no two slices decoded from one body share a
+// backing array.
+func TestDecodedSlicesAppendIndependently(t *testing.T) {
+	bodies := goldenBodies(t)
+	slices := 0
+	for _, tc := range decodeCases {
+		body := bodies[tc.body]
+		got, want := reflect.New(tc.typ), reflect.New(tc.typ)
+		if err := decodeJSON(body, got.Interface()); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(body, want.Interface()); err != nil {
+			t.Fatal(err)
+		}
+		eachSlice(got.Elem(), func(s reflect.Value) {
+			slices++
+			reflect.Append(s, poison(s.Type().Elem()))
+		})
+		if !reflect.DeepEqual(got.Interface(), want.Interface()) {
+			t.Errorf("%s: appending to one of its slices changed another value", tc.name)
+		}
+	}
+	if slices < 50 {
+		t.Fatalf("the golden bodies decode %d slices, want at least 50", slices)
+	}
+}
+
+// eachSlice calls fn on every non-nil slice reachable from v through
+// exported fields, pointers, map values and slice elements.
+func eachSlice(v reflect.Value, fn func(reflect.Value)) {
+	switch v.Kind() {
+	case reflect.Pointer:
+		if !v.IsNil() {
+			eachSlice(v.Elem(), fn)
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if v.Type().Field(i).IsExported() {
+				eachSlice(v.Field(i), fn)
+			}
+		}
+	case reflect.Map:
+		for it := v.MapRange(); it.Next(); {
+			eachSlice(it.Value(), fn)
+		}
+	case reflect.Slice:
+		if v.IsNil() {
+			return
+		}
+		fn(v)
+		for i := 0; i < v.Len(); i++ {
+			eachSlice(v.Index(i), fn)
+		}
+	}
+}
+
+// poison returns a value of type t that equals no decoded value: its
+// floats are NaN, and its other scalars are set to values no response
+// holds.
+func poison(t reflect.Type) reflect.Value {
+	v := reflect.New(t).Elem()
+	switch t.Kind() {
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if t.Field(i).IsExported() {
+				v.Field(i).Set(poison(t.Field(i).Type))
+			}
+		}
+	case reflect.Float32, reflect.Float64:
+		v.SetFloat(math.NaN())
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt(-99)
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
+		v.SetUint(99)
+	case reflect.String:
+		v.SetString("poison")
+	case reflect.Bool:
+		v.SetBool(true)
+	}
+	return v
 }
 
 // BenchmarkDecode decodes each golden response body with decodeJSON
@@ -529,6 +619,14 @@ func FuzzNumberMatchesStrconv(f *testing.F) {
 		"18446744073709551615", "18446744073709551616",
 		"2.2250738585072011e-308", "4.9406564584124654e-324", "1.7976931348623157e308",
 		"0.15894664117636143", "26.853508613850938", "1e999", "-1e-999",
+		// The edges of the exact 19-digit, |exp| <= 19 path, and past them.
+		"18446744073709551615e-19", "9999999999999999999e19", "1e19", "1e-19",
+		"1e20", "1e-20", "9999999999999999999e20", "9999999999999999999e-20", "4.5e-20",
+		"-0.0000000000000000000",
+		// Halfway cases of 17 to 19 digits, which round to even.
+		"9007199254740993e-3", "9007199254740993e3", "9007199254740995e-19",
+		"18014398509481986e-2", "1801439850948198.6e19", "9007199254740993000",
+		"900719925474099300e-5",
 	} {
 		f.Add(lit)
 	}
@@ -565,6 +663,45 @@ func FuzzNumberMatchesStrconv(f *testing.F) {
 		wu8, werr := strconv.ParseUint(lit, 10, 8)
 		check("uint8", uint64(gu8), wu8, gerr, werr)
 	})
+}
+
+// TestFloatPathMatchesStrconv converts random literals of 1 to 19
+// digits, with a point anywhere and an exponent around ±19, and checks
+// that every one the in-scan path takes converts to strconv's bits.
+func TestFloatPathMatchesStrconv(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	taken := 0
+	for i := 0; i < 100_000; i++ {
+		digits := []byte(strconv.FormatUint(rng.Uint64(), 10))
+		digits = digits[:1+rng.Intn(min(19, len(digits)))]
+		if rng.Intn(2) == 0 {
+			digits[len(digits)-1] = '5' // near a halfway case more often
+		}
+		lit := string(digits)
+		if dot := rng.Intn(len(digits) + 1); dot > 0 && dot < len(digits) {
+			lit = lit[:dot] + "." + lit[dot:]
+		}
+		if rng.Intn(2) == 0 {
+			lit = "-" + lit
+		}
+		lit += "e" + strconv.Itoa(rng.Intn(43)-21)
+		d := decoder{data: []byte(lit)}
+		n, err := d.number()
+		if err != nil {
+			t.Fatalf("%s: %v", lit, err)
+		}
+		got, ok := n.float64()
+		if !ok {
+			continue
+		}
+		taken++
+		if want, _ := strconv.ParseFloat(lit, 64); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s: in-scan %v (%#x), strconv %v (%#x)", lit, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	if taken < 50_000 {
+		t.Fatalf("only %d of 100000 literals took the in-scan path", taken)
+	}
 }
 
 // decodeField decodes the number literal lit into a field of type T.

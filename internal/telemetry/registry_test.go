@@ -95,6 +95,17 @@ func TestSpanThroughContext(t *testing.T) {
 	}
 }
 
+// TestNewRequestIDAllocs pins minting an ID at the one allocation of
+// its string: every client call and every unlabelled request mints one.
+func TestNewRequestIDAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	if got := testing.AllocsPerRun(100, func() { NewRequestID() }); got > 1 {
+		t.Errorf("NewRequestID allocates %.0f times, want 1", got)
+	}
+}
+
 func TestRequestIDHelpers(t *testing.T) {
 	a, b := NewRequestID(), NewRequestID()
 	if a == b || len(a) != 16 || len(b) != 16 {

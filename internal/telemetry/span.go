@@ -79,7 +79,9 @@ func NewRequestID() string {
 		// monotonic counter rather than panicking in a request path.
 		return fmt.Sprintf("seq-%013d", reqSeq.Add(1))
 	}
-	return hex.EncodeToString(b[:])
+	var id [2 * len(b)]byte
+	hex.Encode(id[:], b[:])
+	return string(id[:])
 }
 
 // maxRequestIDLen bounds accepted client-supplied IDs so a hostile

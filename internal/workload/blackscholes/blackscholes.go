@@ -43,7 +43,8 @@ type Option struct {
 	Time   float64 // time to expiry in years T
 }
 
-// Validate reports an error for non-physical parameters.
+// Validate reports an error for non-physical parameters or an unknown
+// kind.
 func (o Option) Validate() error {
 	switch {
 	case o.Spot <= 0 || math.IsNaN(o.Spot):
@@ -56,6 +57,8 @@ func (o Option) Validate() error {
 		return fmt.Errorf("blackscholes: time %g must be positive", o.Time)
 	case math.IsNaN(o.Rate):
 		return errors.New("blackscholes: rate is NaN")
+	case o.Kind != Call && o.Kind != Put:
+		return fmt.Errorf("blackscholes: unknown option kind %d", int(o.Kind))
 	}
 	return nil
 }
@@ -71,23 +74,19 @@ func Price(o Option) (float64, error) {
 	if err := o.Validate(); err != nil {
 		return 0, err
 	}
-	return price(o)
+	return price(o), nil
 }
 
 // price is Price for an option that has passed Validate.
-func price(o Option) (float64, error) {
+func price(o Option) float64 {
 	sqrtT := math.Sqrt(o.Time)
 	d1 := (math.Log(o.Spot/o.Strike) + (o.Rate+0.5*o.Vol*o.Vol)*o.Time) / (o.Vol * sqrtT)
 	d2 := d1 - o.Vol*sqrtT
 	disc := math.Exp(-o.Rate * o.Time)
-	switch o.Kind {
-	case Call:
-		return o.Spot*CNDF(d1) - o.Strike*disc*CNDF(d2), nil
-	case Put:
-		return o.Strike*disc*CNDF(-d2) - o.Spot*CNDF(-d1), nil
-	default:
-		return 0, fmt.Errorf("blackscholes: unknown option kind %d", int(o.Kind))
+	if o.Kind == Call {
+		return o.Spot*CNDF(d1) - o.Strike*disc*CNDF(d2)
 	}
+	return o.Strike*disc*CNDF(-d2) - o.Spot*CNDF(-d1)
 }
 
 // PriceBatch prices every option into out (allocated when nil) serially.
@@ -135,9 +134,7 @@ func PriceBatchParallel(opts []Option, workers int) ([]float64, error) {
 		go func(lo, hi int) {
 			defer wg.Done()
 			for i := lo; i < hi; i++ {
-				// Validated up front; an unknown kind prices at zero.
-				p, _ := price(opts[i])
-				out[i] = p
+				out[i] = price(opts[i])
 			}
 		}(lo, hi)
 	}

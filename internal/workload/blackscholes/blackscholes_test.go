@@ -75,8 +75,26 @@ func TestValidation(t *testing.T) {
 			t.Errorf("case %d (%+v) should fail", i, o)
 		}
 	}
-	if _, err := Price(Option{Kind: Kind(7), Spot: 1, Strike: 1, Vol: 0.1, Time: 1}); err == nil {
-		t.Error("unknown kind must fail")
+}
+
+// TestUnknownKindFailsEveryPricer checks that an unknown kind is a
+// validation error, so the scalar, serial and parallel pricers all
+// report it the same way and none prices it.
+func TestUnknownKindFailsEveryPricer(t *testing.T) {
+	o := Option{Kind: Kind(7), Spot: 1, Strike: 1, Vol: 0.1, Time: 1}
+	const want = "blackscholes: unknown option kind 7"
+	if err := o.Validate(); err == nil || err.Error() != want {
+		t.Errorf("Validate: %v, want %q", err, want)
+	}
+	if _, err := Price(o); err == nil || err.Error() != want {
+		t.Errorf("Price: %v, want %q", err, want)
+	}
+	opts := []Option{o}
+	if out, err := PriceBatch(opts, nil); err == nil || err.Error() != "option 0: "+want {
+		t.Errorf("PriceBatch: %v %v, want %q", out, err, "option 0: "+want)
+	}
+	if out, err := PriceBatchParallel(opts, 1); err == nil || err.Error() != "option 0: "+want {
+		t.Errorf("PriceBatchParallel: %v %v, want %q", out, err, "option 0: "+want)
 	}
 }
 

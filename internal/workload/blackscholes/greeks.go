@@ -35,17 +35,14 @@ func AnalyticGreeks(o Option) (Greeks, error) {
 		Gamma: pdf(d1) / (o.Spot * o.Vol * sqrtT),
 		Vega:  o.Spot * pdf(d1) * sqrtT,
 	}
-	switch o.Kind {
-	case Call:
+	if o.Kind == Call {
 		g.Delta = CNDF(d1)
 		g.Theta = -o.Spot*pdf(d1)*o.Vol/(2*sqrtT) - o.Rate*o.Strike*disc*CNDF(d2)
 		g.Rho = o.Strike * o.Time * disc * CNDF(d2)
-	case Put:
+	} else {
 		g.Delta = CNDF(d1) - 1
 		g.Theta = -o.Spot*pdf(d1)*o.Vol/(2*sqrtT) + o.Rate*o.Strike*disc*CNDF(-d2)
 		g.Rho = -o.Strike * o.Time * disc * CNDF(-d2)
-	default:
-		return Greeks{}, fmt.Errorf("blackscholes: unknown option kind %d", int(o.Kind))
 	}
 	return g, nil
 }
