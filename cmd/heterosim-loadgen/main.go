@@ -1,10 +1,9 @@
-// Command heterosim-loadgen is the load-generation and scenario-matrix
-// harness for the serving stack. It drives declarative traffic
-// scenarios — endpoint mix, open-loop Poisson or closed-loop arrivals, a
-// target cache-hit ratio, fault and deadline distributions — through
-// internal/client against either a live daemon or an in-process one,
-// with every request stream a deterministic function of the scenario
-// seed.
+// Command heterosim-loadgen is the load-generation harness for the
+// serving stack. It drives declarative traffic scenarios — endpoint mix,
+// open-loop Poisson or closed-loop arrivals, a target cache-hit ratio,
+// fault and deadline distributions — through internal/client against
+// either a live daemon or an in-process one, with every request stream a
+// deterministic function of the scenario seed.
 //
 // Usage:
 //
@@ -13,8 +12,7 @@
 //	                      [-addr URL] [-csv FILE] [-summary FILE]
 //	                      [-seed N] [-requests N] [-duration D]
 //	                      [-deterministic] [server flags]
-//	heterosim-loadgen matrix [-out FILE] [-csv-dir DIR]
-//	heterosim-loadgen check -summary FILE | -bench FILE
+//	heterosim-loadgen check -summary FILE
 //
 // run without -addr boots a fresh in-process daemon (configured by the
 // server flags) on an ephemeral port, so a scenario is reproducible
@@ -24,13 +22,9 @@
 // 1) the per-request CSV is then byte-identical across invocations,
 // which is what the CI smoke diffs.
 //
-// matrix runs the BENCH_8 measurement matrix — every shipped
-// measurement scenario against the baseline and constrained server
-// configurations — and writes the BENCH_8.json document.
-//
-// check re-parses a summary (or bench document) strictly against the
-// schema and holds it to the harness invariants: traffic moved, every
-// request accounted for, no unexpected failures. CI gates on it.
+// check re-parses a summary strictly against the schema and holds it to
+// the harness invariants: traffic moved, every request accounted for, no
+// unexpected failures. CI gates on it.
 package main
 
 import (
@@ -69,8 +63,6 @@ func run(args []string, out io.Writer) error {
 		return cmdScenarios(rest, out)
 	case "run":
 		return cmdRun(rest, out)
-	case "matrix":
-		return cmdMatrix(rest, out)
 	case "check":
 		return cmdCheck(rest, out)
 	case "help", "-h", "--help":
@@ -83,13 +75,12 @@ func run(args []string, out io.Writer) error {
 }
 
 func usage() {
-	fmt.Fprint(os.Stderr, `heterosim-loadgen — load-generation and scenario-matrix harness
+	fmt.Fprint(os.Stderr, `heterosim-loadgen — load-generation harness
 
 Subcommands:
   scenarios  list the shipped traffic scenarios
   run        run one scenario against a live or in-process daemon
-  matrix     run the BENCH_8 scenario x server-config matrix
-  check      validate a summary (or bench document) against schema and invariants
+  check      validate a summary against schema and invariants
 
 run flags:
   -name          shipped scenario to run (see scenarios)
@@ -108,13 +99,8 @@ run server flags (in-process daemon only):
   -server-name -workers -cache-entries -max-inflight -max-queue
   -queue-timeout -request-timeout
 
-matrix flags:
-  -out       write the BENCH_8 document here (default BENCH_8.json)
-  -csv-dir   write one per-request CSV per cell into this directory
-
 check flags:
   -summary   summary JSON file to validate
-  -bench     BENCH_8-style document to validate (every result checked)
 `)
 }
 
@@ -169,8 +155,8 @@ func serverFlags(fs *flag.FlagSet) func() loadgen.ServerConfig {
 			CacheEntries:   *cacheEntries,
 			MaxInflight:    *maxInflight,
 			MaxQueue:       *maxQueue,
-			QueueTimeout:   loadgen.Duration(*queueTimeout),
-			RequestTimeout: loadgen.Duration(*requestTimeout),
+			QueueTimeout:   *queueTimeout,
+			RequestTimeout: *requestTimeout,
 		}
 	}
 }
@@ -304,80 +290,28 @@ func cmdRun(args []string, out io.Writer) error {
 	return nil
 }
 
-func cmdMatrix(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("matrix", flag.ContinueOnError)
-	fs.SetOutput(os.Stderr)
-	outPath := fs.String("out", "BENCH_8.json", "BENCH_8 document destination")
-	csvDir := fs.String("csv-dir", "", "per-cell CSV directory (empty = no CSVs)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-	m := loadgen.DefaultMatrix()
-	sums, err := loadgen.RunMatrix(ctx, m, loadgen.MatrixOptions{
-		CSVDir:   *csvDir,
-		Progress: out,
-	})
-	if err != nil {
-		return err
-	}
-	doc := loadgen.NewBenchDoc(m, sums)
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(*outPath, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "wrote %s (%d cells)\n", *outPath, len(sums))
-	return nil
-}
-
 func cmdCheck(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("check", flag.ContinueOnError)
 	fs.SetOutput(os.Stderr)
 	summaryPath := fs.String("summary", "", "summary JSON file to validate")
-	benchPath := fs.String("bench", "", "BENCH_8-style document to validate")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	switch {
-	case *summaryPath != "":
-		data, err := os.ReadFile(*summaryPath)
-		if err != nil {
-			return err
-		}
-		var sum loadgen.Summary
-		if err := engine.DecodeStrict(data, &sum); err != nil {
-			return fmt.Errorf("%s: schema: %w", *summaryPath, err)
-		}
-		if err := sum.Check(); err != nil {
-			return fmt.Errorf("%s: %w", *summaryPath, err)
-		}
-		fmt.Fprintf(out, "%s: ok (%s x %s, %d requests, %.1f rps)\n",
-			*summaryPath, sum.Scenario, sum.Server, sum.Requests, sum.ThroughputRPS)
-		return nil
-	case *benchPath != "":
-		data, err := os.ReadFile(*benchPath)
-		if err != nil {
-			return err
-		}
-		var doc loadgen.BenchDoc
-		if err := engine.DecodeStrict(data, &doc); err != nil {
-			return fmt.Errorf("%s: schema: %w", *benchPath, err)
-		}
-		if len(doc.Results) == 0 {
-			return fmt.Errorf("%s: no results", *benchPath)
-		}
-		for _, sum := range doc.Results {
-			if err := sum.Check(); err != nil {
-				return fmt.Errorf("%s: cell (%s, %s): %w", *benchPath, sum.Scenario, sum.Server, err)
-			}
-		}
-		fmt.Fprintf(out, "%s: ok (%d cells)\n", *benchPath, len(doc.Results))
-		return nil
-	default:
-		return fmt.Errorf("check needs -summary or -bench")
+	if *summaryPath == "" {
+		return fmt.Errorf("check needs -summary")
 	}
+	data, err := os.ReadFile(*summaryPath)
+	if err != nil {
+		return err
+	}
+	var sum loadgen.Summary
+	if err := engine.DecodeStrict(data, &sum); err != nil {
+		return fmt.Errorf("%s: schema: %w", *summaryPath, err)
+	}
+	if err := sum.Check(); err != nil {
+		return fmt.Errorf("%s: %w", *summaryPath, err)
+	}
+	fmt.Fprintf(out, "%s: ok (%s x %s, %d requests, %.1f rps)\n",
+		*summaryPath, sum.Scenario, sum.Server, sum.Requests, sum.ThroughputRPS)
+	return nil
 }

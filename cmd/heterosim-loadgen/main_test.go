@@ -123,7 +123,7 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{"unknown name", []string{"run", "-name", "nope"}, "unknown scenario"},
 		{"bad config", []string{"run", "-config", bad}, "arrival process"},
 		{"unknown subcommand", []string{"flood"}, "unknown subcommand"},
-		{"check without input", []string{"check"}, "-summary or -bench"},
+		{"check without input", []string{"check"}, "check needs -summary"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -180,16 +180,5 @@ func TestCheckCatchesDriftAndFailure(t *testing.T) {
 	if err := run([]string{"check", "-summary", drifted}, &out); err == nil ||
 		!strings.Contains(err.Error(), "schema") {
 		t.Errorf("schema drift not caught: %v", err)
-	}
-
-	// Bench documents: every cell is held to the invariants.
-	doc := loadgen.NewBenchDoc(loadgen.DefaultMatrix(), []loadgen.Summary{good, broken})
-	if err := run([]string{"check", "-bench", write("bench.json", doc)}, &out); err == nil ||
-		!strings.Contains(err.Error(), "transport errors") {
-		t.Errorf("bad bench cell not caught: %v", err)
-	}
-	okDoc := loadgen.NewBenchDoc(loadgen.DefaultMatrix(), []loadgen.Summary{good})
-	if err := run([]string{"check", "-bench", write("okbench.json", okDoc)}, &out); err != nil {
-		t.Errorf("clean bench rejected: %v", err)
 	}
 }

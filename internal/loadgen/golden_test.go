@@ -58,43 +58,33 @@ func TestCSVSchemaGolden(t *testing.T) {
 	checkGolden(t, "csv_schema.golden", buf.Bytes())
 }
 
-// keyTree flattens a JSON document into its sorted set of key paths.
-// Array elements collapse into "[]" — the golden pins the shape, not the
-// cardinality.
+// keyTree flattens a JSON object into its set of key paths.
 func keyTree(v any, prefix string, out map[string]bool) {
-	switch x := v.(type) {
-	case map[string]any:
+	if x, ok := v.(map[string]any); ok {
 		for k, child := range x {
 			p := prefix + "." + k
 			out[p] = true
 			keyTree(child, p, out)
 		}
-	case []any:
-		for _, child := range x {
-			keyTree(child, prefix+"[]", out)
-		}
 	}
 }
 
-// TestBench8KeyTreeGolden pins the BENCH_8.json key tree: the scenario
-// matrix document's shape, including every per-cell summary field. A
-// field renamed or dropped here silently breaks whatever trends those
-// numbers, so the shape is held by a golden.
-func TestBench8KeyTreeGolden(t *testing.T) {
-	m := DefaultMatrix()
+// TestSummaryKeyTreeGolden pins the Summary JSON key tree that
+// `run -summary` writes and `check -summary` strictly re-parses. A field
+// renamed or dropped here silently breaks whatever trends those numbers,
+// so the shape is held by a golden.
+func TestSummaryKeyTreeGolden(t *testing.T) {
 	// One synthetic summary exercising every optional field, so the
-	// tree is complete without running the (nondeterministic, slow)
-	// measurement matrix.
+	// tree is complete without running a (nondeterministic, slow) load.
 	sum := Summary{
-		Scenario: m.Scenarios[0].Name, Server: m.Servers[0].Name, Seed: 1,
+		Scenario: "steady-mixed", Server: "baseline", Seed: 1,
 		Requests: 10, OK: 6, Shed: 1, DeadlineMiss: 1, InjectedFaults: 2,
 		DurationMS: 12.5, ThroughputRPS: 800,
 		LatencyP50US: 900, LatencyP99US: 4000, LatencyMaxUS: 5000, LatencySamples: 6,
 		ShedRate: 0.1, DeadlineMissRate: 0.1,
 		Cache: CacheRatios{Hits: 3, Misses: 3, Coalesced: 1, StaleServed: 1, HitRatio: 0.5, CoalesceRatio: 0.14},
 	}
-	doc := NewBenchDoc(m, []Summary{sum})
-	raw, err := json.Marshal(doc)
+	raw, err := json.Marshal(sum)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,9 +100,8 @@ func TestBench8KeyTreeGolden(t *testing.T) {
 	}
 	sort.Strings(sorted)
 	var b strings.Builder
-	fmt.Fprintln(&b, "# BENCH_8.json key tree (shape only; [] collapses array elements)")
 	for _, p := range sorted {
 		fmt.Fprintln(&b, p)
 	}
-	checkGolden(t, "bench8_keys.golden", []byte(b.String()))
+	checkGolden(t, "summary_keys.golden", []byte(b.String()))
 }

@@ -7,7 +7,7 @@ import (
 
 // TestBuiltinNamesMatchBuiltins: the advertised list is exactly the
 // shipped scenarios, in order — the CLI's `scenarios` output and the
-// matrix builtins can never drift apart.
+// builtins can never drift apart.
 func TestBuiltinNamesMatchBuiltins(t *testing.T) {
 	names := BuiltinNames()
 	scs := builtins()

@@ -122,9 +122,9 @@ type CacheRatios struct {
 	CoalesceRatio float64 `json:"coalesceRatio"`
 }
 
-// Summary reduces one scenario run to the scoreboard numbers BENCH_8
-// tracks. All latencies are quantiles over successful requests, in the
-// run clock's microseconds.
+// Summary reduces one scenario run to its scoreboard numbers. All
+// latencies are quantiles over successful requests, in the run clock's
+// microseconds.
 type Summary struct {
 	Scenario string `json:"scenario"`
 	Server   string `json:"server,omitempty"`

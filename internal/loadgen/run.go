@@ -34,7 +34,7 @@ type RunConfig struct {
 	Recorders []Recorder
 
 	// ServerName labels the Summary with the server configuration the
-	// run targeted (matrix runs set it; single runs may leave it "").
+	// run targeted (in-process runs set it; it may be left "").
 	ServerName string
 }
 

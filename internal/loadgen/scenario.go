@@ -1,18 +1,15 @@
-// Package loadgen is the load-generation and scenario-matrix harness
-// for the serving stack: declarative traffic scenarios — an endpoint mix
-// across every /v1 operation, an open-loop Poisson or closed-loop
-// arrival process, a target cache-hit ratio shaped through the request
-// key space, a fault rate, and a deadline distribution — crossed with
-// server configurations (workers, cache size, inflight caps) into a
-// scenario matrix.
+// Package loadgen is the load-generation harness for the serving stack:
+// declarative traffic scenarios — an endpoint mix across every /v1
+// operation, an open-loop Poisson or closed-loop arrival process, a
+// target cache-hit ratio shaped through the request key space, a fault
+// rate, and a deadline distribution — run against a server
+// configuration (workers, cache size, inflight caps).
 //
 // Each scenario runs through internal/client against an in-process or
 // live daemon with one seeded deterministic RNG, records a per-request
 // CSV time series through pluggable recorders, and reduces to a Summary
 // (p50/p99 latency, throughput, shed rate, deadline-miss rate, cache
-// hit/coalesce ratios). The matrix runner emits the summaries as the
-// BENCH_8.json document, turning "serves heavy traffic" from a claim
-// into a measured, regression-gated trajectory.
+// hit/coalesce ratios) that the CLI writes as JSON and CI checks.
 //
 // The harness follows the repo's determinism discipline: a scenario is
 // a pure function of its seed. The request stream (endpoints, keys,
@@ -119,8 +116,8 @@ type DeadlineSpec struct {
 // running it requires a RunConfig (target, clock, recorders), and the
 // request stream it generates is a deterministic function of Seed.
 type Scenario struct {
-	// Name labels CSV rows, summaries, and BENCH_8 entries. Required;
-	// must stay clear of CSV/JSON structural characters.
+	// Name labels CSV rows and summaries. Required; must stay clear of
+	// CSV/JSON structural characters.
 	Name string `json:"name"`
 
 	// Seed drives every draw the scenario makes — endpoint choice, key
@@ -344,4 +341,75 @@ func (s *Scenario) mixEntries() (names []string, cum []float64) {
 		cum[i] /= total
 	}
 	return names, cum
+}
+
+// mixAll returns a copy of the standard all-endpoint weighting, biased
+// toward the cheap hot-path operations the way interactive frontends
+// are.
+func mixAll() map[string]float64 {
+	return map[string]float64{
+		"optimize": 6, "sweep": 3, "project": 1,
+		"scenario": 0.5, "sensitivity": 1, "ablation": 0.5,
+		"compare": 0.5, "frontier": 0.5, "models": 0.5,
+	}
+}
+
+// builtins are the named scenarios shipped with the harness.
+// "smoke" is the deterministic tier-1 scenario: sequential, so that
+// under a LogicalClock two runs produce byte-identical CSV output.
+func builtins() []Scenario {
+	return []Scenario{
+		{
+			Name: "smoke", Seed: 1, Requests: 60,
+			Arrival:  ArrivalSpec{Process: "closed", Concurrency: 1},
+			Mix:      mixAll(),
+			HitRatio: 0.5, KeySpace: 8,
+		},
+		{
+			Name: "steady-mixed", Seed: 1, Requests: 400,
+			Arrival:  ArrivalSpec{Process: "closed", Concurrency: 8},
+			Mix:      mixAll(),
+			HitRatio: 0.6, KeySpace: 32,
+		},
+		{
+			// The overload scenario: offered load well past capacity —
+			// one in five requests is an expensive Monte Carlo
+			// evaluation, arrivals fire regardless of server latency —
+			// so the admission gate's shed behavior is measured, not
+			// hypothetical.
+			Name: "burst-open", Seed: 2, Requests: 400,
+			Arrival:  ArrivalSpec{Process: "poisson", RateHz: 2000},
+			Mix:      map[string]float64{"optimize": 6, "sweep": 2, "sensitivity": 2},
+			HitRatio: 0.3, KeySpace: 16,
+			Samples: 20_000,
+		},
+		{
+			Name: "chaos-faults", Seed: 3, Requests: 300,
+			Arrival:  ArrivalSpec{Process: "closed", Concurrency: 8},
+			Mix:      map[string]float64{"optimize": 5, "sweep": 2, "sensitivity": 1},
+			HitRatio: 0.5, KeySpace: 16,
+			Faults:   "seed=7,latency=0.05:5ms,error=0.05",
+			Deadline: DeadlineSpec{Dist: "uniform", Min: Duration(5 * time.Millisecond), Max: Duration(50 * time.Millisecond)},
+			Retries:  3,
+		},
+	}
+}
+
+// BuiltinNames lists the shipped scenarios.
+func BuiltinNames() []string {
+	var names []string
+	for _, sc := range builtins() {
+		names = append(names, sc.Name)
+	}
+	return names
+}
+
+// Builtin returns a shipped scenario by name.
+func Builtin(name string) (Scenario, bool) {
+	for _, sc := range builtins() {
+		if sc.Name == name {
+			return sc, true
+		}
+	}
+	return Scenario{}, false
 }

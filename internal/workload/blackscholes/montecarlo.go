@@ -4,8 +4,6 @@ import (
 	"errors"
 	"math"
 	"math/rand"
-	"runtime"
-	"sync"
 )
 
 // MCResult is a Monte Carlo price estimate with its standard error.
@@ -68,48 +66,5 @@ func MonteCarloPrice(o Option, paths int, seed int64) (MCResult, error) {
 		Price:    mean,
 		StdError: math.Sqrt(variance / float64(n)),
 		Paths:    2 * n,
-	}, nil
-}
-
-// MonteCarloPriceParallel distributes the paths over workers goroutines
-// (0 means GOMAXPROCS), each with an independent, deterministic
-// sub-stream, and pools the estimates.
-func MonteCarloPriceParallel(o Option, paths int, seed int64, workers int) (MCResult, error) {
-	if err := o.Validate(); err != nil {
-		return MCResult{}, err
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if paths < 2*workers {
-		return MonteCarloPrice(o, paths, seed)
-	}
-	per := paths / workers
-	results := make([]MCResult, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			results[w], errs[w] = MonteCarloPrice(o, per, seed+int64(w)*7919)
-		}(w)
-	}
-	wg.Wait()
-	var sum, varSum float64
-	total := 0
-	for w := 0; w < workers; w++ {
-		if errs[w] != nil {
-			return MCResult{}, errs[w]
-		}
-		sum += results[w].Price * float64(results[w].Paths)
-		varSum += results[w].StdError * results[w].StdError *
-			float64(results[w].Paths) * float64(results[w].Paths)
-		total += results[w].Paths
-	}
-	return MCResult{
-		Price:    sum / float64(total),
-		StdError: math.Sqrt(varSum) / float64(total),
-		Paths:    total,
 	}, nil
 }

@@ -72,43 +72,4 @@ func TestMonteCarloValidation(t *testing.T) {
 	if _, err := MonteCarloPrice(good, 1, 1); err == nil {
 		t.Error("too few paths must fail")
 	}
-	if _, err := MonteCarloPriceParallel(bad, 1000, 1, 4); err == nil {
-		t.Error("parallel invalid option must fail")
-	}
-}
-
-func TestMonteCarloParallelMatchesSerialAccuracy(t *testing.T) {
-	o := Option{Put, 95, 100, 0.02, 0.35, 1.5}
-	want, err := Price(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mc, err := MonteCarloPriceParallel(o, 400000, 5, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mc.Paths < 390000 {
-		t.Errorf("paths = %d, want ~400k", mc.Paths)
-	}
-	if math.Abs(mc.Price-want) > 5*mc.StdError+1e-3 {
-		t.Errorf("parallel MC %g +- %g vs closed form %g", mc.Price, mc.StdError, want)
-	}
-	// Tiny path counts fall back to the serial path.
-	small, err := MonteCarloPriceParallel(o, 4, 5, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if small.Paths > 4 {
-		t.Errorf("fallback paths = %d", small.Paths)
-	}
-}
-
-func BenchmarkMonteCarloParallel(b *testing.B) {
-	o := Option{Call, 100, 105, 0.05, 0.25, 1}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := MonteCarloPriceParallel(o, 100000, int64(i), 0); err != nil {
-			b.Fatal(err)
-		}
-	}
 }

@@ -184,39 +184,6 @@ func DFT(x []complex128) []complex128 {
 	return out
 }
 
-// Convolve returns the circular convolution of a and b via the FFT,
-// demonstrating (and testing) the convolution theorem. Lengths must match
-// and be a power of two.
-func Convolve(a, b []complex128) ([]complex128, error) {
-	if len(a) != len(b) {
-		return nil, fmt.Errorf("fft: convolution length mismatch %d vs %d", len(a), len(b))
-	}
-	fa, err := ForwardCopy(a)
-	if err != nil {
-		return nil, err
-	}
-	fb, err := ForwardCopy(b)
-	if err != nil {
-		return nil, err
-	}
-	for i := range fa {
-		fa[i] *= fb[i]
-	}
-	if err := Inverse(fa); err != nil {
-		return nil, err
-	}
-	return fa, nil
-}
-
-// PseudoFLOPs returns the paper's nominal operation count for one size-n
-// transform: 5 n log2 n.
-func PseudoFLOPs(n int) (float64, error) {
-	if !IsPow2(n) {
-		return 0, ErrNotPow2
-	}
-	return 5 * float64(n) * math.Log2(float64(n)), nil
-}
-
 // Energy returns the signal energy sum |x[i]|^2, used by Parseval tests.
 func Energy(x []complex128) float64 {
 	var e float64

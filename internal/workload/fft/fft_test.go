@@ -239,8 +239,19 @@ func TestConvolutionTheorem(t *testing.T) {
 	n := 64
 	a := randomSignal(rng, n)
 	b := randomSignal(rng, n)
-	got, err := Convolve(a, b)
+	// Pointwise product of the spectra, transformed back.
+	got, err := ForwardCopy(a)
 	if err != nil {
+		t.Fatal(err)
+	}
+	fb, err := ForwardCopy(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range got {
+		got[i] *= fb[i]
+	}
+	if err := Inverse(got); err != nil {
 		t.Fatal(err)
 	}
 	// Direct circular convolution.
@@ -255,9 +266,6 @@ func TestConvolutionTheorem(t *testing.T) {
 	diff, _ := MaxAbsDiff(got, want)
 	if diff > 1e-8*float64(n) {
 		t.Errorf("convolution diff = %g", diff)
-	}
-	if _, err := Convolve(a, a[:n/2]); err == nil {
-		t.Error("length mismatch must error")
 	}
 }
 
@@ -297,19 +305,6 @@ func TestErrNotPow2(t *testing.T) {
 	}
 	if _, err := ForwardRecursive(bad); err != ErrNotPow2 {
 		t.Errorf("ForwardRecursive: %v", err)
-	}
-	if _, err := PseudoFLOPs(12); err != ErrNotPow2 {
-		t.Errorf("PseudoFLOPs: %v", err)
-	}
-}
-
-func TestPseudoFLOPs(t *testing.T) {
-	got, err := PseudoFLOPs(1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 5*1024*10 {
-		t.Errorf("PseudoFLOPs(1024) = %g, want 51200", got)
 	}
 }
 

@@ -46,37 +46,3 @@ func FuzzRoundTrip(f *testing.F) {
 		}
 	})
 }
-
-// FuzzRealPacking checks the packed real FFT against the complex path.
-func FuzzRealPacking(f *testing.F) {
-	f.Add([]byte{9, 8, 7, 6, 5, 4, 3, 2, 1, 0})
-	f.Add([]byte{128, 128, 128, 128})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 4 {
-			t.Skip()
-		}
-		exp := 2 + int(data[0])%6
-		n := 1 << uint(exp)
-		x := make([]float64, n)
-		for i := range x {
-			x[i] = float64(int8(data[(i+1)%len(data)])) / 8
-		}
-		spec, err := ForwardReal(x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		z := make([]complex128, n)
-		for i, v := range x {
-			z[i] = complex(v, 0)
-		}
-		want, err := ForwardCopy(z)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for k := range spec {
-			if cmplx.Abs(spec[k]-want[k]) > 1e-7*float64(n) {
-				t.Fatalf("bin %d: %v vs %v", k, spec[k], want[k])
-			}
-		}
-	})
-}

@@ -1,9 +1,7 @@
 package fft
 
 import (
-	"errors"
 	"fmt"
-	"math/cmplx"
 	"sync"
 )
 
@@ -98,39 +96,6 @@ func (p *Plan) Execute(x []complex128) error {
 				lo[k] = a + b
 				hi[k] = a - b
 			}
-		}
-	}
-	return nil
-}
-
-// ExecuteInverse computes the in-place inverse FFT with 1/N scaling.
-func (p *Plan) ExecuteInverse(x []complex128) error {
-	if len(x) != p.n {
-		return fmt.Errorf("fft: plan is for n=%d, input has %d", p.n, len(x))
-	}
-	for i := range x {
-		x[i] = cmplx.Conj(x[i])
-	}
-	if err := p.Execute(x); err != nil {
-		return err
-	}
-	inv := complex(1/float64(p.n), 0)
-	for i := range x {
-		x[i] = cmplx.Conj(x[i]) * inv
-	}
-	return nil
-}
-
-// ExecuteBatch transforms every row of a batch laid out contiguously
-// (len(batch) must be a multiple of the plan length) — the paper's
-// throughput-driven shape: many independent transforms back to back.
-func (p *Plan) ExecuteBatch(batch []complex128) error {
-	if len(batch) == 0 || len(batch)%p.n != 0 {
-		return errors.New("fft: batch length must be a positive multiple of the plan length")
-	}
-	for off := 0; off < len(batch); off += p.n {
-		if err := p.Execute(batch[off : off+p.n]); err != nil {
-			return err
 		}
 	}
 	return nil

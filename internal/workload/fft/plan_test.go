@@ -77,26 +77,6 @@ func TestPlanSharesTwiddleTables(t *testing.T) {
 	}
 }
 
-func TestPlanInverseRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	p, err := NewPlan(512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	orig := randomSignal(rng, 512)
-	x := append([]complex128(nil), orig...)
-	if err := p.Execute(x); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.ExecuteInverse(x); err != nil {
-		t.Fatal(err)
-	}
-	diff, _ := MaxAbsDiff(x, orig)
-	if diff > 1e-9*512 {
-		t.Errorf("plan round trip diff = %g", diff)
-	}
-}
-
 func TestPlanValidation(t *testing.T) {
 	if _, err := NewPlan(12); err != ErrNotPow2 {
 		t.Errorf("NewPlan(12): %v", err)
@@ -104,37 +84,6 @@ func TestPlanValidation(t *testing.T) {
 	p, _ := NewPlan(8)
 	if err := p.Execute(make([]complex128, 4)); err == nil {
 		t.Error("wrong length must fail")
-	}
-	if err := p.ExecuteInverse(make([]complex128, 16)); err == nil {
-		t.Error("wrong inverse length must fail")
-	}
-	if err := p.ExecuteBatch(make([]complex128, 12)); err == nil {
-		t.Error("non-multiple batch must fail")
-	}
-	if err := p.ExecuteBatch(nil); err == nil {
-		t.Error("empty batch must fail")
-	}
-}
-
-func TestPlanBatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	p, _ := NewPlan(64)
-	const rows = 8
-	batch := randomSignal(rng, 64*rows)
-	want := make([]complex128, len(batch))
-	for r := 0; r < rows; r++ {
-		row, err := ForwardCopy(batch[r*64 : (r+1)*64])
-		if err != nil {
-			t.Fatal(err)
-		}
-		copy(want[r*64:], row)
-	}
-	if err := p.ExecuteBatch(batch); err != nil {
-		t.Fatal(err)
-	}
-	diff, _ := MaxAbsDiff(batch, want)
-	if diff > 1e-9*64*rows {
-		t.Errorf("batch diff = %g", diff)
 	}
 }
 

@@ -1,9 +1,9 @@
 // Package mmm implements the dense matrix-matrix multiplication kernel
 // (SGEMM-style, single precision in the paper; float64 here for test
-// robustness): a naive triple loop, a cache-blocked variant matching the
-// paper's footnote-3 blocking model, and a parallel blocked variant. The
-// 2 N^3 FLOP accounting and the blocked compulsory-traffic model are what
-// feed the heterosim performance model.
+// robustness): a naive triple loop and a parallel cache-blocked variant
+// matching the paper's footnote-3 blocking model. The 2 N^3 FLOP
+// accounting and the blocked compulsory-traffic model that feed the
+// heterosim performance model live in internal/workload.
 package mmm
 
 import (
@@ -109,32 +109,6 @@ func Naive(a, b *Matrix) (*Matrix, error) {
 	return c, nil
 }
 
-// Blocked computes C = A*B with square blocking at size block, the
-// structure the paper's compulsory-bandwidth footnote assumes.
-func Blocked(a, b *Matrix, block int) (*Matrix, error) {
-	if err := checkDims(a, b); err != nil {
-		return nil, err
-	}
-	if block <= 0 {
-		return nil, fmt.Errorf("mmm: block size %d must be positive", block)
-	}
-	c, err := New(a.Rows, b.Cols)
-	if err != nil {
-		return nil, err
-	}
-	for ii := 0; ii < a.Rows; ii += block {
-		iMax := min(ii+block, a.Rows)
-		for kk := 0; kk < a.Cols; kk += block {
-			kMax := min(kk+block, a.Cols)
-			for jj := 0; jj < b.Cols; jj += block {
-				jMax := min(jj+block, b.Cols)
-				multiplyBlock(a, b, c, ii, iMax, kk, kMax, jj, jMax)
-			}
-		}
-	}
-	return c, nil
-}
-
 // multiplyBlock adds the (ii..iMax, kk..kMax) x (kk..kMax, jj..jMax)
 // block product into C, four k at a time where the A entries are nonzero
 // and one k otherwise, in k-ascending order like Naive.
@@ -171,8 +145,9 @@ func multiplyBlock(a, b, c *Matrix, ii, iMax, kk, kMax, jj, jMax int) {
 }
 
 // Parallel computes C = A*B with row-band parallelism across workers
-// goroutines (0 means GOMAXPROCS) and blocking at size block within each
-// band. This is the "throughput-driven, many independent inputs" shape
+// goroutines (0 means GOMAXPROCS) and square blocking at size block
+// within each band, the structure the paper's compulsory-bandwidth
+// footnote assumes; one worker is the plain blocked loop nest. This is the "throughput-driven, many independent inputs" shape
 // the paper assumes for compute-bound measurement.
 func Parallel(a, b *Matrix, block, workers int) (*Matrix, error) {
 	if err := checkDims(a, b); err != nil {
@@ -213,15 +188,6 @@ func Parallel(a, b *Matrix, block, workers int) (*Matrix, error) {
 	}
 	wg.Wait()
 	return c, nil
-}
-
-// FLOPs returns the nominal operation count of an m x k x n
-// multiplication: 2 m k n.
-func FLOPs(m, k, n int) (float64, error) {
-	if m <= 0 || k <= 0 || n <= 0 {
-		return 0, errors.New("mmm: dimensions must be positive")
-	}
-	return 2 * float64(m) * float64(k) * float64(n), nil
 }
 
 // Identity returns the n x n identity matrix.

@@ -86,7 +86,7 @@ func TestBlockedMatchesNaive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := Blocked(a, b, size.block)
+		got, err := Parallel(a, b, size.block, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,8 +136,8 @@ func oneK(a, b *Matrix) *Matrix {
 
 // TestVariantsBitIdentical pins that unrolling, blocking and row-band
 // parallelism only reorder which (i, j) cells are visited: each cell
-// still accumulates k-ascending, so all three variants agree bit for bit
-// with the one-k loop, at depths that leave a partial group of four and
+// still accumulates k-ascending, so Naive and Parallel at every block
+// size and worker count agree bit for bit with the one-k loop, at depths that leave a partial group of four and
 // with exact zeros in A (which the loops skip, so a zero times an
 // infinite B entry adds no NaN).
 func TestVariantsBitIdentical(t *testing.T) {
@@ -183,12 +183,7 @@ func TestVariantsBitIdentical(t *testing.T) {
 		}
 		same("naive", 0, naive)
 		for _, block := range []int{1, 3, 16, 128, max(sh.m, sh.k, sh.n)} {
-			blocked, err := Blocked(a, b, block)
-			if err != nil {
-				t.Fatal(err)
-			}
-			same("blocked", block, blocked)
-			for _, workers := range []int{0, 3} {
+			for _, workers := range []int{1, 0, 3} {
 				par, err := Parallel(a, b, block, workers)
 				if err != nil {
 					t.Fatal(err)
@@ -205,9 +200,6 @@ func TestDimensionMismatch(t *testing.T) {
 	if _, err := Naive(a, b); err == nil {
 		t.Error("naive must reject mismatched dims")
 	}
-	if _, err := Blocked(a, b, 2); err == nil {
-		t.Error("blocked must reject mismatched dims")
-	}
 	if _, err := Parallel(a, b, 2, 2); err == nil {
 		t.Error("parallel must reject mismatched dims")
 	}
@@ -219,7 +211,7 @@ func TestDimensionMismatch(t *testing.T) {
 func TestBadBlockSize(t *testing.T) {
 	a, _ := New(4, 4)
 	b, _ := New(4, 4)
-	if _, err := Blocked(a, b, 0); err == nil {
+	if _, err := Parallel(a, b, 0, 1); err == nil {
 		t.Error("zero block must fail")
 	}
 	if _, err := Parallel(a, b, -1, 2); err == nil {
@@ -237,21 +229,8 @@ func TestClone(t *testing.T) {
 	}
 }
 
-func TestFLOPs(t *testing.T) {
-	got, err := FLOPs(1024, 1024, 1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 2*1024*1024*1024 {
-		t.Errorf("FLOPs = %g", got)
-	}
-	if _, err := FLOPs(0, 1, 1); err == nil {
-		t.Error("zero dim must fail")
-	}
-}
-
-// Property: (A*B)*C == A*(B*C) — associativity exercised through all
-// three implementations.
+// Property: (A*B)*C == A*(B*C) — associativity exercised through the
+// naive, blocked and parallel kernels.
 func TestPropAssociativity(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -262,7 +241,7 @@ func TestPropAssociativity(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		abc1, err := Blocked(ab, c, 4)
+		abc1, err := Parallel(ab, c, 4, 1)
 		if err != nil {
 			return false
 		}
@@ -319,7 +298,7 @@ func BenchmarkBlocked256(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Blocked(x, y, 64); err != nil {
+		if _, err := Parallel(x, y, 64, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

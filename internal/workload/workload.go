@@ -139,18 +139,6 @@ func CheckPow2(n int) error {
 	return nil
 }
 
-// Log2Int returns log2(n) for a power-of-two n.
-func Log2Int(n int) (int, error) {
-	if err := CheckPow2(n); err != nil {
-		return 0, err
-	}
-	l := 0
-	for v := n; v > 1; v >>= 1 {
-		l++
-	}
-	return l, nil
-}
-
 // ForID returns the Counts of the canonical invocation of a Table 5
 // workload ID: one FFT of the embedded size, one 128-blocked 1024^3 MMM,
 // or one option.

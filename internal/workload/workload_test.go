@@ -123,16 +123,6 @@ func TestCheckPow2(t *testing.T) {
 	}
 }
 
-func TestLog2Int(t *testing.T) {
-	l, err := Log2Int(16384)
-	if err != nil || l != 14 {
-		t.Errorf("Log2Int(16384) = %d, %v; want 14", l, err)
-	}
-	if _, err := Log2Int(7); err == nil {
-		t.Error("Log2Int(7) should fail")
-	}
-}
-
 func TestRegistryCoversTable5Workloads(t *testing.T) {
 	reg := Registry()
 	for _, id := range paper.AllWorkloads {
