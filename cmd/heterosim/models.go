@@ -35,11 +35,15 @@ func modelFlag(fs *flag.FlagSet) func() (modelSelection, error) {
 		if *params != "" {
 			raw = json.RawMessage(*params)
 		}
-		m, canonRaw, err := model.New(canon, 0, 0, raw)
+		mk, _, err := model.Configure(canon, raw)
 		if err != nil {
 			return modelSelection{}, fmt.Errorf("model %s: %w", canon, err)
 		}
-		return modelSelection{Name: canon, Model: m, Factory: model.NewFactory(canon, canonRaw)}, nil
+		m, err := mk(0, 0)
+		if err != nil {
+			return modelSelection{}, fmt.Errorf("model %s: %w", canon, err)
+		}
+		return modelSelection{Name: canon, Model: m, Factory: mk}, nil
 	}
 }
 

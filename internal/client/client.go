@@ -25,6 +25,7 @@ import (
 	"log/slog"
 	"math/rand"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -189,7 +190,7 @@ type Client struct {
 	// endpoints is the normalized endpoint list; cur indexes the
 	// current pick-first choice. A retryable failure rotates cur so
 	// subsequent attempts (and calls) land on the next peer.
-	endpoints []string
+	endpoints []*endpoint
 	cur       atomic.Int64
 
 	mu  sync.Mutex
@@ -205,17 +206,59 @@ func New(cfg Config) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Client{
-		cfg:       cfg,
-		endpoints: endpoints,
-		rng:       rand.New(rand.NewSource(cfg.Seed)),
-		maxBody:   maxResponseBytes,
-	}, nil
+	c := &Client{
+		cfg:     cfg,
+		rng:     rand.New(rand.NewSource(cfg.Seed)),
+		maxBody: maxResponseBytes,
+	}
+	for _, base := range endpoints {
+		c.endpoints = append(c.endpoints, &endpoint{base: base})
+	}
+	return c, nil
 }
 
 // Endpoint returns the base URL the next call will try first.
 func (c *Client) Endpoint() string {
-	return c.endpoints[int(c.cur.Load())%len(c.endpoints)]
+	return c.endpoints[int(c.cur.Load())%len(c.endpoints)].base
+}
+
+// endpoint is one server root and the request URLs built on it so far.
+type endpoint struct {
+	base string
+
+	// urls maps a request path to base+path, parsed. It is replaced,
+	// never changed, so readers load it without a lock; mu orders the
+	// writers. The paths are the client's own constants, so it stays
+	// a handful of entries.
+	urls atomic.Pointer[map[string]*url.URL]
+	mu   sync.Mutex
+}
+
+// url returns base+path parsed, parsing each path once. Requests share
+// the returned URL, which nothing changes: net/http only reads a
+// request's URL.
+func (e *endpoint) url(path string) (*url.URL, error) {
+	if m := e.urls.Load(); m != nil {
+		if u, ok := (*m)[path]; ok {
+			return u, nil
+		}
+	}
+	u, err := url.Parse(e.base + path)
+	if err != nil {
+		return nil, err
+	}
+	// As http.NewRequest does: a host with an empty port drops the colon.
+	u.Host = strings.TrimSuffix(u.Host, ":")
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	m := map[string]*url.URL{path: u}
+	if old := e.urls.Load(); old != nil {
+		for p, v := range *old {
+			m[p] = v
+		}
+	}
+	e.urls.Store(&m)
+	return u, nil
 }
 
 // failover rotates away from the endpoint at index from, if it is still
@@ -340,8 +383,8 @@ func (c *Client) call(ctx context.Context, method, path string, in, out any) err
 			return fmt.Errorf("client: %s: encoding request: %w", path, err)
 		}
 	}
-	return c.retry(ctx, path, func(ctx context.Context, base, id string, n int) (bool, error) {
-		return false, c.attempt(ctx, method, base, path, body, out, id, n)
+	return c.retry(ctx, path, func(ctx context.Context, ep *endpoint, id string, n int) (bool, error) {
+		return false, c.attempt(ctx, method, ep, path, body, out, id, n)
 	})
 }
 
@@ -355,7 +398,7 @@ func (c *Client) call(ctx context.Context, method, path string, in, out any) err
 // taken from the caller's context when present
 // (telemetry.WithRequestID), minted otherwise — so server access logs
 // and injected-fault lines can be joined back to this call.
-func (c *Client) retry(ctx context.Context, path string, try func(ctx context.Context, base, id string, n int) (settled bool, err error)) error {
+func (c *Client) retry(ctx context.Context, path string, try func(ctx context.Context, ep *endpoint, id string, n int) (settled bool, err error)) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -407,23 +450,55 @@ func (c *Client) giveUp(ctx context.Context, re *RetryError, id string) error {
 	return re
 }
 
+// Request headers are written by their canonical key; the content type
+// is one value slice shared by every request (net/http only reads it).
+var (
+	keyRequestID    = http.CanonicalHeaderKey(telemetry.HeaderRequestID)
+	headerValueJSON = []string{"application/json"}
+)
+
+// newRequest builds the request http.NewRequestWithContext would for
+// ep's URL of path — the same body, Content-Length and GetBody rewind,
+// which the transport needs to retry a request that met a closed
+// keep-alive connection — with the request-ID and content-type headers
+// set, without parsing the URL again. The body stays an
+// io.NopCloser over a *bytes.Reader: net/http recognizes that as an
+// in-memory body and sends it with the headers in one write.
+func newRequest(ctx context.Context, method string, ep *endpoint, path string, body []byte, id string) (*http.Request, error) {
+	u, err := ep.url(path)
+	if err != nil {
+		return nil, err
+	}
+	req := &http.Request{
+		Method:     method,
+		URL:        u,
+		Proto:      "HTTP/1.1",
+		ProtoMajor: 1,
+		ProtoMinor: 1,
+		Header:     make(http.Header, 2),
+		Host:       u.Host,
+	}
+	req.Header[keyRequestID] = []string{id}
+	if body != nil { // a marshaled document, never empty
+		req.Header["Content-Type"] = headerValueJSON
+		req.ContentLength = int64(len(body))
+		req.GetBody = func() (io.ReadCloser, error) {
+			return io.NopCloser(bytes.NewReader(body)), nil
+		}
+		req.Body, _ = req.GetBody()
+	}
+	return req.WithContext(ctx), nil
+}
+
 // send is the wire step every attempt shares: build the request with
 // its request-ID and content-type headers, issue it, and record the
 // response's status, cache and fault headers in a. It returns the
 // response only for a 200, whose body the caller reads and closes;
 // any other status comes back as the *APIError its body describes.
-func (c *Client) send(ctx context.Context, method, base, path string, body []byte, id string, a *Attempt) (*http.Response, error) {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, base+path, rd)
+func (c *Client) send(ctx context.Context, method string, ep *endpoint, path string, body []byte, id string, a *Attempt) (*http.Response, error) {
+	req, err := newRequest(ctx, method, ep, path, body, id)
 	if err != nil {
 		return nil, fmt.Errorf("client: %s: %w", path, err)
-	}
-	req.Header.Set(telemetry.HeaderRequestID, id)
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
 	}
 	res, err := c.cfg.HTTPClient.Do(req)
 	if err != nil {
@@ -444,9 +519,9 @@ func (c *Client) send(ctx context.Context, method, base, path string, body []byt
 	return nil, apiErrorFrom(res, buf.Bytes(), path)
 }
 
-// attempt is one buffered wire exchange against base; n is the 1-based
+// attempt is one buffered wire exchange against ep; n is the 1-based
 // attempt number, passed through to the OnAttempt observer.
-func (c *Client) attempt(ctx context.Context, method, base, path string, body []byte, out any, id string, n int) (err error) {
+func (c *Client) attempt(ctx context.Context, method string, ep *endpoint, path string, body []byte, out any, id string, n int) (err error) {
 	a := Attempt{Endpoint: path, N: n}
 	if c.cfg.OnAttempt != nil {
 		defer func() {
@@ -454,7 +529,7 @@ func (c *Client) attempt(ctx context.Context, method, base, path string, body []
 			c.cfg.OnAttempt(ctx, a)
 		}()
 	}
-	res, err := c.send(ctx, method, base, path, body, id, &a)
+	res, err := c.send(ctx, method, ep, path, body, id, &a)
 	if err != nil {
 		return err
 	}

@@ -5,9 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -575,5 +577,57 @@ func TestOversizeResponseTerminal(t *testing.T) {
 				t.Errorf("OnAttempt saw %d attempts, want 1", got)
 			}
 		})
+	}
+}
+
+// TestNewRequestAllocs pins what building one attempt's request costs
+// once its URL is cached: the header map and its table, the request-ID
+// value, the body reader, its NopCloser and its rewind closure, and the
+// request itself — no URL parse and no header canonicalization
+// (go1.24). It also checks the request is the one
+// http.NewRequestWithContext builds, down to the body's type, which
+// decides whether net/http writes the headers and body together.
+func TestNewRequestAllocs(t *testing.T) {
+	c, err := New(Config{BaseURL: "127.0.0.1:8080"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ep, body := c.endpoints[0], []byte(`{"workload":"MMM","f":0.9,"design":{"kind":"sym"}}`)
+	ctx := context.Background()
+	req, err := newRequest(ctx, http.MethodPost, ep, "/v1/optimize", body, "pin-id")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := http.NewRequestWithContext(ctx, http.MethodPost, "http://127.0.0.1:8080/v1/optimize", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want.Header.Set("X-Request-ID", "pin-id")
+	want.Header.Set("Content-Type", "application/json")
+	if req.Method != want.Method || req.URL.String() != want.URL.String() || req.Host != want.Host ||
+		req.Proto != want.Proto || req.ContentLength != want.ContentLength || req.Context() != ctx ||
+		!reflect.DeepEqual(req.Header, want.Header) || reflect.TypeOf(req.Body) != reflect.TypeOf(want.Body) {
+		t.Errorf("request %+v, want %+v", req, want)
+	}
+	for i := 0; i < 2; i++ { // the body, then the rewound body
+		got, err := io.ReadAll(req.Body)
+		if err != nil || !bytes.Equal(got, body) {
+			t.Fatalf("body read %d = %q, %v", i, got, err)
+		}
+		if req.Body, err = req.GetBody(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if raceEnabled {
+		return // allocation counts differ under -race
+	}
+	const pin = 7
+	got := testing.AllocsPerRun(100, func() {
+		if _, err := newRequest(ctx, http.MethodPost, ep, "/v1/optimize", body, "pin-id"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > pin {
+		t.Errorf("newRequest allocates %.0f times, want <= %d", got, pin)
 	}
 }

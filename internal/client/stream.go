@@ -109,9 +109,9 @@ func streamCall[Row any](ctx context.Context, c *Client, path string, req any, h
 		return 0, fmt.Errorf("client: %s: encoding request: %w", path, err)
 	}
 	var delivered int
-	err = c.retry(ctx, path, func(ctx context.Context, base, id string, n int) (bool, error) {
+	err = c.retry(ctx, path, func(ctx context.Context, ep *endpoint, id string, n int) (bool, error) {
 		var err error
-		delivered, err = attemptStream(ctx, c, base, path, body, id, n, hdr, trl, row)
+		delivered, err = attemptStream(ctx, c, ep, path, body, id, n, hdr, trl, row)
 		return delivered > 0, err
 	})
 	if err != nil {
@@ -141,7 +141,7 @@ func (p *streamProbe) trailer() bool { return p.Feasible != nil || p.Nodes != ni
 // into trl) or an in-band error line. delivered counts rows handed to
 // the callback — the caller uses it to decide whether a failure is
 // still transparently retryable.
-func attemptStream[Row any](ctx context.Context, c *Client, base, path string, body []byte, id string, n int, hdr, trl any, row func(Row) error) (delivered int, err error) {
+func attemptStream[Row any](ctx context.Context, c *Client, ep *endpoint, path string, body []byte, id string, n int, hdr, trl any, row func(Row) error) (delivered int, err error) {
 	a := Attempt{Endpoint: path, N: n}
 	if c.cfg.OnAttempt != nil {
 		defer func() {
@@ -149,7 +149,7 @@ func attemptStream[Row any](ctx context.Context, c *Client, base, path string, b
 			c.cfg.OnAttempt(ctx, a)
 		}()
 	}
-	res, err := c.send(ctx, http.MethodPost, base, path, body, id, &a)
+	res, err := c.send(ctx, http.MethodPost, ep, path, body, id, &a)
 	if err != nil {
 		return 0, err
 	}

@@ -23,17 +23,21 @@ func (chungBackend) Info() Info {
 	}
 }
 
-func (chungBackend) New(alpha float64, maxR int, params json.RawMessage) (Model, json.RawMessage, error) {
+func (chungBackend) Configure(params json.RawMessage) (Factory, json.RawMessage, error) {
 	// The baseline takes no parameters; strict decode rejects any.
 	var none struct{}
 	if err := decodeParams(params, &none); err != nil {
 		return nil, nil, err
 	}
+	return newChung, nil, nil
+}
+
+func newChung(alpha float64, maxR int) (Model, error) {
 	law, err := pollack.New(alpha)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return chungModel{ev: core.Evaluator{Law: law, MaxR: maxR}}, nil, nil
+	return chungModel{ev: core.Evaluator{Law: law, MaxR: maxR}}, nil
 }
 
 type chungModel struct {

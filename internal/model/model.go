@@ -95,12 +95,13 @@ type Backend interface {
 	// Info returns the discovery document.
 	Info() Info
 
-	// New builds an immutable instance for (alpha, maxR), decoding
-	// params strictly (unknown fields are errors) and returning their
+	// Configure decodes params strictly (unknown fields are errors),
+	// validates them, and returns a Factory bound to them plus their
 	// canonical encoding — fully defaulted, so every spelling of the
 	// same configuration produces identical bytes and therefore one
-	// serving-cache entry.
-	New(alpha float64, maxR int, params json.RawMessage) (Model, json.RawMessage, error)
+	// serving-cache entry. The factory only applies (alpha, maxR),
+	// which it receives with the defaults already filled in.
+	Configure(params json.RawMessage) (Factory, json.RawMessage, error)
 }
 
 // DefaultName is the backend behind requests that do not name one.
@@ -184,13 +185,27 @@ func New(name string, alpha float64, maxR int, params json.RawMessage) (Model, j
 	if err != nil {
 		return nil, nil, err
 	}
+	mk, canon, err := b.Configure(params)
+	if err != nil {
+		return nil, nil, err
+	}
+	m, err := mk(withDefaults(alpha, maxR))
+	if err != nil {
+		return nil, nil, err
+	}
+	return m, canon, nil
+}
+
+// withDefaults fills New's defaults: alpha <= 0 is the paper's 1.75 and
+// maxR <= 0 its sweep bound, 16.
+func withDefaults(alpha float64, maxR int) (float64, int) {
 	if alpha <= 0 {
 		alpha = pollack.DefaultAlpha
 	}
 	if maxR <= 0 {
 		maxR = 16
 	}
-	return b.New(alpha, maxR, params)
+	return alpha, maxR
 }
 
 // Factory defers instance construction until the projection layer knows
@@ -199,14 +214,33 @@ func New(name string, alpha float64, maxR int, params json.RawMessage) (Model, j
 // backend. project.Config treats a nil Factory as the default backend.
 type Factory func(alpha float64, maxR int) (Model, error)
 
-// NewFactory returns a Factory closing over a validated (name, params)
-// pair. params should already be canonical (from a prior New call);
-// construction errors surface when the factory runs.
-func NewFactory(name string, params json.RawMessage) Factory {
-	return func(alpha float64, maxR int) (Model, error) {
-		m, _, err := New(name, alpha, maxR, params)
-		return m, err
+// Configure canonicalizes the name and decodes and validates params
+// once, returning a Factory that builds instances at any (alpha, maxR)
+// — with New's defaults for alpha <= 0 and maxR <= 0 — without decoding
+// them again, plus the canonical parameter encoding.
+func Configure(name string, params json.RawMessage) (Factory, json.RawMessage, error) {
+	b, err := Lookup(name)
+	if err != nil {
+		return nil, nil, err
 	}
+	mk, canon, err := b.Configure(params)
+	if err != nil {
+		return nil, nil, err
+	}
+	return func(alpha float64, maxR int) (Model, error) {
+		return mk(withDefaults(alpha, maxR))
+	}, canon, nil
+}
+
+// NewFactory is Configure without the canonical encoding, for callers
+// holding a pair they know to be valid: a configuration error surfaces
+// when the factory runs.
+func NewFactory(name string, params json.RawMessage) Factory {
+	mk, _, err := Configure(name, params)
+	if err != nil {
+		return func(float64, int) (Model, error) { return nil, err }
+	}
+	return mk
 }
 
 // decodeParams strictly decodes raw backend parameters: unknown fields

@@ -3,6 +3,7 @@ package model
 import (
 	"encoding/json"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -397,4 +398,47 @@ func close12(a, b float64) bool {
 	diff := math.Abs(a - b)
 	scale := math.Max(math.Abs(a), math.Abs(b))
 	return diff <= 1e-12*math.Max(scale, 1)
+}
+
+// TestFactoryModelEqualsNew builds every backend at non-default params
+// both ways — New, which decodes the params for one instance, and the
+// factory Configure returns, which decoded them once — and requires the
+// same instance at several (alpha, maxR), defaults included, plus the
+// same canonical params.
+func TestFactoryModelEqualsNew(t *testing.T) {
+	params := map[string]json.RawMessage{
+		"chung":               nil,
+		"multiamdahl":         json.RawMessage(`{"segments":[{"share":0.7,"mu":1},{"share":0.3,"mu":4,"phi":0.5}]}`),
+		"multiamdahl-thermal": json.RawMessage(`{"thetaJA":20,"segments":[{"share":0.5,"mu":1},{"share":0.5,"mu":0.25}]}`),
+		"sqrtm":               json.RawMessage(`{"theta":0.4}`),
+	}
+	for _, name := range Names() {
+		raw, ok := params[name]
+		if !ok {
+			t.Fatalf("no non-default params for backend %q", name)
+		}
+		mk, canon, err := Configure(name, raw)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, c := range []struct {
+			alpha float64
+			maxR  int
+		}{{0, 0}, {pollack.ScenarioSixAlpha, 4}, {1.5, 32}} {
+			want, wantCanon, err := New(name, c.alpha, c.maxR, raw)
+			if err != nil {
+				t.Fatalf("%s %+v: New: %v", name, c, err)
+			}
+			got, err := mk(c.alpha, c.maxR)
+			if err != nil {
+				t.Fatalf("%s %+v: factory: %v", name, c, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s %+v: factory built %#v, New %#v", name, c, got, want)
+			}
+			if string(canon) != string(wantCanon) {
+				t.Errorf("%s: canonical params %s, New gives %s", name, canon, wantCanon)
+			}
+		}
+	}
 }

@@ -86,7 +86,7 @@ func (multiAmdahlBackend) Info() Info {
 	}
 }
 
-func (multiAmdahlBackend) New(alpha float64, maxR int, params json.RawMessage) (Model, json.RawMessage, error) {
+func (multiAmdahlBackend) Configure(params json.RawMessage) (Factory, json.RawMessage, error) {
 	var p maParams
 	if err := decodeParams(params, &p); err != nil {
 		return nil, nil, err
@@ -94,15 +94,17 @@ func (multiAmdahlBackend) New(alpha float64, maxR int, params json.RawMessage) (
 	if err := p.normalize(); err != nil {
 		return nil, nil, err
 	}
-	law, err := pollack.New(alpha)
-	if err != nil {
-		return nil, nil, err
-	}
 	canon, err := canonicalParams(p)
 	if err != nil {
 		return nil, nil, err
 	}
-	return multiAmdahlModel{law: law, maxR: maxR, segs: p.Segments}, canon, nil
+	return func(alpha float64, maxR int) (Model, error) {
+		law, err := pollack.New(alpha)
+		if err != nil {
+			return nil, err
+		}
+		return multiAmdahlModel{law: law, maxR: maxR, segs: p.Segments}, nil
+	}, canon, nil
 }
 
 // multiAmdahlModel evaluates a design with the parallel phase split

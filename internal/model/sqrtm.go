@@ -39,20 +39,27 @@ func (sqrtmBackend) Info() Info {
 	}
 }
 
-func (sqrtmBackend) New(alpha float64, maxR int, params json.RawMessage) (Model, json.RawMessage, error) {
+func (sqrtmBackend) Configure(params json.RawMessage) (Factory, json.RawMessage, error) {
 	p := sqrtmParams{Theta: pollack.DefaultTheta}
 	if err := decodeParams(params, &p); err != nil {
 		return nil, nil, err
 	}
-	scal, err := pollack.NewScaling(alpha, p.Theta)
-	if err != nil {
+	// theta is checked here, at the default alpha, so a bad theta fails
+	// when the request is decoded, not when a projection first runs.
+	if _, err := pollack.NewScaling(pollack.DefaultAlpha, p.Theta); err != nil {
 		return nil, nil, err
 	}
 	canon, err := canonicalParams(p)
 	if err != nil {
 		return nil, nil, err
 	}
-	return sqrtmModel{scal: scal, maxR: maxR}, canon, nil
+	return func(alpha float64, maxR int) (Model, error) {
+		scal, err := pollack.NewScaling(alpha, p.Theta)
+		if err != nil {
+			return nil, err
+		}
+		return sqrtmModel{scal: scal, maxR: maxR}, nil
+	}, canon, nil
 }
 
 // sqrtmModel re-derives the whole Chung framework — Table 1 bounds,

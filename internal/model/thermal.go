@@ -80,7 +80,7 @@ func (thermalBackend) Info() Info {
 	}
 }
 
-func (thermalBackend) New(alpha float64, maxR int, params json.RawMessage) (Model, json.RawMessage, error) {
+func (thermalBackend) Configure(params json.RawMessage) (Factory, json.RawMessage, error) {
 	var p thermalParams
 	if err := decodeParams(params, &p); err != nil {
 		return nil, nil, err
@@ -88,16 +88,18 @@ func (thermalBackend) New(alpha float64, maxR int, params json.RawMessage) (Mode
 	if err := p.normalize(); err != nil {
 		return nil, nil, err
 	}
-	law, err := pollack.New(alpha)
-	if err != nil {
-		return nil, nil, err
-	}
 	canon, err := canonicalParams(p)
 	if err != nil {
 		return nil, nil, err
 	}
-	inner := multiAmdahlModel{law: law, maxR: maxR, segs: p.Segments}
-	return thermalModel{inner: inner, maxR: maxR, cap: p.powerCap()}, canon, nil
+	return func(alpha float64, maxR int) (Model, error) {
+		law, err := pollack.New(alpha)
+		if err != nil {
+			return nil, err
+		}
+		inner := multiAmdahlModel{law: law, maxR: maxR, segs: p.Segments}
+		return thermalModel{inner: inner, maxR: maxR, cap: p.powerCap()}, nil
+	}, canon, nil
 }
 
 // thermalModel wraps the Multi-Amdahl evaluation with the thermal power

@@ -25,6 +25,7 @@ import (
 	"hash/fnv"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"github.com/calcm/heterosim/internal/telemetry"
 )
@@ -188,14 +189,17 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 // ctx bounds this caller's participation: fn receives it (so evaluation
 // work can observe the request deadline), and a coalesced waiter whose
 // ctx expires stops waiting and returns ctx.Err() instead of hanging on
-// someone else's evaluation. When fn fails — or the wait is abandoned —
-// and a previously computed response survives in the stale retention
-// tier, those bytes are served with the Stale outcome and a nil error:
-// the model is pure, so retained bytes are correct, merely not fresh.
+// someone else's evaluation. A positive timeout adds a deadline to ctx
+// when the lookup misses, bounding the wait or the lead from that
+// moment; a hit arms no timer. When fn fails — or the wait is
+// abandoned — and a previously computed response survives in the stale
+// retention tier, those bytes are served with the Stale outcome and a
+// nil error: the model is pure, so retained bytes are correct, merely
+// not fresh.
 //
 // The returned bytes are shared across callers: treat them as immutable.
-func (c *Cache) Do(ctx context.Context, key string, fn func(ctx context.Context) ([]byte, error)) ([]byte, Outcome, error) {
-	return c.do(ctx, key, func(ctx context.Context) ([]byte, Outcome, error) {
+func (c *Cache) Do(ctx context.Context, key string, timeout time.Duration, fn func(ctx context.Context) ([]byte, error)) ([]byte, Outcome, error) {
+	return c.do(ctx, key, timeout, func(ctx context.Context) ([]byte, Outcome, error) {
 		return c.evaluate(ctx, fn)
 	})
 }
@@ -214,8 +218,9 @@ func (c *Cache) evaluate(ctx context.Context, fn func(ctx context.Context) ([]by
 // anything evaluated here to the live tier. A failed lead or an
 // abandoned wait falls back to the stale tier when it holds the key.
 // A panic in step (evaluation, peer fetch or fallback alike) fails the
-// lead like any other error.
-func (c *Cache) do(ctx context.Context, key string, step func(ctx context.Context) ([]byte, Outcome, error)) ([]byte, Outcome, error) {
+// lead like any other error. A positive timeout bounds the wait or the
+// lead, and is armed only once the live tier has missed.
+func (c *Cache) do(ctx context.Context, key string, timeout time.Duration, step func(ctx context.Context) ([]byte, Outcome, error)) ([]byte, Outcome, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -238,6 +243,8 @@ func (c *Cache) do(ctx context.Context, key string, step func(ctx context.Contex
 		s.mu.Unlock()
 		c.coalesced.Add(1)
 		defer span.End()
+		ctx, cancel := within(ctx, timeout)
+		defer cancel()
 		select {
 		case <-cl.done:
 			return c.orStale(s, key, cl.val, Coalesced, cl.err)
@@ -250,6 +257,8 @@ func (c *Cache) do(ctx context.Context, key string, step func(ctx context.Contex
 	s.mu.Unlock()
 	c.inflight.Add(1)
 	span.End()
+	ctx, cancel := within(ctx, timeout)
+	defer cancel()
 
 	// A panicking step must still clear the in-flight entry and release
 	// the waiters, or every later request for the key would wait on a
@@ -277,6 +286,15 @@ func (c *Cache) do(ctx context.Context, key string, step func(ctx context.Contex
 	c.inflight.Add(-1)
 	close(cl.done)
 	return c.orStale(s, key, val, outcome, err)
+}
+
+// within bounds ctx by timeout when it is positive: a lookup that
+// missed arms it after releasing the shard lock.
+func within(ctx context.Context, timeout time.Duration) (context.Context, context.CancelFunc) {
+	if timeout > 0 {
+		return context.WithTimeout(ctx, timeout)
+	}
+	return ctx, func() {}
 }
 
 // orStale returns the result unchanged unless it failed and the stale

@@ -58,11 +58,11 @@ func TestDoHitMissAndGet(t *testing.T) {
 	calls := 0
 	fn := func(context.Context) ([]byte, error) { calls++; return []byte("payload"), nil }
 
-	v, out, err := c.Do(context.Background(), "k", fn)
+	v, out, err := c.Do(context.Background(), "k", 0, fn)
 	if err != nil || out != Miss || string(v) != "payload" {
 		t.Fatalf("first Do = (%q, %v, %v), want miss", v, out, err)
 	}
-	v, out, err = c.Do(context.Background(), "k", fn)
+	v, out, err = c.Do(context.Background(), "k", 0, fn)
 	if err != nil || out != Hit || string(v) != "payload" {
 		t.Fatalf("second Do = (%q, %v, %v), want hit", v, out, err)
 	}
@@ -88,12 +88,12 @@ func TestErrorsAreSharedButNotCached(t *testing.T) {
 	}
 	boom := errors.New("boom")
 	calls := 0
-	_, out, err := c.Do(context.Background(), "k", func(context.Context) ([]byte, error) { calls++; return nil, boom })
+	_, out, err := c.Do(context.Background(), "k", 0, func(context.Context) ([]byte, error) { calls++; return nil, boom })
 	if !errors.Is(err, boom) || out != Miss {
 		t.Fatalf("failed Do = (%v, %v), want miss with boom", out, err)
 	}
 	// The failure was not cached: the next call re-evaluates and can succeed.
-	v, out, err := c.Do(context.Background(), "k", func(context.Context) ([]byte, error) { calls++; return []byte("ok"), nil })
+	v, out, err := c.Do(context.Background(), "k", 0, func(context.Context) ([]byte, error) { calls++; return []byte("ok"), nil })
 	if err != nil || out != Miss || string(v) != "ok" {
 		t.Fatalf("retry Do = (%q, %v, %v), want fresh miss", v, out, err)
 	}
@@ -117,7 +117,7 @@ func TestDoLeaderPanicDoesNotPoisonKey(t *testing.T) {
 	entered, release := make(chan struct{}), make(chan struct{})
 	leaderErr := make(chan error, 1)
 	go func() {
-		_, _, err := c.Do(context.Background(), "k", func(context.Context) ([]byte, error) {
+		_, _, err := c.Do(context.Background(), "k", 0, func(context.Context) ([]byte, error) {
 			close(entered)
 			<-release
 			panic("boom")
@@ -127,7 +127,7 @@ func TestDoLeaderPanicDoesNotPoisonKey(t *testing.T) {
 	<-entered
 	waiterErr := make(chan error, 1)
 	go func() {
-		_, out, err := c.Do(context.Background(), "k", func(context.Context) ([]byte, error) {
+		_, out, err := c.Do(context.Background(), "k", 0, func(context.Context) ([]byte, error) {
 			return nil, errors.New("waiter must not evaluate")
 		})
 		if out != Coalesced {
@@ -149,7 +149,7 @@ func TestDoLeaderPanicDoesNotPoisonKey(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	v, out, err := c.Do(ctx, "k", func(context.Context) ([]byte, error) { return []byte("ok"), nil })
+	v, out, err := c.Do(ctx, "k", 0, func(context.Context) ([]byte, error) { return []byte("ok"), nil })
 	if err != nil || out != Miss || string(v) != "ok" {
 		t.Fatalf("Do after panic = (%q, %v, %v), want a fresh miss", v, out, err)
 	}
@@ -162,7 +162,7 @@ func TestLRUEvictionOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	fill := func(k string) {
-		if _, _, err := c.Do(context.Background(), k, func(context.Context) ([]byte, error) { return []byte(k), nil }); err != nil {
+		if _, _, err := c.Do(context.Background(), k, 0, func(context.Context) ([]byte, error) { return []byte(k), nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -198,7 +198,7 @@ func TestZeroCapacityStillCoalesces(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, _, err := c.Do(context.Background(), "k", func(context.Context) ([]byte, error) {
+			v, _, err := c.Do(context.Background(), "k", 0, func(context.Context) ([]byte, error) {
 				evals.Add(1)
 				<-gate
 				return []byte("once"), nil
@@ -229,7 +229,7 @@ func TestZeroCapacityStillCoalesces(t *testing.T) {
 		t.Errorf("Len = %d, want 0 (storage disabled)", c.Len())
 	}
 	// Storage is off, so a later identical request recomputes.
-	if _, out, _ := c.Do(context.Background(), "k", func(context.Context) ([]byte, error) { evals.Add(1); return []byte("again"), nil }); out != Miss {
+	if _, out, _ := c.Do(context.Background(), "k", 0, func(context.Context) ([]byte, error) { evals.Add(1); return []byte("again"), nil }); out != Miss {
 		t.Errorf("post-drain Do outcome = %v, want miss", out)
 	}
 }
@@ -252,7 +252,7 @@ func TestConcurrentIdenticalRequestsCoalesce(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			<-start
-			v, _, err := c.Do(context.Background(), "hot", func(context.Context) ([]byte, error) {
+			v, _, err := c.Do(context.Background(), "hot", 0, func(context.Context) ([]byte, error) {
 				evals.Add(1)
 				return []byte("expensive result"), nil
 			})
@@ -301,7 +301,7 @@ func TestConcurrentMixedKeys(t *testing.T) {
 			for r := 0; r < rounds; r++ {
 				key := fmt.Sprintf("key-%d", (g*7+r)%50)
 				want := []byte("val-" + key)
-				v, _, err := c.Do(context.Background(), key, func(context.Context) ([]byte, error) { return want, nil })
+				v, _, err := c.Do(context.Background(), key, 0, func(context.Context) ([]byte, error) { return want, nil })
 				if err != nil {
 					t.Error(err)
 					return
@@ -316,5 +316,68 @@ func TestConcurrentMixedKeys(t *testing.T) {
 	wg.Wait()
 	if c.Len() > c.Capacity() {
 		t.Errorf("Len %d exceeds capacity %d", c.Len(), c.Capacity())
+	}
+}
+
+// TestTimeoutArmedOnlyOnMiss checks Do's timeout: the leader's context
+// carries it and a coalesced waiter gives up at it, while a hit returns
+// without consulting ctx (TestHitAllocs shows it arms no timer).
+func TestTimeoutArmedOnlyOnMiss(t *testing.T) {
+	c, _ := New(4)
+	const timeout = 50 * time.Millisecond
+	release := make(chan struct{})
+	started := make(chan struct{})
+	lead := make(chan error, 1)
+	go func() {
+		_, _, err := c.Do(context.Background(), "k", timeout, func(ctx context.Context) ([]byte, error) {
+			deadline, ok := ctx.Deadline()
+			if !ok || time.Until(deadline) > timeout {
+				return nil, fmt.Errorf("leader deadline %v (set %v), want within %v", deadline, ok, timeout)
+			}
+			close(started)
+			<-release
+			return []byte("v"), nil
+		})
+		lead <- err
+	}()
+	<-started
+	start := time.Now()
+	if _, out, err := c.Do(context.Background(), "k", 10*time.Millisecond, nil); out != Coalesced || !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("waiter = (%v, %v), want Coalesced and its own deadline", out, err)
+	}
+	if waited := time.Since(start); waited < 10*time.Millisecond {
+		t.Errorf("waiter gave up after %v, before its 10ms timeout", waited)
+	}
+	close(release)
+	if err := <-lead; err != nil {
+		t.Fatal(err)
+	}
+	// A context that is already done shows a hit never looks at it.
+	done, cancel := context.WithCancel(context.Background())
+	cancel()
+	if v, out, err := c.Do(done, "k", timeout, nil); out != Hit || err != nil || string(v) != "v" {
+		t.Errorf("hit = (%q, %v, %v), want the cached value", v, out, err)
+	}
+}
+
+// TestHitAllocs pins a cache hit at zero allocations, with a timeout
+// too: the timer a miss would arm is never made.
+func TestHitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	c, _ := New(4)
+	const key = "/v1/optimize\x00{\"workload\":\"MMM\",\"f\":0.9,\"design\":{\"kind\":\"sym\"}}"
+	if _, out, err := c.Do(context.Background(), key, 0, func(context.Context) ([]byte, error) { return []byte("v"), nil }); out != Miss || err != nil {
+		t.Fatalf("fill = (%v, %v)", out, err)
+	}
+	for _, timeout := range []time.Duration{0, time.Second} {
+		if got := testing.AllocsPerRun(100, func() {
+			if _, out, _ := c.Do(context.Background(), key, timeout, nil); out != Hit {
+				t.Fatalf("outcome %v, want a hit", out)
+			}
+		}); got != 0 {
+			t.Errorf("a hit with timeout %v allocates %.0f times, want 0", timeout, got)
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strconv"
 	"sync/atomic"
+	"time"
 
 	"github.com/calcm/heterosim/internal/baseurl"
 	"github.com/calcm/heterosim/internal/telemetry"
@@ -209,12 +210,13 @@ func (cl *Cluster) Peers() []string { return cl.ring.Peers() }
 // the live copy for the cluster — so a later owner outage can still be
 // served. When the fetch fails, fn computes locally (purity makes the
 // local copy correct) and fills the live tier; when both fail, retained
-// stale bytes are the last resort.
-func (cl *Cluster) Do(ctx context.Context, key string, fn func(ctx context.Context) ([]byte, error)) ([]byte, Outcome, error) {
+// stale bytes are the last resort. timeout is Cache.Do's: it bounds the
+// fetch and the fallback together, and a hit arms none.
+func (cl *Cluster) Do(ctx context.Context, key string, timeout time.Duration, fn func(ctx context.Context) ([]byte, error)) ([]byte, Outcome, error) {
 	if cl.IsLocal(key) {
-		return cl.cache.Do(ctx, key, fn)
+		return cl.cache.Do(ctx, key, timeout, fn)
 	}
-	return cl.cache.do(ctx, key, func(ctx context.Context) ([]byte, Outcome, error) {
+	return cl.cache.do(ctx, key, timeout, func(ctx context.Context) ([]byte, Outcome, error) {
 		pspan := telemetry.StartSpan(ctx, "peer")
 		val, outcome, err := cl.fetch(ctx, cl.ring.Owner(key), key)
 		pspan.End()

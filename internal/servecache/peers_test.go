@@ -146,13 +146,13 @@ func TestClusterLocalKeyUsesLocalCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	val, out, err := cl.Do(context.Background(), "k", func(context.Context) ([]byte, error) {
+	val, out, err := cl.Do(context.Background(), "k", 0, func(context.Context) ([]byte, error) {
 		return []byte("v"), nil
 	})
 	if err != nil || string(val) != "v" || out != Miss {
 		t.Fatalf("Do = %q, %v, %v", val, out, err)
 	}
-	_, out, _ = cl.Do(context.Background(), "k", nil)
+	_, out, _ = cl.Do(context.Background(), "k", 0, nil)
 	if out != Hit {
 		t.Fatalf("second Do outcome = %v, want Hit", out)
 	}
@@ -164,7 +164,7 @@ func TestClusterPeerFetch(t *testing.T) {
 		fetched.Add(1)
 		return []byte("owner-bytes"), "hit", nil
 	})
-	val, out, err := cl.Do(context.Background(), key, func(context.Context) ([]byte, error) {
+	val, out, err := cl.Do(context.Background(), key, 0, func(context.Context) ([]byte, error) {
 		t.Fatal("local compute despite reachable owner")
 		return nil, nil
 	})
@@ -188,7 +188,7 @@ func TestClusterPeerMissCounted(t *testing.T) {
 	cl, key := clusterPair(t, func(context.Context, string, string) ([]byte, string, error) {
 		return []byte("b"), "miss", nil
 	})
-	if _, _, err := cl.Do(context.Background(), key, nil); err != nil {
+	if _, _, err := cl.Do(context.Background(), key, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	if st := cl.Stats(); st.Misses != 1 || st.Hits != 0 {
@@ -213,7 +213,7 @@ func TestClusterCoalescesFetches(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, out, err := cl.Do(context.Background(), key, nil)
+			_, out, err := cl.Do(context.Background(), key, 0, nil)
 			if err != nil {
 				t.Error(err)
 			}
@@ -258,7 +258,7 @@ func TestClusterFetchFailureFallsBackToLocalCompute(t *testing.T) {
 		computes.Add(1)
 		return []byte("local"), nil
 	}
-	val, out, err := cl.Do(context.Background(), key, fn)
+	val, out, err := cl.Do(context.Background(), key, 0, fn)
 	if err != nil || string(val) != "local" || out != Miss {
 		t.Fatalf("Do = %q, %v, %v", val, out, err)
 	}
@@ -267,7 +267,7 @@ func TestClusterFetchFailureFallsBackToLocalCompute(t *testing.T) {
 		t.Fatalf("stats = %+v", st)
 	}
 	// During the outage the local copy serves as a plain hit.
-	_, out, err = cl.Do(context.Background(), key, fn)
+	_, out, err = cl.Do(context.Background(), key, 0, fn)
 	if err != nil || out != Hit {
 		t.Fatalf("second Do = %v, %v", out, err)
 	}
@@ -289,14 +289,14 @@ func TestClusterCacheCountersOnPeerPath(t *testing.T) {
 		return nil, "", errors.New("connection refused")
 	})
 	fn := func(context.Context) ([]byte, error) { return []byte("local"), nil }
-	if _, out, err := cl.Do(context.Background(), key, fn); err != nil || out != Peer {
+	if _, out, err := cl.Do(context.Background(), key, 0, fn); err != nil || out != Peer {
 		t.Fatalf("fetch Do = %v, %v, want Peer", out, err)
 	}
 	if st := cl.cache.Stats(); st.Misses != 0 || st.Inflight != 0 {
 		t.Fatalf("after a peer fetch: misses=%d inflight=%d, want 0/0", st.Misses, st.Inflight)
 	}
 	healthy = false
-	if _, out, err := cl.Do(context.Background(), key, fn); err != nil || out != Miss {
+	if _, out, err := cl.Do(context.Background(), key, 0, fn); err != nil || out != Miss {
 		t.Fatalf("fallback Do = %v, %v, want Miss", out, err)
 	}
 	if st := cl.cache.Stats(); st.Misses != 1 || st.Inflight != 0 {
@@ -316,7 +316,7 @@ func TestClusterFallbackLeaderPanicDoesNotPoisonKey(t *testing.T) {
 	entered, release := make(chan struct{}), make(chan struct{})
 	leaderErr := make(chan error, 1)
 	go func() {
-		_, _, err := cl.Do(context.Background(), key, func(context.Context) ([]byte, error) {
+		_, _, err := cl.Do(context.Background(), key, 0, func(context.Context) ([]byte, error) {
 			close(entered)
 			<-release
 			panic("boom")
@@ -326,7 +326,7 @@ func TestClusterFallbackLeaderPanicDoesNotPoisonKey(t *testing.T) {
 	<-entered
 	waiterErr := make(chan error, 1)
 	go func() {
-		_, out, err := cl.Do(context.Background(), key, func(context.Context) ([]byte, error) {
+		_, out, err := cl.Do(context.Background(), key, 0, func(context.Context) ([]byte, error) {
 			return nil, errors.New("waiter must not evaluate")
 		})
 		if out != Coalesced {
@@ -351,7 +351,7 @@ func TestClusterFallbackLeaderPanicDoesNotPoisonKey(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	v, out, err := cl.Do(ctx, key, func(context.Context) ([]byte, error) { return []byte("ok"), nil })
+	v, out, err := cl.Do(ctx, key, 0, func(context.Context) ([]byte, error) { return []byte("ok"), nil })
 	if err != nil || out != Miss || string(v) != "ok" {
 		t.Fatalf("Do after panic = (%q, %v, %v), want a fresh miss", v, out, err)
 	}
@@ -377,13 +377,13 @@ func TestClusterPeerFetchPanicDoesNotPoisonKey(t *testing.T) {
 	}
 	leaderErr := make(chan error, 1)
 	go func() {
-		_, _, err := cl.Do(context.Background(), key, fn)
+		_, _, err := cl.Do(context.Background(), key, 0, fn)
 		leaderErr <- err
 	}()
 	<-entered
 	waiterErr := make(chan error, 1)
 	go func() {
-		_, out, err := cl.Do(context.Background(), key, fn)
+		_, out, err := cl.Do(context.Background(), key, 0, fn)
 		if out != Coalesced {
 			err = fmt.Errorf("waiter outcome %v, want coalesced (err %v)", out, err)
 		}
@@ -403,7 +403,7 @@ func TestClusterPeerFetchPanicDoesNotPoisonKey(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	v, out, err := cl.Do(ctx, key, fn)
+	v, out, err := cl.Do(ctx, key, 0, fn)
 	if err != nil || out != Peer || string(v) != "owner-bytes" {
 		t.Fatalf("Do after panic = (%q, %v, %v), want a fresh peer fetch", v, out, err)
 	}
@@ -422,11 +422,11 @@ func TestClusterStaleServeWhenOwnerAndComputeFail(t *testing.T) {
 		}
 		return nil, "", errors.New("blackholed")
 	})
-	if _, _, err := cl.Do(context.Background(), key, nil); err != nil {
+	if _, _, err := cl.Do(context.Background(), key, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	healthy = false
-	val, out, err := cl.Do(context.Background(), key, func(context.Context) ([]byte, error) {
+	val, out, err := cl.Do(context.Background(), key, 0, func(context.Context) ([]byte, error) {
 		return nil, errors.New("evaluation failed")
 	})
 	if err != nil || string(val) != "owner-bytes" || out != Stale {

@@ -65,7 +65,7 @@ func TestStaleUnderConcurrentExpiry(t *testing.T) {
 			// retain once churn evicts them.
 			for i := 0; i < tc.hot; i++ {
 				key := fmt.Sprintf("hot-%d", i)
-				if _, _, err := c.Do(context.Background(), key, func(context.Context) ([]byte, error) {
+				if _, _, err := c.Do(context.Background(), key, 0, func(context.Context) ([]byte, error) {
 					return []byte(value(key)), nil
 				}); err != nil {
 					t.Fatal(err)
@@ -86,7 +86,7 @@ func TestStaleUnderConcurrentExpiry(t *testing.T) {
 					go func() {
 						defer hotWG.Done()
 						for r := 0; r < tc.rounds; r++ {
-							v, out, err := c.Do(ctx, key, func(context.Context) ([]byte, error) {
+							v, out, err := c.Do(ctx, key, 0, func(context.Context) ([]byte, error) {
 								if n := calls.Add(1); tc.failRate == 1 || n%int64(tc.failRate) == 0 {
 									return nil, errTransient
 								}
@@ -132,7 +132,7 @@ func TestStaleUnderConcurrentExpiry(t *testing.T) {
 						default:
 						}
 						key := fmt.Sprintf("cold-%d-%d", g, n)
-						if _, _, err := c.Do(ctx, key, func(context.Context) ([]byte, error) {
+						if _, _, err := c.Do(ctx, key, 0, func(context.Context) ([]byte, error) {
 							return []byte(value(key)), nil
 						}); err != nil {
 							errCh <- fmt.Errorf("churn %s: %w", key, err)
@@ -208,7 +208,7 @@ func TestStaleEntryEvictedWhileWaitersBlocked(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, _, _ = c.Do(context.Background(), "a", func(context.Context) ([]byte, error) {
+		_, _, _ = c.Do(context.Background(), "a", 0, func(context.Context) ([]byte, error) {
 			close(started)
 			<-release
 			return nil, errTransient
@@ -221,7 +221,7 @@ func TestStaleEntryEvictedWhileWaitersBlocked(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, out, err := c.Do(context.Background(), "a", func(context.Context) ([]byte, error) {
+			v, out, err := c.Do(context.Background(), "a", 0, func(context.Context) ([]byte, error) {
 				return nil, errTransient
 			})
 			switch {

@@ -10,7 +10,7 @@ import (
 // fill inserts key -> key bytes through the miss path.
 func fill(t *testing.T, c *Cache, key string) {
 	t.Helper()
-	_, out, err := c.Do(context.Background(), key, func(context.Context) ([]byte, error) {
+	_, out, err := c.Do(context.Background(), key, 0, func(context.Context) ([]byte, error) {
 		return []byte(key), nil
 	})
 	if err != nil || out != Miss {
@@ -34,7 +34,7 @@ func TestStaleServedAfterEvictionOnError(t *testing.T) {
 	}
 
 	boom := errors.New("transient failure")
-	v, out, err := c.Do(context.Background(), "a", func(context.Context) ([]byte, error) {
+	v, out, err := c.Do(context.Background(), "a", 0, func(context.Context) ([]byte, error) {
 		return nil, boom
 	})
 	if err != nil {
@@ -48,7 +48,7 @@ func TestStaleServedAfterEvictionOnError(t *testing.T) {
 	}
 
 	// A key with no retained copy still surfaces the evaluation error.
-	if _, _, err := c.Do(context.Background(), "never-seen", func(context.Context) ([]byte, error) {
+	if _, _, err := c.Do(context.Background(), "never-seen", 0, func(context.Context) ([]byte, error) {
 		return nil, boom
 	}); !errors.Is(err, boom) {
 		t.Errorf("unretained key returned %v, want the evaluation error", err)
@@ -107,7 +107,7 @@ func TestCoalescedWaiterDeadlineFallsBackToStale(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
 	go func() {
-		c.Do(context.Background(), "a", func(context.Context) ([]byte, error) {
+		c.Do(context.Background(), "a", 0, func(context.Context) ([]byte, error) {
 			close(started)
 			<-release
 			return []byte("fresh"), nil
@@ -117,7 +117,7 @@ func TestCoalescedWaiterDeadlineFallsBackToStale(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
-	v, out, err := c.Do(ctx, "a", func(context.Context) ([]byte, error) {
+	v, out, err := c.Do(ctx, "a", 0, func(context.Context) ([]byte, error) {
 		t.Error("waiter must coalesce, not evaluate")
 		return nil, nil
 	})
@@ -129,7 +129,7 @@ func TestCoalescedWaiterDeadlineFallsBackToStale(t *testing.T) {
 	// context error instead of hanging.
 	started2 := make(chan struct{})
 	go func() {
-		c.Do(context.Background(), "c", func(context.Context) ([]byte, error) {
+		c.Do(context.Background(), "c", 0, func(context.Context) ([]byte, error) {
 			close(started2)
 			<-release
 			return []byte("c"), nil
@@ -138,7 +138,7 @@ func TestCoalescedWaiterDeadlineFallsBackToStale(t *testing.T) {
 	<-started2
 	ctx2, cancel2 := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel2()
-	if _, _, err := c.Do(ctx2, "c", func(context.Context) ([]byte, error) {
+	if _, _, err := c.Do(ctx2, "c", 0, func(context.Context) ([]byte, error) {
 		return nil, nil
 	}); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("expired waiter with no stale copy returned %v, want DeadlineExceeded", err)

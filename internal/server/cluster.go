@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"time"
 
 	"github.com/calcm/heterosim/internal/servecache"
 	"github.com/calcm/heterosim/internal/telemetry"
@@ -133,12 +134,13 @@ func splitKey(key string) (path, body string, ok bool) {
 
 // lookup routes one keyed model evaluation: the local cache when
 // single-node or when this request already crossed a peer boundary
-// (the single-hop guarantee), the cluster tier otherwise.
-func (s *Server) lookup(r *http.Request, ctx context.Context, key string, fn func(ctx context.Context) ([]byte, error)) ([]byte, servecache.Outcome, error) {
+// (the single-hop guarantee), the cluster tier otherwise. A positive
+// timeout bounds the wait or the lead on a miss (servecache.Cache.Do).
+func (s *Server) lookup(ctx context.Context, r *http.Request, key string, timeout time.Duration, fn func(ctx context.Context) ([]byte, error)) ([]byte, servecache.Outcome, error) {
 	if s.cluster == nil || r.Header.Get(headerPeerHop) != "" {
-		return s.cache.Do(ctx, key, fn)
+		return s.cache.Do(ctx, key, timeout, fn)
 	}
-	return s.cluster.Do(ctx, key, fn)
+	return s.cluster.Do(ctx, key, timeout, fn)
 }
 
 // Cluster exposes the peer tier (nil when single-node), for tests and

@@ -50,7 +50,7 @@ func TestClusterNonOwnerRetainsExactBytes(t *testing.T) {
 		}
 		// A failing evaluation makes the cache fall back to the bytes
 		// the peer fetch retained.
-		kept, outcome, err := a.cache.Do(context.Background(), key, func(context.Context) ([]byte, error) {
+		kept, outcome, err := a.cache.Do(context.Background(), key, 0, func(context.Context) ([]byte, error) {
 			return nil, errors.New("evaluation refused")
 		})
 		if err != nil || outcome != servecache.Stale {

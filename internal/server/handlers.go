@@ -72,9 +72,14 @@ func init() {
 // the buffered form (the stream on a stream-only route), "ndjson" the
 // stream. On a route with no stream form any value is a 400 naming the
 // route, and on a streaming route any other value is a 400, so the
-// parameter is never silently ignored.
+// parameter is never silently ignored. A request with no query string
+// skips the parse.
 func (rt *route) wantsStream(r *http.Request) (bool, error) {
-	switch v := r.URL.Query().Get("stream"); {
+	v := ""
+	if r.URL.RawQuery != "" {
+		v = r.URL.Query().Get("stream")
+	}
+	switch {
 	case v == "":
 		return rt.serve == nil, nil
 	case rt.stream == nil:
@@ -134,37 +139,61 @@ func resolveModel(name *string, params *json.RawMessage, alpha float64, env engi
 		_, err := pollack.New(alpha)
 		return nil, badRequest("%v", err)
 	}
-	canon, err := model.Canonical(*name)
+	canon, err := canonicalModel(name, env)
 	if err != nil {
-		return nil, badRequest("%v", err)
+		return nil, err
 	}
-	env.ReportModel(canon)
 	m, cp, err := model.New(canon, alpha, 0, *params)
 	if err != nil {
 		return nil, badRequest("model %s: %v", canon, err)
 	}
-	if canon == model.DefaultName {
-		canon = "" // chung takes no params, so cp is already nil
-	}
-	*name, *params = canon, cp
+	storeModel(name, params, canon, cp)
 	return m, nil
 }
 
 // resolveModelFactory is resolveModel for the projection operations
-// (project, scenario, ablation): construction is deferred behind a
-// model.Factory so configuration transforms applied later — scenario
-// 6's alpha override, the ablation's MaxR pinning — reach the backend.
-// The pair is still validated and canonicalized here, at request
-// decode time; the default backend gets a nil factory, which the
-// projection resolves to chung itself.
+// (project, scenario, compare, frontier, ablation): construction is
+// deferred behind a model.Factory so configuration transforms applied
+// later — scenario 6's alpha override, the ablation's MaxR pinning —
+// reach the backend. The params are decoded, validated and
+// canonicalized once, here, at request decode time; each projection
+// then only applies (alpha, maxR). The default backend gets a nil
+// factory, which the projection resolves to chung itself.
 func resolveModelFactory(name *string, params *json.RawMessage, env engine.Env) (model.Factory, error) {
-	if _, err := resolveModel(name, params, 0, env); err != nil {
+	canon, err := canonicalModel(name, env)
+	if err != nil {
 		return nil, err
 	}
+	mk, cp, err := model.Configure(canon, *params)
+	if err != nil {
+		return nil, badRequest("model %s: %v", canon, err)
+	}
+	storeModel(name, params, canon, cp)
 	if *name == "" {
 		return nil, nil
 	}
-	return model.NewFactory(*name, *params), nil
+	return mk, nil
+}
+
+// canonicalModel resolves a request's model name against the registry
+// and reports the backend to the serving layer.
+func canonicalModel(name *string, env engine.Env) (string, error) {
+	canon, err := model.Canonical(*name)
+	if err != nil {
+		return "", badRequest("%v", err)
+	}
+	env.ReportModel(canon)
+	return canon, nil
+}
+
+// storeModel writes the canonical pair back into the request, the
+// default backend as the omitted form (chung takes no params, so cp is
+// already nil).
+func storeModel(name *string, params *json.RawMessage, canon string, cp json.RawMessage) {
+	if canon == model.DefaultName {
+		canon = ""
+	}
+	*name, *params = canon, cp
 }
 
 // ModelsResponse is the GET /v1/models document: the registry's

@@ -26,10 +26,15 @@ type bodyMemo struct {
 	routes []map[string]memoEntry
 }
 
-// memoEntry is what Prepare derived from one body.
+// memoEntry is what Prepare derived from one body, plus the length of
+// the response the cache answered it with. The model is pure, so every
+// later answer for the key has that length; serveOp still compares it
+// before reusing the header value.
 type memoEntry struct {
-	key   string // canonical cache key
-	model string // resolved model backend, for the X-Heterosim-Model header
+	key    string   // canonical cache key
+	model  string   // resolved model backend, for the X-Heterosim-Model header
+	size   int      // response length
+	length []string // its Content-Length header value, shared by every hit
 }
 
 // memoMaxBytes bounds one entry's body plus its canonical key. The

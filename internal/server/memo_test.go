@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -73,8 +74,9 @@ func TestRepeatedBodyMatchesPrepare(t *testing.T) {
 				t.Fatalf("%s send %d = %+v, want %+v", op.Name(), i+1, got, want)
 			}
 		}
-		if e, ok := s.memo.get(routeIndex(t, op), []byte(body)); !ok || e != (memoEntry{key, model}) {
-			t.Errorf("%s: memo entry = %+v, %v; want Prepare's key and model %q", op.Name(), e, ok, model)
+		if e, ok := s.memo.get(routeIndex(t, op), []byte(body)); !ok || e.key != key || e.model != model ||
+			e.size != len(resp) || len(e.length) != 1 || e.length[0] != strconv.Itoa(len(resp)) {
+			t.Errorf("%s: memo entry = %+v, %v; want Prepare's key and model %q and length %d", op.Name(), e, ok, model, len(resp))
 		}
 		m := s.Snapshot()
 		wantCache := servecache.Stats{Hits: 2, Misses: 1, Entries: 1, Capacity: 4096, Shards: servecache.DefaultShards}
@@ -217,13 +219,14 @@ func TestMemoConcurrentRepeats(t *testing.T) {
 }
 
 // TestCachedRepeatAllocs pins the allocations of a repeated optimize
-// through the full handler, the request and recorder included. The
-// race detector changes allocation counts, so it skips under -race.
+// through the full handler, the request and recorder included: 26 with
+// go1.24, plus one of slack. The race detector changes allocation
+// counts, so it skips under -race.
 func TestCachedRepeatAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
-	const pin = 44
+	const pin = 27
 	s := newTestServer(t, Config{})
 	h := s.Handler()
 	send := func() {

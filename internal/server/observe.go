@@ -1,12 +1,15 @@
 package server
 
 import (
+	"context"
 	"io"
 	"log/slog"
 	"net/http"
 	"strings"
 	"time"
 
+	"github.com/calcm/heterosim/internal/model"
+	"github.com/calcm/heterosim/internal/servecache"
 	"github.com/calcm/heterosim/internal/telemetry"
 )
 
@@ -30,44 +33,107 @@ const (
 // backend without parsing bodies).
 const headerModel = "X-Heterosim-Model"
 
+// Response headers are written by their canonical key with value slices
+// shared by every response: a header costs no canonicalization and no
+// slice of its own. net/http only reads the slices (WriteHeader copies
+// the map it is handed), and the server never writes into one; each
+// has capacity 1, so even an append elsewhere would copy it first.
+var (
+	headerValueJSON = []string{"application/json"}
+	// headerValueCache is the X-Heterosim-Cache value per outcome.
+	headerValueCache = func() [servecache.Peer + 1][]string {
+		var t [servecache.Peer + 1][]string
+		for o := range t {
+			t[o] = []string{servecache.Outcome(o).String()}
+		}
+		return t
+	}()
+	// headerValueModel is the X-Heterosim-Model value per backend name.
+	headerValueModel = func() map[string][]string {
+		m := make(map[string][]string)
+		for _, name := range model.Names() {
+			m[name] = []string{name}
+		}
+		return m
+	}()
+)
+
+// The canonical spellings of the headers the serving path writes by key.
+const (
+	keyContentType   = "Content-Type"
+	keyContentLength = "Content-Length"
+	keyCache         = "X-Heterosim-Cache"
+)
+
+var keyRequestID = http.CanonicalHeaderKey(telemetry.HeaderRequestID)
+
+// setModelHeader writes the X-Heterosim-Model header for a resolved
+// backend name.
+func setModelHeader(h http.Header, name string) {
+	v, ok := headerValueModel[name]
+	if !ok {
+		v = []string{name}
+	}
+	h[headerModel] = v
+}
+
 // noopLogger swallows everything; it stands in when Config.Logger is
 // nil so the serving path never nil-checks.
 var noopLogger = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(127)}))
+
+// exchange is the per-request state observe keeps, in one allocation:
+// the response writer that records status and size, and the request
+// state the context carries.
+type exchange struct {
+	statusWriter
+	req telemetry.Request
+}
 
 // observe is the outermost middleware: it assigns the request ID
 // (accepted from X-Request-ID when well-formed, minted otherwise),
 // attaches the ID and the stage-histogram family to the context,
 // echoes the ID on the response, and emits exactly one structured log
-// line per request — even when a downstream handler aborts the
-// connection (the deferred log runs while the panic unwinds, then the
-// panic continues to net/http untouched).
+// line per request when the logger is enabled — even when a downstream
+// handler aborts the connection (the deferred log runs while the panic
+// unwinds, then the panic continues to net/http untouched).
 func (s *Server) observe(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		id := telemetry.SanitizeRequestID(r.Header.Get(telemetry.HeaderRequestID))
+		start := time.Now()
+		in := r.Header[keyRequestID]
+		id := ""
+		if len(in) > 0 {
+			id = telemetry.SanitizeRequestID(in[0])
+		}
 		if id == "" {
 			id = telemetry.NewRequestID()
 		}
-		ctx := telemetry.WithRequestID(r.Context(), id)
-		ctx = telemetry.WithStages(ctx, s.stageHist)
+		if len(in) != 1 || in[0] != id {
+			in = []string{id} // the echo reuses the request's slice only when it is exactly [id]
+		}
+		x := &exchange{statusWriter: statusWriter{ResponseWriter: w}, req: telemetry.Request{ID: id, Stages: s.stageHist}}
+		ctx := telemetry.WithRequest(r.Context(), &x.req)
 		r = r.WithContext(ctx)
-		w.Header().Set(telemetry.HeaderRequestID, id)
-		sw := &statusWriter{ResponseWriter: w}
-		start := time.Now()
-		defer func() {
-			s.logger.LogAttrs(ctx, slog.LevelInfo, "request",
-				slog.String("id", id),
-				slog.String("method", r.Method),
-				slog.String("path", r.URL.Path),
-				slog.Int("status", sw.status),
-				slog.Int64("bytes", sw.bytes),
-				slog.Bool("aborted", sw.status == 0),
-				slog.String("cache", sw.Header().Get("X-Heterosim-Cache")),
-				slog.String("model", sw.Header().Get(headerModel)),
-				slog.Float64("durMs", float64(time.Since(start))/float64(time.Millisecond)),
-			)
-		}()
-		next.ServeHTTP(sw, r)
+		w.Header()[keyRequestID] = in
+		if s.logger.Enabled(ctx, slog.LevelInfo) {
+			defer s.logRequest(ctx, r, &x.statusWriter, start)
+		}
+		next.ServeHTTP(&x.statusWriter, r)
 	})
+}
+
+// logRequest writes the access-log line for one request.
+func (s *Server) logRequest(ctx context.Context, r *http.Request, sw *statusWriter, start time.Time) {
+	s.logger.LogAttrs(ctx, slog.LevelInfo, "request",
+		slog.String("id", telemetry.RequestID(ctx)),
+		slog.String("method", r.Method),
+		slog.String("path", r.URL.Path),
+		slog.Int("status", sw.status),
+		slog.Int64("bytes", sw.bytes),
+		slog.Bool("aborted", sw.status == 0),
+		slog.String("cache", sw.Header().Get(keyCache)),
+		slog.String("model", sw.Header().Get(headerModel)),
+		slog.Float64("durMs", float64(time.Since(start))/float64(time.Millisecond)),
+	)
 }
 
 // statusWriter records the response status and size for the access log.
@@ -101,16 +167,12 @@ func (w *statusWriter) Flush() {
 	}
 }
 
-// timeEndpoint starts the per-endpoint latency clock; the returned stop
-// records into the request-duration family under the endpoint's name
-// (i indexes routes). Call it where the endpoint's request
-// counter increments, so histogram counts and the JSON counters always
-// agree.
-func (s *Server) timeEndpoint(i int) func() {
-	start := time.Now()
-	return func() {
-		s.reqHist.Observe(routes[i].name, time.Since(start))
-	}
+// observeEndpoint records one request's latency into the
+// request-duration family under route i's name. Defer it where the
+// endpoint's request counter increments, so histogram counts and the
+// JSON counters always agree.
+func (s *Server) observeEndpoint(i int, start time.Time) {
+	s.reqHist.Observe(routes[i].name, time.Since(start))
 }
 
 // wantsPrometheus decides the /metrics rendering: the explicit
@@ -163,6 +225,9 @@ func (s *Server) writePrometheus(w io.Writer) error {
 		{"heterosimd_admission_max_inflight", "gauge", "", "", int64(m.Admission.MaxInflight)},
 		{"heterosimd_admission_max_queue", "gauge", "", "", m.Admission.MaxQueue},
 		{"heterosimd_workers", "gauge", "", "", int64(m.Workers)},
+	}
+	if m.Panics > 0 {
+		samples = append(samples, counter{"heterosimd_panics_total", "counter", "", "", m.Panics})
 	}
 	if m.Peers != nil {
 		samples = append(samples,

@@ -171,7 +171,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		if preps[i].eval == nil {
 			return nil // already itemized as an error
 		}
-		resp, outcome, err := s.lookup(r, ctx, preps[i].key, func(ctx context.Context) ([]byte, error) {
+		resp, outcome, err := s.lookup(ctx, r, preps[i].key, 0, func(ctx context.Context) ([]byte, error) {
 			return s.evaluate(ctx, adm, items[i].Op, preps[i].eval)
 		})
 		if err != nil {

@@ -21,6 +21,7 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
+	"runtime/debug"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -171,6 +172,7 @@ type Server struct {
 	// new route gets its counter for free.
 	requests  []atomic.Int64
 	responses struct{ ok, clientErr, serverErr atomic.Int64 }
+	panics    atomic.Int64 // recovered by guard
 
 	// onEvaluate, when set (tests only), observes every actual model
 	// evaluation — after admission, on misses only — keyed by endpoint.
@@ -276,7 +278,7 @@ func (s *Server) handle(i int) http.HandlerFunc {
 	rt := &routes[i]
 	return func(w http.ResponseWriter, r *http.Request) {
 		s.requests[i].Add(1)
-		defer s.timeEndpoint(i)()
+		defer s.observeEndpoint(i, time.Now())
 		if rt.method == http.MethodGet {
 			rt.serve(s, w, r)
 			return
@@ -299,53 +301,60 @@ func (s *Server) handle(i int) http.HandlerFunc {
 // serveOp is the buffered pipeline of registry op op, served on route
 // i: prepare (strict decode + validation + canonical cache key),
 // coalescing lookup, admission (misses only — cached work is free and
-// must stay admissible under overload), per-request deadline, stale
-// fallback, and error-to-status mapping.
+// must stay admissible under overload), per-request deadline (misses
+// only: a hit arms no timer), stale fallback, and error-to-status
+// mapping.
 //
 // A body the memo remembers skips Prepare: its key and model come from
 // the memo, and Prepare runs only if the lookup needs an evaluation,
 // inside the cache leader. A body that ran Prepare and was answered
-// from the cache is remembered for next time.
+// from the cache is remembered for next time, with its response's
+// Content-Length value.
 func (s *Server) serveOp(w http.ResponseWriter, r *http.Request, op engine.Op, i int) {
 	var body []byte
 	var entry memoEntry
 	var remembered bool
-	var eval func(context.Context) ([]byte, error)
+	var build func(context.Context) ([]byte, error)
 	if !s.prepare(w, r, func(b []byte, env engine.Env) (err error) {
 		body = b
 		if entry, remembered = s.memo.get(i, b); remembered {
 			env.ReportModel(entry.model)
-			eval = func(ctx context.Context) ([]byte, error) {
-				_, build, err := op.Prepare(b, engine.Env{Workers: env.Workers})
-				if err != nil {
-					return nil, err
-				}
-				return build(ctx)
-			}
 			return nil
 		}
-		entry.key, eval, err = op.Prepare(b, env)
+		entry.key, build, err = op.Prepare(b, env)
 		entry.model = env.Meta.Model
 		return err
 	}) {
 		return
 	}
-	ctx, cancel := s.withDeadline(r.Context())
-	defer cancel()
-	resp, outcome, err := s.lookup(r, ctx, entry.key, func(ctx context.Context) ([]byte, error) {
-		return s.evaluate(ctx, s.gate, op.Name(), eval)
+	resp, outcome, err := s.lookup(r.Context(), r, entry.key, s.cfg.RequestTimeout, func(ctx context.Context) ([]byte, error) {
+		return s.evaluate(ctx, s.gate, op.Name(), func(ctx context.Context) ([]byte, error) {
+			if build == nil { // a remembered body: Prepare runs only now
+				var err error
+				if _, build, err = op.Prepare(body, engine.Env{Workers: s.cfg.Workers}); err != nil {
+					return nil, err
+				}
+			}
+			return build(ctx)
+		})
 	})
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
+	encode := telemetry.StartSpan(r.Context(), stageEncode)
+	length := entry.length
+	if len(length) == 0 || entry.size != len(resp) {
+		length = []string{strconv.Itoa(len(resp))}
+	}
 	if outcome == servecache.Hit && !remembered {
+		entry.size, entry.length = len(resp), length
 		s.memo.put(i, body, entry)
 	}
-	encode := telemetry.StartSpan(ctx, stageEncode)
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Heterosim-Cache", outcome.String())
-	w.Header().Set("Content-Length", strconv.Itoa(len(resp)))
+	h := w.Header()
+	h[keyContentType] = headerValueJSON
+	h[keyCache] = headerValueCache[outcome]
+	h[keyContentLength] = length
 	s.responses.ok.Add(1)
 	w.Write(resp)
 	encode.End()
@@ -356,17 +365,20 @@ func (s *Server) serveOp(w http.ResponseWriter, r *http.Request, op engine.Op, i
 // engine.Meta through which Prepare reports the resolved model backend
 // for the response header and the access log (it never reaches cache
 // keys or response bodies). On failure it writes the error response
-// and returns false.
+// and returns false. A panic in decode is answered as a 500 (see
+// guard).
 func (s *Server) prepare(w http.ResponseWriter, r *http.Request, decode func(body []byte, env engine.Env) error) bool {
 	span := telemetry.StartSpan(r.Context(), stageDecode)
 	body, err := readBody(r)
 	meta := engine.Meta{}
 	if err == nil {
-		err = decode(body, engine.Env{Workers: s.cfg.Workers, Meta: &meta})
+		err = s.guard(r.Context(), "decode", func() error {
+			return decode(body, engine.Env{Workers: s.cfg.Workers, Meta: &meta})
+		})
 	}
 	span.End()
 	if meta.Model != "" {
-		w.Header().Set(headerModel, meta.Model)
+		setModelHeader(w.Header(), meta.Model)
 	}
 	if err != nil {
 		s.writeError(w, err)
@@ -375,9 +387,10 @@ func (s *Server) prepare(w http.ResponseWriter, r *http.Request, decode func(bod
 	return true
 }
 
-// withDeadline bounds one request end to end — queue wait plus
-// evaluation, a whole batch or a whole stream — by
-// Config.RequestTimeout, unless per-request deadlines are off.
+// withDeadline bounds a whole batch or a whole stream — queue wait plus
+// evaluation — by Config.RequestTimeout, unless per-request deadlines
+// are off. A buffered op hands the timeout to its cache lookup instead,
+// which arms it only on a miss.
 func (s *Server) withDeadline(ctx context.Context) (context.Context, context.CancelFunc) {
 	if s.cfg.RequestTimeout > 0 {
 		return context.WithTimeout(ctx, s.cfg.RequestTimeout)
@@ -405,17 +418,63 @@ func (s *Server) evaluate(ctx context.Context, adm admitter, name string, eval f
 		s.onEvaluate(name)
 	}
 	defer telemetry.StartSpan(ctx, stageEvaluate).End()
-	return eval(ctx)
+	var resp []byte
+	err := s.guard(ctx, name, func() (err error) {
+		resp, err = eval(ctx)
+		return err
+	})
+	return resp, err
+}
+
+// guard runs fn and turns a panic in it into an error, which classify
+// answers as a 500: one request's bug must not cost the connection, and
+// the key it panicked on stays free for the next request to evaluate
+// afresh. Each recovered panic is counted (heterosimd_panics_total) and
+// logged once with the request ID and the stack. http.ErrAbortHandler
+// is net/http's deliberate abort, not a bug, and goes on unwinding.
+func (s *Server) guard(ctx context.Context, where string, fn func() error) (err error) {
+	defer func() {
+		p := recover()
+		if p == nil {
+			return
+		}
+		if p == http.ErrAbortHandler {
+			panic(p)
+		}
+		s.panics.Add(1)
+		s.logger.LogAttrs(ctx, slog.LevelError, "panic recovered",
+			slog.String("id", telemetry.RequestID(ctx)),
+			slog.String("in", where),
+			slog.Any("panic", p),
+			slog.String("stack", string(debug.Stack())))
+		err = fmt.Errorf("%s panicked: %v", where, p)
+	}()
+	return fn()
 }
 
 // maxBodyBytes bounds request bodies; the largest legitimate request (a
 // dense sweep spec) is well under a kilobyte.
 const maxBodyBytes = 1 << 20
 
-// readBody slurps and bounds the request body.
+// readBody reads and bounds the request body. A declared Content-Length
+// is read in one exact-size buffer: net/http's body reader already stops
+// at the declared length and reports a short body, so only the bound is
+// checked here. A body of unknown length (or a declared 0, which a
+// hand-built request may carry over a non-empty body) is read through
+// http.MaxBytesReader.
 func readBody(r *http.Request) ([]byte, error) {
 	defer r.Body.Close()
-	body, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, maxBodyBytes))
+	var body []byte
+	var err error
+	switch n := r.ContentLength; {
+	case n > maxBodyBytes:
+		err = &http.MaxBytesError{Limit: maxBodyBytes}
+	case n > 0:
+		body = make([]byte, n)
+		_, err = io.ReadFull(r.Body, body)
+	default:
+		body, err = io.ReadAll(http.MaxBytesReader(nil, r.Body, maxBodyBytes))
+	}
 	if err != nil {
 		return nil, badRequest("reading body: %v", err)
 	}
@@ -486,7 +545,9 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 
 // Metrics is the /metrics document: expvar-style JSON with no external
 // dependencies. Peers appears only when the peer tier is configured,
-// so single-node documents keep their exact pre-cluster shape.
+// so single-node documents keep their exact pre-cluster shape, and
+// Panics only once a panic has been recovered, so a healthy server's
+// document keeps it too.
 type Metrics struct {
 	UptimeSeconds float64               `json:"uptimeSeconds"`
 	Version       version.Info          `json:"version"`
@@ -495,6 +556,7 @@ type Metrics struct {
 	Admission     gateStats             `json:"admission"`
 	Requests      map[string]int64      `json:"requests"`
 	Responses     map[string]int64      `json:"responses"`
+	Panics        int64                 `json:"panics,omitempty"`
 	Workers       int                   `json:"workers"`
 }
 
@@ -515,6 +577,7 @@ func (s *Server) Snapshot() Metrics {
 			"clientError": s.responses.clientErr.Load(),
 			"serverError": s.responses.serverErr.Load(),
 		},
+		Panics:  s.panics.Load(),
 		Workers: s.cfg.Workers,
 	}
 	if s.cluster != nil {

@@ -9,32 +9,57 @@ import (
 	"time"
 )
 
-// ctxKey keys the context values this package owns.
+// ctxKey keys the context value this package owns.
 type ctxKey int
 
-const (
-	stagesKey ctxKey = iota
-	requestIDKey
-)
+const requestKey ctxKey = 0
 
-// WithStages attaches a stage-duration family to the context, so code
-// downstream of a handler (the cache, the admission gate, the sweep
-// engine) can record spans without holding a reference to the server.
+// Request is the per-request state code downstream of a handler reads
+// from the context: the request ID and the stage-duration family that
+// spans record into. Both travel in one context value, so attaching
+// them costs one context and whatever holds the Request.
+type Request struct {
+	ID     string
+	Stages *Family
+}
+
+// WithRequest attaches r to the context. r must not change afterwards:
+// every goroutine holding the context reads it.
+func WithRequest(ctx context.Context, r *Request) context.Context {
+	return context.WithValue(ctx, requestKey, r)
+}
+
+// requestFrom returns the context's Request, or nil.
+func requestFrom(ctx context.Context) *Request {
+	if ctx == nil {
+		return nil
+	}
+	r, _ := ctx.Value(requestKey).(*Request)
+	return r
+}
+
+// WithStages attaches a stage-duration family to the context, keeping
+// its request ID, so code downstream of a handler (the cache, the
+// admission gate, the sweep engine) can record spans without holding a
+// reference to the server.
 func WithStages(ctx context.Context, f *Family) context.Context {
 	if f == nil {
 		return ctx
 	}
-	return context.WithValue(ctx, stagesKey, f)
+	r := &Request{Stages: f}
+	if cur := requestFrom(ctx); cur != nil {
+		r.ID = cur.ID
+	}
+	return WithRequest(ctx, r)
 }
 
 // StagesFrom returns the context's stage family, or nil when none was
 // attached (spans become no-ops).
 func StagesFrom(ctx context.Context) *Family {
-	if ctx == nil {
-		return nil
+	if r := requestFrom(ctx); r != nil {
+		return r.Stages
 	}
-	f, _ := ctx.Value(stagesKey).(*Family)
-	return f
+	return nil
 }
 
 // Span measures one pipeline stage. The zero value (and any Span from a
@@ -104,19 +129,23 @@ func SanitizeRequestID(id string) string {
 	return id
 }
 
-// WithRequestID attaches a request ID to the context.
+// WithRequestID attaches a request ID to the context, keeping its stage
+// family.
 func WithRequestID(ctx context.Context, id string) context.Context {
 	if id == "" {
 		return ctx
 	}
-	return context.WithValue(ctx, requestIDKey, id)
+	r := &Request{ID: id}
+	if cur := requestFrom(ctx); cur != nil {
+		r.Stages = cur.Stages
+	}
+	return WithRequest(ctx, r)
 }
 
 // RequestID returns the context's request ID, or "".
 func RequestID(ctx context.Context) string {
-	if ctx == nil {
-		return ""
+	if r := requestFrom(ctx); r != nil {
+		return r.ID
 	}
-	id, _ := ctx.Value(requestIDKey).(string)
-	return id
+	return ""
 }
