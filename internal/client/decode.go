@@ -24,9 +24,7 @@ import (
 //
 //   - Slices are allocated once, at their exact length. An array decodes
 //     into a scratch slice kept with its plan and reused across calls,
-//     and at the ']' its elements are copied into the target. One decode
-//     keeps the scratch slices it has finished with, so later arrays of
-//     the same type in the body take them without the pool.
+//     and at the ']' its elements are copied into the target.
 //   - Strings are copied into one arena per body and handed out as
 //     substrings of it. Equal plain strings within one body share memory:
 //     a per-call table hands out the string already copied for an earlier
@@ -255,9 +253,7 @@ func decodeJSON(data []byte, v any) error {
 		return err
 	}
 	d := decoder{data: data}
-	err = d.value(p, rv.Elem())
-	d.release()
-	if err != nil {
+	if err := d.value(p, rv.Elem()); err != nil {
 		return err
 	}
 	if d.space(); d.off < len(d.data) {
@@ -275,61 +271,14 @@ type syntaxError struct {
 func (e *syntaxError) Error() string { return fmt.Sprintf("%s (offset %d)", e.msg, e.off) }
 
 // decoder is one pass over data; depth counts the open arrays and
-// objects, arena holds the bytes of every string decoded so far, strs
-// some of those strings (see intern), and held the scratch slices of
-// finished arrays (see scratch).
+// objects, arena holds the bytes of every string decoded so far, and
+// strs some of those strings (see intern).
 type decoder struct {
 	data  []byte
 	off   int
 	depth int
 	arena strings.Builder
 	strs  [64]string
-	held  [4]heldScratch
-}
-
-// heldScratch is a scratch slice of plan p that one decode has finished
-// with and keeps for its next array of the same type.
-type heldScratch struct {
-	p *plan
-	s *reflect.Value
-}
-
-// scratch takes an empty scratch slice for an array of p: one this
-// decode holds, else one from p's pool, else a new one.
-func (d *decoder) scratch(p *plan) *reflect.Value {
-	for i := range d.held {
-		if h := &d.held[i]; h.p == p {
-			s := h.s
-			*h = heldScratch{}
-			return s
-		}
-	}
-	if s, _ := p.scratch.Get().(*reflect.Value); s != nil {
-		return s
-	}
-	s := reflect.New(p.typ).Elem()
-	return &s
-}
-
-// keep holds a cleared scratch slice of p for the rest of this decode,
-// or returns it to p's pool when every slot is taken.
-func (d *decoder) keep(p *plan, s *reflect.Value) {
-	for i := range d.held {
-		if h := &d.held[i]; h.p == nil {
-			*h = heldScratch{p, s}
-			return
-		}
-	}
-	p.scratch.Put(s)
-}
-
-// release returns the scratch slices this decode holds to their pools.
-func (d *decoder) release() {
-	for _, h := range d.held {
-		if h.p != nil {
-			h.p.scratch.Put(h.s)
-		}
-	}
 }
 
 func (d *decoder) eof() error {
@@ -615,7 +564,7 @@ func (d *decoder) mapObject(p *plan, v reflect.Value) error {
 const maxScratchBytes = 1 << 20
 
 // array decodes a JSON array into the slice v. The elements decode into
-// a scratch slice (see scratch), and at the ']' they are copied into v,
+// a scratch slice from p's pool, and at the ']' they are copied into v,
 // which is allocated once, at the array's length, when its capacity is
 // short. An empty array sets v to p's shared empty slice.
 //
@@ -624,7 +573,7 @@ const maxScratchBytes = 1 << 20
 // elements past the length, which a longer one reuses. So the scratch
 // starts from a copy of all of them, and v keeps its backing array when
 // it holds the array. A nested array of the same type, which no client
-// type has, takes a second scratch slice.
+// type has, takes a second scratch slice from the pool.
 func (d *decoder) array(p *plan, v reflect.Value) error {
 	if err := d.open(); err != nil {
 		return err
@@ -633,7 +582,11 @@ func (d *decoder) array(p *plan, v reflect.Value) error {
 		v.Set(p.empty)
 		return nil
 	}
-	sp := d.scratch(p)
+	sp, _ := p.scratch.Get().(*reflect.Value)
+	if sp == nil {
+		s := reflect.New(p.typ).Elem()
+		sp = &s
+	}
 	s := *sp
 	if c := v.Cap(); c > 0 {
 		v.SetLen(c)
@@ -649,8 +602,8 @@ func (d *decoder) array(p *plan, v reflect.Value) error {
 			}
 			s.SetLen(n + 1)
 		}
-		// On an error the scratch slice is not kept, so what it holds
-		// does not matter.
+		// On an error the scratch slice is not returned to the pool, so
+		// what it holds does not matter.
 		if err := d.value(p.elem, s.Index(n)); err != nil {
 			return err
 		}
@@ -672,7 +625,7 @@ func (d *decoder) array(p *plan, v reflect.Value) error {
 	if s.Cap()*int(p.elem.typ.Size()) <= maxScratchBytes {
 		s.Clear()
 		s.SetLen(0)
-		d.keep(p, sp)
+		p.scratch.Put(sp)
 	}
 	return nil
 }

@@ -181,15 +181,11 @@ func Lookup(name string) (Backend, error) {
 // paper's sweep bound (16). The returned RawMessage is the canonical
 // parameter encoding (nil when the backend takes none).
 func New(name string, alpha float64, maxR int, params json.RawMessage) (Model, json.RawMessage, error) {
-	b, err := Lookup(name)
+	mk, canon, err := Configure(name, params)
 	if err != nil {
 		return nil, nil, err
 	}
-	mk, canon, err := b.Configure(params)
-	if err != nil {
-		return nil, nil, err
-	}
-	m, err := mk(withDefaults(alpha, maxR))
+	m, err := mk(alpha, maxR)
 	if err != nil {
 		return nil, nil, err
 	}

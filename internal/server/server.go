@@ -456,12 +456,18 @@ func (s *Server) guard(ctx context.Context, where string, fn func() error) (err 
 // dense sweep spec) is well under a kilobyte.
 const maxBodyBytes = 1 << 20
 
-// readBody reads and bounds the request body. A declared Content-Length
-// is read in one exact-size buffer: net/http's body reader already stops
-// at the declared length and reports a short body, so only the bound is
-// checked here. A body of unknown length (or a declared 0, which a
-// hand-built request may carry over a non-empty body) is read through
-// http.MaxBytesReader.
+// maxExactBodyBytes bounds the buffer readBody allocates from a declared
+// Content-Length before any body byte has arrived. Above it the body
+// grows only as its bytes come in, so a client that declares a large
+// body and stalls pins no more than this.
+const maxExactBodyBytes = 64 << 10
+
+// readBody reads and bounds the request body. A small declared
+// Content-Length is read in one exact-size buffer: net/http's body
+// reader already stops at the declared length and reports a short body,
+// so only the bound is checked here. A larger body, one of unknown
+// length, or a declared 0 (which a hand-built request may carry over a
+// non-empty body) is read through http.MaxBytesReader.
 func readBody(r *http.Request) ([]byte, error) {
 	defer r.Body.Close()
 	var body []byte
@@ -469,7 +475,7 @@ func readBody(r *http.Request) ([]byte, error) {
 	switch n := r.ContentLength; {
 	case n > maxBodyBytes:
 		err = &http.MaxBytesError{Limit: maxBodyBytes}
-	case n > 0:
+	case n > 0 && n <= maxExactBodyBytes:
 		body = make([]byte, n)
 		_, err = io.ReadFull(r.Body, body)
 	default:

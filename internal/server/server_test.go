@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -430,5 +431,40 @@ func TestBufferedResponsesDeclareLength(t *testing.T) {
 		if got, want := rec.Header().Get("Content-Length"), strconv.Itoa(rec.Body.Len()); got != want {
 			t.Errorf("%s: Content-Length = %q, want %q", outcome, got, want)
 		}
+	}
+}
+
+// TestReadBodyDeclaredLengthAllocatesAsBytesArrive pins readBody's
+// exact-size read to small declared lengths: a client that declares a
+// large Content-Length and sends a short body (or stalls) must not get a
+// buffer of the declared size before its bytes arrive.
+func TestReadBodyDeclaredLengthAllocatesAsBytesArrive(t *testing.T) {
+	const short = `{"workload":"MMM"}`
+	var least uint64
+	var body []byte
+	var err error
+	for i := 0; i < 5; i++ {
+		req := httptest.NewRequest(http.MethodPost, "/v1/optimize", strings.NewReader(short))
+		req.ContentLength = maxBodyBytes
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		body, err = readBody(req)
+		runtime.ReadMemStats(&after)
+		if d := after.TotalAlloc - before.TotalAlloc; i == 0 || d < least {
+			least = d
+		}
+	}
+	if least >= maxExactBodyBytes {
+		t.Errorf("reading a %d-byte body declared as %d bytes allocated %d bytes, want < %d",
+			len(short), maxBodyBytes, least, maxExactBodyBytes)
+	}
+	if err != nil || string(body) != short {
+		t.Errorf("readBody = %q, %v; want the short body", body, err)
+	}
+
+	// A small declared length still takes the exact-size buffer.
+	req := httptest.NewRequest(http.MethodPost, "/v1/optimize", strings.NewReader(short))
+	if body, err := readBody(req); err != nil || string(body) != short || cap(body) != len(short) {
+		t.Errorf("readBody = %q (cap %d), %v; want the body in an exact-size buffer", body, cap(body), err)
 	}
 }

@@ -67,7 +67,7 @@ func TestRegistryConcurrentObserve(t *testing.T) {
 func TestSpanThroughContext(t *testing.T) {
 	r := NewRegistry()
 	stages := r.Family("stage_duration_seconds", "stage")
-	ctx := WithStages(context.Background(), stages)
+	ctx := WithRequest(context.Background(), &Request{Stages: stages})
 
 	sp := StartSpan(ctx, "decode")
 	time.Sleep(time.Millisecond)
@@ -89,9 +89,9 @@ func TestSpanThroughContext(t *testing.T) {
 	if StagesFrom(context.Background()) != nil || StagesFrom(nilCtx) != nil {
 		t.Error("StagesFrom on bare context must be nil")
 	}
-	// WithStages(nil family) must not poison the context.
-	if StagesFrom(WithStages(context.Background(), nil)) != nil {
-		t.Error("WithStages(nil) must stay a no-op context")
+	// A request without a family leaves spans no-ops.
+	if StagesFrom(WithRequest(context.Background(), &Request{ID: "a"})) != nil {
+		t.Error("a Request without Stages must give a nil family")
 	}
 }
 

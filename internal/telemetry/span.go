@@ -38,21 +38,6 @@ func requestFrom(ctx context.Context) *Request {
 	return r
 }
 
-// WithStages attaches a stage-duration family to the context, keeping
-// its request ID, so code downstream of a handler (the cache, the
-// admission gate, the sweep engine) can record spans without holding a
-// reference to the server.
-func WithStages(ctx context.Context, f *Family) context.Context {
-	if f == nil {
-		return ctx
-	}
-	r := &Request{Stages: f}
-	if cur := requestFrom(ctx); cur != nil {
-		r.ID = cur.ID
-	}
-	return WithRequest(ctx, r)
-}
-
 // StagesFrom returns the context's stage family, or nil when none was
 // attached (spans become no-ops).
 func StagesFrom(ctx context.Context) *Family {
