@@ -195,7 +195,7 @@ func TestBuildTable5MatchesPublished(t *testing.T) {
 // Figure 2 and Table 5. Both execute and verify every distinct kernel
 // input the records name, so a kernel that allocates per recursion node
 // or per loop level shows up here. The bound is about twice the measured
-// 280 (Figure 2) and 197 (Table 5) allocations; the input pins in sim
+// 254 (Figure 2) and 184 (Table 5) allocations; the input pins in sim
 // and measure, not this bound, catch an input verified twice.
 func TestReproductionAllocs(t *testing.T) {
 	s := newSim(t)
@@ -203,7 +203,7 @@ func TestReproductionAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const limit = 600
+	const limit = 500
 	for _, c := range []struct {
 		name string
 		run  func() error

@@ -181,11 +181,11 @@ func Lookup(name string) (Backend, error) {
 // paper's sweep bound (16). The returned RawMessage is the canonical
 // parameter encoding (nil when the backend takes none).
 func New(name string, alpha float64, maxR int, params json.RawMessage) (Model, json.RawMessage, error) {
-	mk, canon, err := Configure(name, params)
+	mk, canon, err := configure(name, params)
 	if err != nil {
 		return nil, nil, err
 	}
-	m, err := mk(alpha, maxR)
+	m, err := mk(withDefaults(alpha, maxR))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -215,17 +215,24 @@ type Factory func(alpha float64, maxR int) (Model, error)
 // — with New's defaults for alpha <= 0 and maxR <= 0 — without decoding
 // them again, plus the canonical parameter encoding.
 func Configure(name string, params json.RawMessage) (Factory, json.RawMessage, error) {
-	b, err := Lookup(name)
-	if err != nil {
-		return nil, nil, err
-	}
-	mk, canon, err := b.Configure(params)
+	mk, canon, err := configure(name, params)
 	if err != nil {
 		return nil, nil, err
 	}
 	return func(alpha float64, maxR int) (Model, error) {
 		return mk(withDefaults(alpha, maxR))
 	}, canon, nil
+}
+
+// configure is Configure without the defaulting wrapper: the backend's
+// own factory, which expects the defaults filled in. New fills them
+// itself, so it builds an instance without allocating the wrapper.
+func configure(name string, params json.RawMessage) (Factory, json.RawMessage, error) {
+	b, err := Lookup(name)
+	if err != nil {
+		return nil, nil, err
+	}
+	return b.Configure(params)
 }
 
 // NewFactory is Configure without the canonical encoding, for callers

@@ -442,3 +442,31 @@ func TestFactoryModelEqualsNew(t *testing.T) {
 		}
 	}
 }
+
+// modelSink keeps TestModelNewAllocs' instances on the heap, as a
+// caller's.
+var modelSink Model
+
+// TestModelNewAllocs pins what New costs per backend at its default
+// params, as the projection layer calls it for every projection: the
+// backend's own configuration and instance, and no wrapper around its
+// factory. The race detector changes allocation counts, so it skips
+// under -race.
+func TestModelNewAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	want := map[string]float64{"chung": 1, "multiamdahl": 6, "multiamdahl-thermal": 6, "sqrtm": 5}
+	for _, name := range Names() {
+		got := testing.AllocsPerRun(100, func() {
+			m, _, err := New(name, 0, 0, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			modelSink = m
+		})
+		if got != want[name] {
+			t.Errorf("New(%q) allocates %.0f times, want %.0f", name, got, want[name])
+		}
+	}
+}

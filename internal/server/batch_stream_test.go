@@ -407,3 +407,34 @@ func FuzzBatch(f *testing.F) {
 		``,
 	})
 }
+
+// TestBatchHitAllocs pins the allocations of a repeated two-item batch
+// whose items are both cache hits, through the full handler, the
+// request and recorder included: 92 with go1.24, plus one of slack. A
+// batch of hits arms no deadline timer, and its items report their
+// models without an allocation of their own. The race detector changes
+// allocation counts, so it skips under -race.
+func TestBatchHitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	const pin = 93
+	s := newTestServer(t, Config{})
+	h := s.Handler()
+	body := `{"items":[{"op":"optimize","request":` + sampleBodies["optimize"] +
+		`},{"op":"project","request":` + sampleBodies["project"] + `}]}`
+	send := func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/batch", strings.NewReader(body)))
+		if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"ok":2`) {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+	}
+	send()
+	send()
+	if got := testing.AllocsPerRun(200, send); got > pin {
+		t.Errorf("repeated all-hit batch allocates %.0f times, want <= %d", got, pin)
+	} else {
+		t.Logf("repeated all-hit batch allocates %.0f times", got)
+	}
+}

@@ -219,14 +219,14 @@ func TestMemoConcurrentRepeats(t *testing.T) {
 }
 
 // TestCachedRepeatAllocs pins the allocations of a repeated optimize
-// through the full handler, the request and recorder included: 26 with
+// through the full handler, the request and recorder included: 25 with
 // go1.24, plus one of slack. The race detector changes allocation
 // counts, so it skips under -race.
 func TestCachedRepeatAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
-	const pin = 27
+	const pin = 26
 	s := newTestServer(t, Config{})
 	h := s.Handler()
 	send := func() {

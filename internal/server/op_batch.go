@@ -5,9 +5,12 @@ import (
 	"encoding/json"
 	"net/http"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"github.com/calcm/heterosim/internal/engine"
 	"github.com/calcm/heterosim/internal/par"
+	"github.com/calcm/heterosim/internal/servecache"
 	"github.com/calcm/heterosim/internal/telemetry"
 )
 
@@ -75,9 +78,11 @@ type BatchResponse struct {
 // batchAdmission shares one gate slot across every evaluating item of
 // a batch. The first evaluation acquires; the batch handler releases
 // after the fan-out drains. A rejection is remembered so later items
-// fail fast with the same status instead of re-queueing.
+// fail fast with the same status instead of re-queueing. It carries the
+// batch's deadline too, which its items share as they share the slot.
 type batchAdmission struct {
-	gate *gate
+	gate     *gate
+	deadline batchDeadline
 
 	mu      sync.Mutex
 	release func() // non-nil: the batch holds its slot
@@ -107,6 +112,37 @@ func (a *batchAdmission) done() {
 	}
 }
 
+// batchDeadline is a batch's one deadline, mirroring one request's:
+// Config.RequestTimeout from the first item that misses the live cache,
+// so a batch whose items all hit arms no timer. Each item's lookup arms
+// its own timer on a miss, set to what is left of the batch's deadline
+// (all of it until an item has missed); an item that finds the deadline
+// passed fails as a standalone request past its deadline does.
+type batchDeadline struct {
+	timeout time.Duration // zero: deadlines are off
+	at      atomic.Int64  // the deadline in Unix nanoseconds; 0 until armed
+}
+
+// arm starts the deadline unless an item already has.
+func (d *batchDeadline) arm() {
+	if d.timeout > 0 && d.at.Load() == 0 {
+		d.at.CompareAndSwap(0, time.Now().Add(d.timeout).UnixNano())
+	}
+}
+
+// left returns the timeout the next item's lookup arms on a miss, or
+// the deadline error once the deadline has passed.
+func (d *batchDeadline) left() (time.Duration, error) {
+	at := d.at.Load()
+	if at == 0 {
+		return d.timeout, nil
+	}
+	if left := time.Until(time.Unix(0, at)); left > 0 {
+		return left, nil
+	}
+	return 0, context.DeadlineExceeded
+}
+
 // fail records an item's failure as the classifier answers it.
 func (it *BatchItemResponse) fail(err error) {
 	ae := classify(err)
@@ -118,22 +154,25 @@ func (it *BatchItemResponse) fail(err error) {
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// Prepare every item up front — decode once, before any evaluation —
 	// so validation failures are itemized without costing a gate slot.
+	// Each item's Prepare reports its model into the item's own meta,
+	// so the items share the one allocation of preps.
 	type prepared struct {
 		key  string
 		eval func(context.Context) ([]byte, error)
+		meta engine.Meta
 	}
 	var items []BatchItemResponse
 	var preps []prepared
-	if !s.prepare(w, r, func(body []byte, _ engine.Env) error {
+	if !s.prepare(w, r, func(body []byte, env engine.Env) (string, error) {
 		var req BatchRequest
 		if err := engine.DecodeStrict(body, &req); err != nil {
-			return err
+			return "", err
 		}
 		if len(req.Items) == 0 {
-			return badRequest("batch needs at least one item")
+			return "", badRequest("batch needs at least one item")
 		}
 		if len(req.Items) > maxBatchItems {
-			return badRequest("batch has %d items, limit %d: split the request", len(req.Items), maxBatchItems)
+			return "", badRequest("batch has %d items, limit %d: split the request", len(req.Items), maxBatchItems)
 		}
 		items = make([]BatchItemResponse, len(req.Items))
 		preps = make([]prepared, len(req.Items))
@@ -144,36 +183,44 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 				items[i].fail(badRequest("unknown op %q", it.Op))
 				continue
 			}
-			meta := engine.Meta{}
-			key, eval, err := op.Prepare(it.Request, engine.Env{Workers: s.cfg.Workers, Meta: &meta})
-			items[i].Model = meta.Model
+			p := &preps[i]
+			env.Meta = &p.meta
+			var err error
+			p.key, p.eval, err = op.Prepare(it.Request, env)
+			items[i].Model = p.meta.Model
 			if err != nil {
+				p.eval = nil
 				items[i].fail(err)
-				continue
 			}
-			preps[i] = prepared{key: key, eval: eval}
 		}
-		return nil
+		return "", nil
 	}) {
 		return
 	}
 
-	// One deadline bounds the whole batch, mirroring one request.
-	ctx, cancel := s.withDeadline(r.Context())
-	defer cancel()
-	adm := &batchAdmission{gate: s.gate}
+	ctx := r.Context()
+	adm := &batchAdmission{gate: s.gate, deadline: batchDeadline{timeout: s.cfg.RequestTimeout}}
 	defer adm.done()
+	dl := &adm.deadline
 	// Fan out through the bounded pool. Errors never propagate to
 	// ForEach — each item keeps its own — so one failing item cannot
-	// cancel its siblings; ForEach fails only when the deadline passes
-	// or the client leaves.
+	// cancel its siblings; ForEach fails only when the client leaves.
 	err := par.ForEach(ctx, len(items), s.cfg.Workers, func(ctx context.Context, i int) error {
 		if preps[i].eval == nil {
 			return nil // already itemized as an error
 		}
-		resp, outcome, err := s.lookup(ctx, r, preps[i].key, 0, func(ctx context.Context) ([]byte, error) {
+		timeout, err := dl.left()
+		if err != nil {
+			items[i].fail(err)
+			return nil
+		}
+		resp, outcome, err := s.lookup(ctx, r, preps[i].key, timeout, func(ctx context.Context) ([]byte, error) {
+			dl.arm()
 			return s.evaluate(ctx, adm, items[i].Op, preps[i].eval)
 		})
+		if outcome != servecache.Hit {
+			dl.arm()
+		}
 		if err != nil {
 			items[i].fail(err)
 			return nil

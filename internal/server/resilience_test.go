@@ -2,6 +2,8 @@ package server
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"testing"
@@ -115,5 +117,72 @@ func TestStaleServedEndToEnd(t *testing.T) {
 			t.Fatalf("replay = (%d, %q, %s), want hit or stale",
 				rec.Code, rec.Header().Get("X-Heterosim-Cache"), rec.Body.String())
 		}
+	}
+}
+
+// TestBatchDeadlineInQueueIs504: a batch whose items miss arms its one
+// deadline at the first miss, so with the only evaluation slot held its
+// items answer 504 once RequestTimeout has passed, as a standalone
+// request does, instead of queueing for the gate's own patience.
+func TestBatchDeadlineInQueueIs504(t *testing.T) {
+	s := newTestServer(t, Config{
+		MaxInflight:    1,
+		MaxQueue:       4,
+		QueueTimeout:   10 * time.Second, // queue patience outlives the request deadline
+		RequestTimeout: 30 * time.Millisecond,
+	})
+	release, status := s.gate.acquire(context.Background())
+	if status != 0 {
+		t.Fatalf("holding the only slot: status %d", status)
+	}
+	defer release()
+
+	start := time.Now()
+	rec := do(t, s, http.MethodPost, "/v1/batch", `{"items":[`+
+		`{"op":"optimize","request":{"workload":"MMM","f":0.93,"design":{"kind":"sym"}}},`+
+		`{"op":"optimize","request":{"workload":"MMM","f":0.94,"design":{"kind":"sym"}}}]}`)
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Errorf("batch took %v: its deadline was never armed", elapsed)
+	}
+	var resp BatchResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || rec.Code != http.StatusOK {
+		t.Fatalf("batch = %d %s", rec.Code, rec.Body)
+	}
+	for i, it := range resp.Items {
+		if it.Status != http.StatusGatewayTimeout {
+			t.Errorf("item %d = {%d, %q}, want 504", i, it.Status, it.Error)
+		}
+	}
+}
+
+// TestBatchDeadlineArmsOnce: a batch's deadline is unarmed (the whole
+// timeout left) until an item misses, is set by the first arm alone, and
+// once passed fails every later lookup with the deadline error; with
+// deadlines off nothing is ever armed.
+func TestBatchDeadlineArmsOnce(t *testing.T) {
+	off := batchDeadline{}
+	off.arm()
+	if left, err := off.left(); left != 0 || err != nil {
+		t.Errorf("deadlines off: left = %v, %v; want 0, nil", left, err)
+	}
+
+	const timeout = 40 * time.Millisecond
+	d := batchDeadline{timeout: timeout}
+	if left, err := d.left(); left != timeout || err != nil {
+		t.Errorf("unarmed: left = %v, %v; want %v, nil", left, err, timeout)
+	}
+	d.arm()
+	at := d.at.Load()
+	time.Sleep(time.Millisecond)
+	d.arm()
+	if d.at.Load() != at {
+		t.Error("a second arm moved the deadline")
+	}
+	if left, err := d.left(); left <= 0 || left >= timeout || err != nil {
+		t.Errorf("armed: left = %v, %v; want within (0, %v), nil", left, err, timeout)
+	}
+	time.Sleep(timeout)
+	if _, err := d.left(); !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("passed: err = %v, want %v", err, context.DeadlineExceeded)
 	}
 }

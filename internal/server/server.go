@@ -315,15 +315,19 @@ func (s *Server) serveOp(w http.ResponseWriter, r *http.Request, op engine.Op, i
 	var entry memoEntry
 	var remembered bool
 	var build func(context.Context) ([]byte, error)
-	if !s.prepare(w, r, func(b []byte, env engine.Env) (err error) {
+	if !s.prepare(w, r, func(b []byte, env engine.Env) (string, error) {
 		body = b
 		if entry, remembered = s.memo.get(i, b); remembered {
-			env.ReportModel(entry.model)
-			return nil
+			return entry.model, nil
 		}
+		// Declared past the memo hit: Prepare's report escapes to the
+		// heap, and only a request that runs Prepare pays for it.
+		var meta engine.Meta
+		env.Meta = &meta
+		var err error
 		entry.key, build, err = op.Prepare(b, env)
-		entry.model = env.Meta.Model
-		return err
+		entry.model = meta.Model
+		return meta.Model, err
 	}) {
 		return
 	}
@@ -361,24 +365,25 @@ func (s *Server) serveOp(w http.ResponseWriter, r *http.Request, op engine.Op, i
 }
 
 // prepare is the decode step of every POST pipeline: it reads the body
-// and runs decode inside the decode span, with a per-request
-// engine.Meta through which Prepare reports the resolved model backend
-// for the response header and the access log (it never reaches cache
-// keys or response bodies). On failure it writes the error response
-// and returns false. A panic in decode is answered as a 500 (see
-// guard).
-func (s *Server) prepare(w http.ResponseWriter, r *http.Request, decode func(body []byte, env engine.Env) error) bool {
+// and runs decode inside the decode span. decode returns the resolved
+// model backend, which goes into the response header and the access log
+// (it never reaches cache keys or response bodies); a caller that runs
+// Prepare hands it an engine.Meta of its own to report through. On
+// failure prepare writes the error response and returns false. A panic
+// in decode is answered as a 500 (see guard).
+func (s *Server) prepare(w http.ResponseWriter, r *http.Request, decode func(body []byte, env engine.Env) (model string, err error)) bool {
 	span := telemetry.StartSpan(r.Context(), stageDecode)
 	body, err := readBody(r)
-	meta := engine.Meta{}
+	var model string
 	if err == nil {
-		err = s.guard(r.Context(), "decode", func() error {
-			return decode(body, engine.Env{Workers: s.cfg.Workers, Meta: &meta})
+		err = s.guard(r.Context(), "decode", func() (err error) {
+			model, err = decode(body, engine.Env{Workers: s.cfg.Workers})
+			return err
 		})
 	}
 	span.End()
-	if meta.Model != "" {
-		setModelHeader(w.Header(), meta.Model)
+	if model != "" {
+		setModelHeader(w.Header(), model)
 	}
 	if err != nil {
 		s.writeError(w, err)
@@ -387,10 +392,11 @@ func (s *Server) prepare(w http.ResponseWriter, r *http.Request, decode func(bod
 	return true
 }
 
-// withDeadline bounds a whole batch or a whole stream — queue wait plus
-// evaluation — by Config.RequestTimeout, unless per-request deadlines
-// are off. A buffered op hands the timeout to its cache lookup instead,
-// which arms it only on a miss.
+// withDeadline bounds a whole stream — queue wait plus evaluation — by
+// Config.RequestTimeout, unless per-request deadlines are off. A
+// buffered op hands the timeout to its cache lookup instead, which arms
+// it only on a miss, and a batch arms its one deadline at its first
+// miss (batchDeadline).
 func (s *Server) withDeadline(ctx context.Context) (context.Context, context.CancelFunc) {
 	if s.cfg.RequestTimeout > 0 {
 		return context.WithTimeout(ctx, s.cfg.RequestTimeout)

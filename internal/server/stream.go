@@ -86,9 +86,12 @@ var errStreamClientGone = errors.New("stream client gone")
 // request, checked the method and picked the stream form.
 func (s *Server) serveStream(w http.ResponseWriter, r *http.Request, op engine.StreamOp) {
 	var stream engine.StreamFunc
-	if !s.prepare(w, r, func(body []byte, env engine.Env) (err error) {
+	if !s.prepare(w, r, func(body []byte, env engine.Env) (string, error) {
+		var meta engine.Meta
+		env.Meta = &meta
+		var err error
 		stream, err = op.PrepareStream(body, env)
-		return err
+		return meta.Model, err
 	}) {
 		return
 	}

@@ -15,8 +15,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
+	"sync"
 
 	"github.com/calcm/heterosim/internal/device"
 	"github.com/calcm/heterosim/internal/paper"
@@ -55,9 +55,15 @@ type Simulator struct {
 	models map[paper.DeviceID]map[paper.WorkloadID]device.Model
 }
 
-// New builds a simulator over the full calibrated model set.
+// calibratedModels builds the calibrated model set once per process.
+// It is a pure function of compiled-in tables, and a Model's curve
+// points are unexported, so every Simulator shares the one set and only
+// reads it.
+var calibratedModels = sync.OnceValues(device.BuildModels)
+
+// New returns a simulator over the full calibrated model set.
 func New() (*Simulator, error) {
-	models, err := device.BuildModels()
+	models, err := calibratedModels()
 	if err != nil {
 		return nil, err
 	}
@@ -101,7 +107,8 @@ type Job struct {
 // against an independent reference exactly once, fanned out over the
 // shared worker pool, before any record is returned; the records are then
 // marked Executed, and an unverified kernel aborts the whole call.
-// Nothing is remembered between calls: a second Run verifies again.
+// No result is remembered between calls: a second Run executes and
+// verifies again, on the same process-wide operands (operandCache).
 func (s *Simulator) Run(jobs []Job, execute bool) ([]Record, error) {
 	out := make([]Record, len(jobs))
 	for i, j := range jobs {
@@ -305,44 +312,52 @@ func (in Input) cost() float64 {
 	}
 }
 
-// check executes the input's kernel and verifies its output.
-func (in Input) check() error {
+// check executes the input's kernel on the process-wide operands and
+// verifies its output.
+func (in Input) check() error { return checkOperands.check(in) }
+
+// check executes the input's kernel on the cache's operands for it and
+// verifies the output against an independent reference. The operands
+// are shared and read-only; every output, the reference's included, is
+// made afresh by each check.
+func (c *operandCache) check(in Input) error {
+	ops, err := c.get(in)
+	if err != nil {
+		return err
+	}
 	switch in.Kernel {
 	case KernelFFT:
-		return executeFFT(in.N)
+		return executeFFT(ops.signal)
 	case KernelMMM:
-		return executeMMM(in.N, in.Block)
+		return executeMMM(ops.a, ops.b, in.Block)
 	case KernelBS:
-		return executeBS(in.N)
+		return executeBS(ops.portfolio)
 	}
 	return fmt.Errorf("sim: unknown kernel %d", in.Kernel)
 }
 
-// executeFFT transforms a deterministic random signal through the planned
-// kernel and verifies it against the recursive reference.
-func executeFFT(n int) error {
-	rng := rand.New(rand.NewSource(int64(n)))
-	x := make([]complex128, n)
-	for i := range x {
-		x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-	}
+// executeFFT transforms the signal x through the planned kernel and
+// verifies it against the recursive reference.
+func executeFFT(x []complex128) error {
+	n := len(x)
 	want, err := fft.ForwardRecursive(x)
 	if err != nil {
 		return err
 	}
 	// Execute through the planned path (the production transform shape)
-	// and cross-check against the recursive reference. The reference has
-	// read x, so the planned transform runs on it in place. Each build
-	// checks a size once; the package-level plan cache makes the next
-	// build's check of the same size setup-free.
+	// and cross-check against the recursive reference. The planned
+	// transform works in place, so it runs on a copy: x is shared with
+	// every other check of n. The package-level plan cache makes every
+	// check after the first of a size setup-free.
 	plan, err := fft.PlanFor(n)
 	if err != nil {
 		return err
 	}
-	if err := plan.Execute(x); err != nil {
+	got := append([]complex128(nil), x...)
+	if err := plan.Execute(got); err != nil {
 		return err
 	}
-	diff, err := fft.MaxAbsDiff(x, want)
+	diff, err := fft.MaxAbsDiff(got, want)
 	if err != nil {
 		return err
 	}
@@ -352,22 +367,9 @@ func executeFFT(n int) error {
 	return nil
 }
 
-// executeMMM multiplies random matrices with the blocked parallel kernel
-// and verifies the product against the naive one.
-func executeMMM(n, block int) error {
-	rng := rand.New(rand.NewSource(int64(n)))
-	a, err := mmm.New(n, n)
-	if err != nil {
-		return err
-	}
-	b, err := mmm.New(n, n)
-	if err != nil {
-		return err
-	}
-	for i := range a.Data {
-		a.Data[i] = rng.NormFloat64()
-		b.Data[i] = rng.NormFloat64()
-	}
+// executeMMM multiplies a and b with the blocked parallel kernel and
+// verifies the product against the naive one.
+func executeMMM(a, b *mmm.Matrix, block int) error {
 	want, err := mmm.Naive(a, b)
 	if err != nil {
 		return err
@@ -376,19 +378,15 @@ func executeMMM(n, block int) error {
 	if err != nil {
 		return err
 	}
-	if !got.Equalish(want, 1e-8*float64(n)) {
+	if !got.Equalish(want, 1e-8*float64(a.Rows)) {
 		return errors.New("sim: MMM verification failed")
 	}
 	return nil
 }
 
-// executeBS prices a random portfolio in parallel and checks it against
-// serial pricing and put-call parity.
-func executeBS(count int) error {
-	opts, err := blackscholes.RandomPortfolio(count, int64(count))
-	if err != nil {
-		return err
-	}
+// executeBS prices a portfolio in parallel and checks it against serial
+// pricing and put-call parity.
+func executeBS(opts []blackscholes.Option) error {
 	par, err := blackscholes.PriceBatchParallel(opts, 0)
 	if err != nil {
 		return err

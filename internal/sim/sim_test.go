@@ -216,6 +216,18 @@ func TestGTX285FFTComputeBoundEverywhere(t *testing.T) {
 	}
 }
 
+// simSink keeps TestSimNewAllocs' simulators on the heap, as a caller's.
+var simSink *Simulator
+
+// TestSimNewAllocs: every simulator after the first shares the
+// calibrated model set, so New allocates the Simulator alone.
+func TestSimNewAllocs(t *testing.T) {
+	newSim(t)
+	if got := testing.AllocsPerRun(100, func() { simSink, _ = New() }); got != 1 {
+		t.Errorf("New allocates %.0f times, want 1 (the Simulator)", got)
+	}
+}
+
 func BenchmarkRunFFT1024(b *testing.B) {
 	s, err := New()
 	if err != nil {
