@@ -39,8 +39,8 @@ import (
 	"time"
 
 	"github.com/calcm/heterosim/internal/baseurl"
-	"github.com/calcm/heterosim/internal/engine"
 	"github.com/calcm/heterosim/internal/loadgen"
+	"github.com/calcm/heterosim/internal/server"
 )
 
 func main() {
@@ -305,7 +305,7 @@ func cmdCheck(args []string, out io.Writer) error {
 		return err
 	}
 	var sum loadgen.Summary
-	if err := engine.DecodeStrict(data, &sum); err != nil {
+	if err := server.DecodeStrict(data, &sum); err != nil {
 		return fmt.Errorf("%s: schema: %w", *summaryPath, err)
 	}
 	if err := sum.Check(); err != nil {

@@ -6,6 +6,7 @@ import (
 
 	"github.com/calcm/heterosim/internal/ablation"
 	"github.com/calcm/heterosim/internal/bounds"
+	"github.com/calcm/heterosim/internal/paper"
 	"github.com/calcm/heterosim/internal/report"
 	"github.com/calcm/heterosim/internal/sched"
 )
@@ -22,7 +23,7 @@ func cmdAblate(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	w, err := parseWorkload(*wname)
+	w, err := paper.ParseWorkload(*wname)
 	if err != nil {
 		return err
 	}

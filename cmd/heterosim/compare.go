@@ -30,7 +30,7 @@ func cmdCompare(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	w, err := parseWorkload(*wname)
+	w, err := paper.ParseWorkload(*wname)
 	if err != nil {
 		return err
 	}

@@ -7,6 +7,7 @@ import (
 
 	"github.com/calcm/heterosim/internal/bounds"
 	"github.com/calcm/heterosim/internal/core"
+	"github.com/calcm/heterosim/internal/paper"
 	"github.com/calcm/heterosim/internal/par"
 	"github.com/calcm/heterosim/internal/project"
 	"github.com/calcm/heterosim/internal/report"
@@ -32,7 +33,7 @@ func cmdFrontier(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	w, err := parseWorkload(*wname)
+	w, err := paper.ParseWorkload(*wname)
 	if err != nil {
 		return err
 	}

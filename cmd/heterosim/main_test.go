@@ -260,13 +260,15 @@ func TestFrontierSubcommand(t *testing.T) {
 	}
 }
 
+// TestParseWorkload: the CLI takes every workload spelling the HTTP API
+// takes (both go through paper.ParseWorkload).
 func TestParseWorkload(t *testing.T) {
-	for _, s := range []string{"MMM", "bs", "FFT", "fft-64", "FFT-16384"} {
-		if _, err := parseWorkload(s); err != nil {
-			t.Errorf("parseWorkload(%q): %v", s, err)
+	for _, s := range []string{"MMM", "bs", "FFT", "fft-64", "FFT-16384", "fft1024", "Mmm"} {
+		if _, err := capture(t, func() error { return run([]string{"project", "-workload", s}) }); err != nil {
+			t.Errorf("project -workload %s: %v", s, err)
 		}
 	}
-	if _, err := parseWorkload("LINPACK"); err == nil {
+	if err := run([]string{"project", "-workload", "LINPACK"}); err == nil {
 		t.Error("unknown workload must fail")
 	}
 }

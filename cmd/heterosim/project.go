@@ -20,23 +20,6 @@ import (
 	"github.com/calcm/heterosim/internal/sim"
 )
 
-func parseWorkload(s string) (paper.WorkloadID, error) {
-	switch s {
-	case "MMM", "mmm":
-		return paper.MMM, nil
-	case "BS", "bs", "blackscholes":
-		return paper.BS, nil
-	case "FFT-64", "fft-64":
-		return paper.FFT64, nil
-	case "FFT-1024", "fft-1024", "FFT", "fft":
-		return paper.FFT1024, nil
-	case "FFT-16384", "fft-16384":
-		return paper.FFT16384, nil
-	default:
-		return "", fmt.Errorf("unknown workload %q (want MMM, BS, FFT-64, FFT-1024, FFT-16384)", s)
-	}
-}
-
 func cmdCalibrate(args []string) error {
 	fs := newFlagSet("calibrate")
 	noise := fs.Float64("noise", 0, "relative probe noise (0 = ideal)")
@@ -96,7 +79,7 @@ func cmdProject(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	w, err := parseWorkload(*wname)
+	w, err := paper.ParseWorkload(*wname)
 	if err != nil {
 		return err
 	}
@@ -185,7 +168,7 @@ func cmdScenario(args []string) error {
 	if err := fs.Parse(args[1:]); err != nil {
 		return err
 	}
-	w, err := parseWorkload(*wname)
+	w, err := paper.ParseWorkload(*wname)
 	if err != nil {
 		return err
 	}
@@ -223,7 +206,7 @@ func cmdEnergy(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	w, err := parseWorkload(*wname)
+	w, err := paper.ParseWorkload(*wname)
 	if err != nil {
 		return err
 	}

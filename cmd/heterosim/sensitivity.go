@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 
+	"github.com/calcm/heterosim/internal/paper"
 	"github.com/calcm/heterosim/internal/project"
 	"github.com/calcm/heterosim/internal/report"
 	"github.com/calcm/heterosim/internal/sensitivity"
@@ -24,7 +25,7 @@ func cmdSensitivity(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	w, err := parseWorkload(*wname)
+	w, err := paper.ParseWorkload(*wname)
 	if err != nil {
 		return err
 	}

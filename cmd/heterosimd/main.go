@@ -14,8 +14,8 @@
 //	heterosimd version
 //
 // Every POST /v1 endpoint — optimize, sweep, project, scenario,
-// sensitivity, ablation — is one entry in internal/server's operation
-// registry and shares a single serving pipeline: strict decode,
+// sensitivity, ablation, compare — is one entry in internal/server's
+// route table and shares a single serving pipeline: strict decode,
 // canonical cache key, coalescing, admission, deadlines, telemetry.
 //
 // serve runs until SIGINT/SIGTERM, then drains in-flight requests. It

@@ -2,7 +2,7 @@
 // calls for every /v1/* endpoint with the retry discipline the model
 // layer's purity makes safe. Each endpoint method is a thin typed
 // wrapper over one generic call path (post/get), mirroring the server's
-// single generic pipeline over the operation registry.
+// single generic pipeline over its route table.
 //
 // Every model endpoint is a pure function of the request body, so every
 // request is idempotent and a retry can never double-apply work. The

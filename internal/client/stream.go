@@ -18,7 +18,7 @@ import (
 // generic header/rows/trailer decoder with establishment-only retries,
 // instantiated per endpoint (sweep cells, frontier nodes).
 
-// Batch runs a heterogeneous list of registry ops in one exchange
+// Batch runs a heterogeneous list of model ops in one exchange
 // (POST /v1/batch). The call retries like any other — the batch
 // answers 200 whenever its envelope was well-formed — but per-item
 // failures come back inside the response, itemized with the status the
@@ -30,7 +30,7 @@ func (c *Client) Batch(ctx context.Context, req server.BatchRequest) (*server.Ba
 
 // Compare runs k scenario x model pairs server-side (POST /v1/compare)
 // and returns the per-node deltas and crossover table. It is a plain
-// buffered registry op: cached, coalesced, and retried like any other.
+// buffered model op: cached, coalesced, and retried like any other.
 func (c *Client) Compare(ctx context.Context, req server.CompareRequest) (*server.CompareResponse, error) {
 	return post[server.CompareRequest, server.CompareResponse](ctx, c, "/v1/compare", req)
 }

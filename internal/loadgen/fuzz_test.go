@@ -5,12 +5,12 @@ import (
 	"errors"
 	"testing"
 
-	"github.com/calcm/heterosim/internal/engine"
+	"github.com/calcm/heterosim/internal/server"
 )
 
 // FuzzParseScenario holds the scenario parser to the repo's input
 // contract: arbitrary bytes must never panic, every rejection must be a
-// status-carrying *engine.Error in the 4xx range (bad config is the
+// status-carrying *server.Error in the 4xx range (bad config is the
 // client's fault, never a 500), and an accepted config must survive a
 // marshal/re-parse round trip — the defaults Validate fills in are part
 // of the format, not hidden state.
@@ -43,9 +43,9 @@ func FuzzParseScenario(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sc, err := ParseScenario(data)
 		if err != nil {
-			var ee *engine.Error
+			var ee *server.Error
 			if !errors.As(err, &ee) {
-				t.Fatalf("rejection %v (input %q) is not an *engine.Error", err, data)
+				t.Fatalf("rejection %v (input %q) is not an *server.Error", err, data)
 			}
 			if ee.Status < 400 || ee.Status >= 500 {
 				t.Fatalf("rejection of %q carries status %d, want 4xx", data, ee.Status)

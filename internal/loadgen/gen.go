@@ -105,51 +105,70 @@ func fOf(key int64) float64 { return 0.5 + float64(key%400_000)*1e-6 }
 // FFT-1024.
 var hetASIC = server.DesignSpec{Kind: "het", Device: "ASIC"}
 
-// issue sends one generated request through the typed client. samples
-// is the scenario's Monte Carlo cost knob for sensitivity requests. The
-// response body is discarded — the harness measures the serving
-// behavior, not the model output (which the golden suites already pin).
-func issue(ctx context.Context, c *client.Client, ep string, key int64, samples int) error {
-	f := fOf(key)
-	var err error
-	switch ep {
-	case "optimize":
-		_, err = c.Optimize(ctx, server.OptimizeRequest{Workload: "FFT-1024", F: f, Design: hetASIC})
-	case "sweep":
-		_, err = c.Sweep(ctx, server.SweepRequest{
+// issuer sends one generated request for key through the typed client.
+// samples is the scenario's Monte Carlo cost knob for sensitivity
+// requests. The response body is discarded — the harness measures the
+// serving behavior, not the model output (which the golden suites
+// already pin).
+type issuer func(ctx context.Context, c *client.Client, key int64, samples int) error
+
+// endpoints is every endpoint a mix may weight, by name: the seven
+// buffered model operations, the stream-only frontier trajectory
+// endpoint, and the GET /v1/models discovery endpoint. "frontier"
+// drives POST /v1/frontier/stream — NDJSON, cache-bypassing — so mixes
+// with it exercise the streaming pipeline under load, not just the
+// buffered one.
+var endpoints = map[string]issuer{
+	"optimize": func(ctx context.Context, c *client.Client, key int64, _ int) error {
+		_, err := c.Optimize(ctx, server.OptimizeRequest{Workload: "FFT-1024", F: fOf(key), Design: hetASIC})
+		return err
+	},
+	"sweep": func(ctx context.Context, c *client.Client, key int64, _ int) error {
+		_, err := c.Sweep(ctx, server.SweepRequest{
 			Workload: "FFT-1024", Design: hetASIC,
-			F: server.AxisSpec{Lo: f, Hi: 0.999, Steps: 8},
+			F: server.AxisSpec{Lo: fOf(key), Hi: 0.999, Steps: 8},
 		})
-	case "project":
-		_, err = c.Project(ctx, server.ProjectRequest{Workload: "FFT-1024", F: f})
-	case "scenario":
-		_, err = c.Scenario(ctx, server.ScenarioRequest{Scenario: int(key%6) + 1, Workload: "FFT-1024", F: f})
-	case "sensitivity":
-		_, err = c.Sensitivity(ctx, server.SensitivityRequest{
-			Workload: "FFT-1024", F: f, Design: hetASIC, Samples: samples,
+		return err
+	},
+	"project": func(ctx context.Context, c *client.Client, key int64, _ int) error {
+		_, err := c.Project(ctx, server.ProjectRequest{Workload: "FFT-1024", F: fOf(key)})
+		return err
+	},
+	"scenario": func(ctx context.Context, c *client.Client, key int64, _ int) error {
+		_, err := c.Scenario(ctx, server.ScenarioRequest{Scenario: int(key%6) + 1, Workload: "FFT-1024", F: fOf(key)})
+		return err
+	},
+	"sensitivity": func(ctx context.Context, c *client.Client, key int64, samples int) error {
+		_, err := c.Sensitivity(ctx, server.SensitivityRequest{
+			Workload: "FFT-1024", F: fOf(key), Design: hetASIC, Samples: samples,
 		})
-	case "ablation":
-		_, err = c.Ablation(ctx, server.AblationRequest{Workload: "FFT-1024", F: f})
-	case "compare":
+		return err
+	},
+	"ablation": func(ctx context.Context, c *client.Client, key int64, _ int) error {
+		_, err := c.Ablation(ctx, server.AblationRequest{Workload: "FFT-1024", F: fOf(key)})
+		return err
+	},
+	"compare": func(ctx context.Context, c *client.Client, key int64, _ int) error {
 		// Two distinct scenarios per request (s2 is s1 shifted by one in
 		// 1-6), so the pair list is always duplicate-free.
 		s1 := int(key%6) + 1
-		_, err = c.Compare(ctx, server.CompareRequest{
-			Workload: "FFT-1024", F: f,
+		_, err := c.Compare(ctx, server.CompareRequest{
+			Workload: "FFT-1024", F: fOf(key),
 			Pairs: []server.ComparePair{{Scenario: s1}, {Scenario: s1%6 + 1}},
 		})
-	case "frontier":
+		return err
+	},
+	"frontier": func(ctx context.Context, c *client.Client, key int64, _ int) error {
 		// The stream bypasses the cache by design, so every frontier
 		// request is an evaluation regardless of key reuse; rows are
 		// discarded like every other response body.
-		_, err = c.FrontierStream(ctx, server.FrontierRequest{
-			Workload: "FFT-1024", F: f, Scenario: int(key % 7),
+		_, err := c.FrontierStream(ctx, server.FrontierRequest{
+			Workload: "FFT-1024", F: fOf(key), Scenario: int(key % 7),
 		}, func(server.FrontierRowJSON) error { return nil })
-	case "models":
-		_, err = c.Models(ctx)
-	default:
-		// Validate rejects unknown endpoints; reaching this is a bug.
-		panic("loadgen: unmixable endpoint " + ep)
-	}
-	return err
+		return err
+	},
+	"models": func(ctx context.Context, c *client.Client, _ int64, _ int) error {
+		_, err := c.Models(ctx)
+		return err
+	},
 }

@@ -8,7 +8,7 @@ import (
 	"strings"
 	"sync"
 
-	"github.com/calcm/heterosim/internal/engine"
+	"github.com/calcm/heterosim/internal/server"
 )
 
 // Sample is one completed request as the recorders see it.
@@ -159,23 +159,23 @@ type Summary struct {
 // active; transport/other errors are not).
 func (s Summary) Check() error {
 	if s.Requests <= 0 {
-		return engine.BadRequest("summary: no requests issued")
+		return server.BadRequest("summary: no requests issued")
 	}
 	if s.ThroughputRPS <= 0 {
-		return engine.BadRequest("summary: throughput is %v rps, want > 0", s.ThroughputRPS)
+		return server.BadRequest("summary: throughput is %v rps, want > 0", s.ThroughputRPS)
 	}
 	if s.OK <= 0 {
-		return engine.BadRequest("summary: no successful requests")
+		return server.BadRequest("summary: no successful requests")
 	}
 	sum := s.OK + s.Shed + s.DeadlineMiss + s.InjectedFaults + s.TransportErrors + s.OtherErrors
 	if sum != s.Requests {
-		return engine.BadRequest("summary: outcomes sum to %d, want requests = %d", sum, s.Requests)
+		return server.BadRequest("summary: outcomes sum to %d, want requests = %d", sum, s.Requests)
 	}
 	if s.TransportErrors != 0 {
-		return engine.BadRequest("summary: %d transport errors", s.TransportErrors)
+		return server.BadRequest("summary: %d transport errors", s.TransportErrors)
 	}
 	if s.OtherErrors != 0 {
-		return engine.BadRequest("summary: %d unexpected errors", s.OtherErrors)
+		return server.BadRequest("summary: %d unexpected errors", s.OtherErrors)
 	}
 	return nil
 }

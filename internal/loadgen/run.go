@@ -138,7 +138,7 @@ func Run(ctx context.Context, sc Scenario, cfg RunConfig) (Summary, error) {
 			reqCtx, cancel = context.WithTimeout(reqCtx, r.Deadline)
 		}
 		t0 := clock.Now()
-		err := issue(reqCtx, cli, r.Endpoint, r.Key, sc.Samples)
+		err := endpoints[r.Endpoint](reqCtx, cli, r.Key, sc.Samples)
 		lat := clock.Now().Sub(t0)
 		cancel()
 		s := Sample{

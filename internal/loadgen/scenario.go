@@ -27,28 +27,14 @@ import (
 	"strings"
 	"time"
 
-	"github.com/calcm/heterosim/internal/engine"
 	"github.com/calcm/heterosim/internal/faultinject"
+	"github.com/calcm/heterosim/internal/server"
 )
-
-// Endpoints the mix may weight: the seven registry operations, the
-// stream-only frontier trajectory endpoint, and the GET /v1/models
-// discovery endpoint. "frontier" drives POST /v1/frontier/stream —
-// NDJSON, cache-bypassing — so mixes with it exercise the streaming
-// pipeline under load, not just the buffered one.
-var endpointNames = []string{
-	"optimize", "sweep", "project", "scenario", "sensitivity", "ablation",
-	"compare", "frontier", "models",
-}
 
 // KnownEndpoint reports whether name is a mixable endpoint.
 func KnownEndpoint(name string) bool {
-	for _, e := range endpointNames {
-		if e == name {
-			return true
-		}
-	}
-	return false
+	_, ok := endpoints[name]
+	return ok
 }
 
 // Duration is time.Duration with the JSON spelling used across the
@@ -178,129 +164,133 @@ type Scenario struct {
 // silently disable every comparison it participates in.
 func checkFinite(name string, v float64) error {
 	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return engine.BadRequest("%s must be finite, got %v", name, v)
+		return server.BadRequest("%s must be finite, got %v", name, v)
 	}
 	return nil
 }
 
 // Validate checks the scenario and fills defaults in place (seed,
 // key-space size, closed-loop concurrency, retry budget). Errors carry
-// HTTP-style statuses via *engine.Error: every rejection is a 400 — the
+// HTTP-style statuses via *server.Error: every rejection is a 400 — the
 // config is the client's input.
 func (s *Scenario) Validate() error {
 	if s.Name == "" {
-		return engine.BadRequest("scenario needs a name")
+		return server.BadRequest("scenario needs a name")
 	}
 	if strings.ContainsAny(s.Name, ",\"\n\r") {
-		return engine.BadRequest("scenario name %q must not contain commas, quotes, or newlines", s.Name)
+		return server.BadRequest("scenario name %q must not contain commas, quotes, or newlines", s.Name)
 	}
 	if s.Requests <= 0 {
-		return engine.BadRequest("requests must be > 0, got %d", s.Requests)
+		return server.BadRequest("requests must be > 0, got %d", s.Requests)
 	}
 	if s.Requests > 10_000_000 {
-		return engine.BadRequest("requests %d exceeds the 10M cap; split the run", s.Requests)
+		return server.BadRequest("requests %d exceeds the 10M cap; split the run", s.Requests)
 	}
 	if s.Seed == 0 {
 		s.Seed = 1
 	}
 	if s.Duration < 0 {
-		return engine.BadRequest("duration must be >= 0, got %v", time.Duration(s.Duration))
+		return server.BadRequest("duration must be >= 0, got %v", time.Duration(s.Duration))
 	}
 	switch s.Arrival.Process {
 	case "closed":
 		if s.Arrival.Concurrency < 0 {
-			return engine.BadRequest("closed-loop concurrency must be >= 0, got %d", s.Arrival.Concurrency)
+			return server.BadRequest("closed-loop concurrency must be >= 0, got %d", s.Arrival.Concurrency)
 		}
 		if s.Arrival.Concurrency == 0 {
 			s.Arrival.Concurrency = 1
 		}
 		if s.Arrival.RateHz != 0 {
-			return engine.BadRequest("rateHz applies to the poisson process, not closed")
+			return server.BadRequest("rateHz applies to the poisson process, not closed")
 		}
 	case "poisson":
 		if err := checkFinite("rateHz", s.Arrival.RateHz); err != nil {
 			return err
 		}
 		if s.Arrival.RateHz <= 0 {
-			return engine.BadRequest("poisson arrival needs rateHz > 0, got %v", s.Arrival.RateHz)
+			return server.BadRequest("poisson arrival needs rateHz > 0, got %v", s.Arrival.RateHz)
 		}
 		if s.Arrival.Concurrency != 0 {
-			return engine.BadRequest("concurrency applies to the closed process, not poisson")
+			return server.BadRequest("concurrency applies to the closed process, not poisson")
 		}
 		if s.Arrival.MaxOutstanding < 0 {
-			return engine.BadRequest("maxOutstanding must be >= 0, got %d", s.Arrival.MaxOutstanding)
+			return server.BadRequest("maxOutstanding must be >= 0, got %d", s.Arrival.MaxOutstanding)
 		}
 		if s.Arrival.MaxOutstanding == 0 {
 			s.Arrival.MaxOutstanding = 512
 		}
 	default:
-		return engine.BadRequest("unknown arrival process %q (want closed or poisson)", s.Arrival.Process)
+		return server.BadRequest("unknown arrival process %q (want closed or poisson)", s.Arrival.Process)
 	}
 	if len(s.Mix) == 0 {
-		return engine.BadRequest("mix needs at least one endpoint weight")
+		return server.BadRequest("mix needs at least one endpoint weight")
 	}
 	total := 0.0
 	for name, w := range s.Mix {
 		if !KnownEndpoint(name) {
-			return engine.BadRequest("unknown endpoint %q in mix (want %s)",
-				name, strings.Join(endpointNames, ", "))
+			known := make([]string, 0, len(endpoints))
+			for e := range endpoints {
+				known = append(known, e)
+			}
+			sort.Strings(known)
+			return server.BadRequest("unknown endpoint %q in mix (want %s)", name, strings.Join(known, ", "))
 		}
 		if err := checkFinite("mix."+name, w); err != nil {
 			return err
 		}
 		if w < 0 {
-			return engine.BadRequest("mix.%s must be >= 0, got %v", name, w)
+			return server.BadRequest("mix.%s must be >= 0, got %v", name, w)
 		}
 		total += w
 	}
 	if total <= 0 {
-		return engine.BadRequest("mix weights sum to %v; at least one must be positive", total)
+		return server.BadRequest("mix weights sum to %v; at least one must be positive", total)
 	}
 	if err := checkFinite("hitRatio", s.HitRatio); err != nil {
 		return err
 	}
 	if s.HitRatio < 0 || s.HitRatio >= 1 {
-		return engine.BadRequest("hitRatio must be in [0, 1), got %v", s.HitRatio)
+		return server.BadRequest("hitRatio must be in [0, 1), got %v", s.HitRatio)
 	}
 	if s.KeySpace < 0 {
-		return engine.BadRequest("keySpace must be >= 0, got %d", s.KeySpace)
+		return server.BadRequest("keySpace must be >= 0, got %d", s.KeySpace)
 	}
 	if s.KeySpace == 0 {
 		s.KeySpace = 16
 	}
 	if s.Faults != "" {
 		if _, err := faultinject.Parse(s.Faults); err != nil {
-			return engine.BadRequest("faults: %v", err)
+			return server.BadRequest("faults: %v", err)
 		}
 	}
 	switch s.Deadline.Dist {
 	case "", "none":
 		if s.Deadline.Min != 0 || s.Deadline.Max != 0 {
-			return engine.BadRequest("deadline min/max need dist fixed or uniform")
+			return server.BadRequest("deadline min/max need dist fixed or uniform")
 		}
 	case "fixed":
 		if s.Deadline.Min <= 0 {
-			return engine.BadRequest("fixed deadline needs min > 0, got %v", time.Duration(s.Deadline.Min))
+			return server.BadRequest("fixed deadline needs min > 0, got %v", time.Duration(s.Deadline.Min))
 		}
 		if s.Deadline.Max != 0 && s.Deadline.Max != s.Deadline.Min {
-			return engine.BadRequest("fixed deadline takes min only")
+			return server.BadRequest("fixed deadline takes min only")
 		}
 	case "uniform":
 		if s.Deadline.Min <= 0 || s.Deadline.Max < s.Deadline.Min {
-			return engine.BadRequest("uniform deadline needs 0 < min <= max, got [%v, %v]",
+			return server.BadRequest("uniform deadline needs 0 < min <= max, got [%v, %v]",
 				time.Duration(s.Deadline.Min), time.Duration(s.Deadline.Max))
 		}
 	default:
-		return engine.BadRequest("unknown deadline dist %q (want none, fixed, uniform)", s.Deadline.Dist)
+		return server.BadRequest("unknown deadline dist %q (want none, fixed, uniform)", s.Deadline.Dist)
 	}
 	if s.Retries < 0 || s.Retries > 10 {
-		return engine.BadRequest("retries must be in [0, 10], got %d", s.Retries)
+		return server.BadRequest("retries must be in [0, 10], got %d", s.Retries)
 	}
 	if s.Retries == 0 {
 		s.Retries = 1
 	}
 	if s.Samples != 0 && (s.Samples < 10 || s.Samples > 100_000) {
-		return engine.BadRequest("samples must be in [10, 100000], got %d", s.Samples)
+		return server.BadRequest("samples must be in [10, 100000], got %d", s.Samples)
 	}
 	if s.Samples == 0 {
 		s.Samples = 200
@@ -313,7 +303,7 @@ func (s *Scenario) Validate() error {
 // silently run the default traffic pattern.
 func ParseScenario(data []byte) (Scenario, error) {
 	var s Scenario
-	if err := engine.DecodeStrict(data, &s); err != nil {
+	if err := server.DecodeStrict(data, &s); err != nil {
 		return Scenario{}, err
 	}
 	if err := s.Validate(); err != nil {

@@ -8,7 +8,7 @@ import (
 	"testing"
 	"time"
 
-	"github.com/calcm/heterosim/internal/engine"
+	"github.com/calcm/heterosim/internal/server"
 )
 
 // valid returns a minimal passing scenario for the table tests to
@@ -80,9 +80,9 @@ func TestValidateRejects(t *testing.T) {
 			if err == nil {
 				t.Fatalf("Validate accepted %+v", sc)
 			}
-			var ee *engine.Error
+			var ee *server.Error
 			if !errors.As(err, &ee) {
-				t.Fatalf("error %v is not an *engine.Error", err)
+				t.Fatalf("error %v is not an *server.Error", err)
 			}
 			if ee.Status != http.StatusBadRequest {
 				t.Errorf("status = %d, want 400", ee.Status)

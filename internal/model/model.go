@@ -115,8 +115,7 @@ var (
 )
 
 // Register adds a backend under its Info().Name, panicking on
-// duplicates — like engine.NewRegistry, a duplicate is a programming
-// error caught at init.
+// duplicates: a duplicate is a programming error caught at init.
 func Register(b Backend) {
 	name := b.Info().Name
 	if name == "" || name != strings.ToLower(name) {

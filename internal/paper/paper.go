@@ -14,6 +14,11 @@
 //     against them.
 package paper
 
+import (
+	"fmt"
+	"strings"
+)
+
 // DeviceID identifies one of the measured platforms.
 type DeviceID string
 
@@ -45,6 +50,26 @@ const (
 
 // AllWorkloads lists the Table 5 column order.
 var AllWorkloads = []WorkloadID{MMM, BS, FFT64, FFT1024, FFT16384}
+
+// ParseWorkload maps a user spelling onto a workload, ignoring case:
+// the ID itself, "blackscholes" for BS, "fft" for FFT-1024, and each FFT
+// size with or without its dash. The CLI and the HTTP API both use it.
+func ParseWorkload(s string) (WorkloadID, error) {
+	switch strings.ToLower(s) {
+	case "mmm":
+		return MMM, nil
+	case "bs", "blackscholes":
+		return BS, nil
+	case "fft-64", "fft64":
+		return FFT64, nil
+	case "fft-1024", "fft1024", "fft":
+		return FFT1024, nil
+	case "fft-16384", "fft16384":
+		return FFT16384, nil
+	default:
+		return "", fmt.Errorf("unknown workload %q (want MMM, BS, FFT-64, FFT-1024, FFT-16384)", s)
+	}
+}
 
 // Constants from the modeling sections.
 const (

@@ -146,3 +146,25 @@ func TestFFTAnchorsCoverSweep(t *testing.T) {
 		}
 	}
 }
+
+func TestParseWorkload(t *testing.T) {
+	for _, c := range []struct {
+		in   string
+		want WorkloadID
+	}{
+		{"MMM", MMM}, {"mmm", MMM}, {"Mmm", MMM},
+		{"BS", BS}, {"bs", BS}, {"blackscholes", BS}, {"BlackScholes", BS},
+		{"FFT-64", FFT64}, {"fft-64", FFT64}, {"fft64", FFT64}, {"FFT64", FFT64},
+		{"FFT-1024", FFT1024}, {"fft-1024", FFT1024}, {"fft1024", FFT1024}, {"FFT", FFT1024}, {"fft", FFT1024},
+		{"FFT-16384", FFT16384}, {"fft-16384", FFT16384}, {"fft16384", FFT16384},
+	} {
+		if got, err := ParseWorkload(c.in); err != nil || got != c.want {
+			t.Errorf("ParseWorkload(%q) = (%q, %v), want %q", c.in, got, err, c.want)
+		}
+	}
+	for _, bad := range []string{"", "LINPACK", "fft-128", "mmm ", "b-s"} {
+		if got, err := ParseWorkload(bad); err == nil {
+			t.Errorf("ParseWorkload(%q) = %q, want an error", bad, got)
+		}
+	}
+}

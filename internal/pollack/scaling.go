@@ -41,16 +41,6 @@ func NewScaling(alpha, theta float64) (Scaling, error) {
 	return Scaling{alpha: alpha, theta: theta}, nil
 }
 
-// DefaultScaling returns the paper's baseline as a generalized law:
-// alpha = 1.75, theta = 1/2.
-func DefaultScaling() Scaling {
-	s, err := NewScaling(DefaultAlpha, DefaultTheta)
-	if err != nil {
-		panic(err) // unreachable: the defaults are valid
-	}
-	return s
-}
-
 // Alpha returns the performance-to-power exponent.
 func (s Scaling) Alpha() float64 { return s.alpha }
 

@@ -1,46 +1,117 @@
 package server
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"math"
+	"net/http"
 	"strings"
 
 	"github.com/calcm/heterosim/internal/bounds"
 	"github.com/calcm/heterosim/internal/core"
-	"github.com/calcm/heterosim/internal/engine"
 	"github.com/calcm/heterosim/internal/paper"
+	"github.com/calcm/heterosim/internal/par"
 	"github.com/calcm/heterosim/internal/project"
 	"github.com/calcm/heterosim/internal/ucore"
 )
 
-// apiError is the engine's status-carrying error; handlers return it
-// from validation and evaluation so the transport layer can map model
-// errors to 4xx instead of a blanket 500.
-type apiError = engine.Error
+// Error is an error with an HTTP status. Operations return it from
+// validation and evaluation so the transport layer can map model errors
+// to 4xx instead of a blanket 500. It marshals as the serving API's
+// error body, {"error": message}.
+type Error struct {
+	Status  int    `json:"-"`
+	Message string `json:"error"`
+}
 
-// badRequest and unprocessable are the engine's 400/422 constructors,
-// aliased for the op definitions in this package.
-var (
-	badRequest    = engine.BadRequest
-	unprocessable = engine.Unprocessable
-	evalFailure   = engine.EvalFailure
-)
+func (e *Error) Error() string { return e.Message }
 
-// parseWorkload maps the HTTP spelling onto a catalog workload. It
-// accepts the same spellings as the CLI.
-func parseWorkload(s string) (paper.WorkloadID, error) {
-	switch strings.ToLower(s) {
-	case "mmm":
-		return paper.MMM, nil
-	case "bs", "blackscholes":
-		return paper.BS, nil
-	case "fft-64", "fft64":
-		return paper.FFT64, nil
-	case "fft-1024", "fft1024", "fft":
-		return paper.FFT1024, nil
-	case "fft-16384", "fft16384":
-		return paper.FFT16384, nil
-	default:
-		return "", badRequest("unknown workload %q (want MMM, BS, FFT-64, FFT-1024, FFT-16384)", s)
+// BadRequest builds a 400 Error: the request is malformed.
+func BadRequest(format string, args ...any) *Error {
+	return &Error{Status: http.StatusBadRequest, Message: fmt.Sprintf(format, args...)}
+}
+
+// unprocessable builds a 422 Error: the request is well-formed but the
+// model cannot produce a feasible answer for it.
+func unprocessable(format string, args ...any) *Error {
+	return &Error{Status: http.StatusUnprocessableEntity, Message: fmt.Sprintf(format, args...)}
+}
+
+// evalFailure classifies an evaluation error: context cancellation and
+// deadline errors pass through untouched so the transport can map them
+// to 503/504, as does a panic recovered by the worker pool (par.ErrPanic),
+// which is a server fault (500) and never the request's; anything else
+// is wrapped with mk (BadRequest or unprocessable).
+func evalFailure(err error, mk func(string, ...any) *Error) error {
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) || errors.Is(err, par.ErrPanic) {
+		return err
 	}
+	return mk("%v", err)
+}
+
+// DecodeStrict unmarshals JSON rejecting unknown fields, so typos in
+// request bodies fail loudly instead of silently using defaults.
+func DecodeStrict(body []byte, dst any) error {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(dst); err != nil {
+		return BadRequest("invalid request body: %v", err)
+	}
+	// Only whitespace may follow the value. dec.More reports false before
+	// a stray ']' or '}', so ask for the next token: it must be EOF.
+	if _, err := dec.Token(); err != io.EOF {
+		return BadRequest("invalid request body: trailing data")
+	}
+	return nil
+}
+
+// canonicalKey derives the cache/coalescing key for a decoded,
+// default-applied request. Identical requests — regardless of JSON field
+// order, whitespace, or spelling variants normalized during decoding —
+// hash to the same key. Worker-count fields must already be cleared by
+// the caller: results are byte-identical at every worker count, so
+// worker counts must not fragment the cache.
+func canonicalKey(path string, req any) (string, error) {
+	b, err := json.Marshal(req)
+	if err != nil {
+		return "", err
+	}
+	return path + "\x00" + string(b), nil
+}
+
+// parseObjective validates the objective a request optimizes: speedup
+// (the default) or energy.
+func parseObjective(s string) (string, error) {
+	switch s {
+	case "", "speedup":
+		return "speedup", nil
+	case "energy":
+		return "energy", nil
+	default:
+		return "", BadRequest("unknown objective %q (want speedup or energy)", s)
+	}
+}
+
+// checkF validates a parallel fraction.
+func checkF(f float64) error {
+	if f < 0 || f > 1 || math.IsNaN(f) {
+		return BadRequest("f must be in [0, 1], got %v", f)
+	}
+	return nil
+}
+
+// parseWorkload maps the HTTP spelling onto a catalog workload, as the
+// CLI does.
+func parseWorkload(s string) (paper.WorkloadID, error) {
+	w, err := paper.ParseWorkload(s)
+	if err != nil {
+		return "", BadRequest("%v", err)
+	}
+	return w, nil
 }
 
 // parseDevice maps the HTTP spelling onto a catalog device.
@@ -59,7 +130,7 @@ func parseDevice(s string) (paper.DeviceID, error) {
 	case "asic":
 		return paper.ASIC, nil
 	default:
-		return "", badRequest("unknown device %q (want CoreI7, GTX285, GTX480, R5870, LX760, ASIC)", s)
+		return "", BadRequest("unknown device %q (want CoreI7, GTX285, GTX480, R5870, LX760, ASIC)", s)
 	}
 }
 
@@ -89,13 +160,13 @@ func (ds *DesignSpec) resolve(w paper.WorkloadID) (core.Design, error) {
 	case "het":
 		ds.Kind = "het"
 	default:
-		return core.Design{}, badRequest("unknown design kind %q (want sym, asym, het)", ds.Kind)
+		return core.Design{}, BadRequest("unknown design kind %q (want sym, asym, het)", ds.Kind)
 	}
 	d := core.Design{Kind: core.Het, ExemptBandwidth: ds.ExemptBandwidth}
 	switch {
 	case ds.Device != "":
 		if ds.Mu != 0 || ds.Phi != 0 {
-			return core.Design{}, badRequest("give either device or explicit (mu, phi), not both")
+			return core.Design{}, BadRequest("give either device or explicit (mu, phi), not both")
 		}
 		dev, err := parseDevice(ds.Device)
 		if err != nil {
@@ -112,10 +183,10 @@ func (ds *DesignSpec) resolve(w paper.WorkloadID) (core.Design, error) {
 		d.Label = "custom"
 		d.UCore = bounds.UCore{Mu: ds.Mu, Phi: ds.Phi}
 	default:
-		return core.Design{}, badRequest("het design needs a device or positive (mu, phi)")
+		return core.Design{}, BadRequest("het design needs a device or positive (mu, phi)")
 	}
 	if err := d.Validate(); err != nil {
-		return core.Design{}, badRequest("%v", err)
+		return core.Design{}, BadRequest("%v", err)
 	}
 	return d, nil
 }

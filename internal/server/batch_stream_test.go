@@ -210,7 +210,7 @@ func TestBatchItemDeadlineMatchesStandalone(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			s := newTestServer(t, Config{})
 			std := doCtx(t, s, tc.ctx, "/v1/sweep", sampleBodies["sweep"])
-			var stdErr apiError
+			var stdErr Error
 			if err := json.Unmarshal(std.Body.Bytes(), &stdErr); err != nil || std.Code != tc.want {
 				t.Fatalf("standalone sweep = %d %s, want %d with an error body", std.Code, std.Body, tc.want)
 			}

@@ -17,7 +17,7 @@ import (
 // single-hop guard that keeps forwarding from ever chaining.
 //
 // The wire format is the serving API itself: a canonical cache key is
-// "<path>\x00<canonical request JSON>" (engine.CanonicalKey), so the
+// "<path>\x00<canonical request JSON>" (canonicalKey), so the
 // owner fetch is simply the same POST the client sent, re-issued
 // against the owner's base URL with the canonical body. Canonical
 // bodies re-canonicalize to themselves, so the owner derives the

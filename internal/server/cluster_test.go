@@ -11,7 +11,6 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/calcm/heterosim/internal/engine"
 	"github.com/calcm/heterosim/internal/servecache"
 )
 
@@ -37,7 +36,7 @@ func TestClusterNonOwnerRetainsExactBytes(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		body := fmt.Sprintf(`{"workload":"FFT-1024","design":{"kind":"het","device":"GTX480"},
 			"f":{"lo":0.5,"hi":0.999,"steps":4},"bandwidthScale":{"lo":0.25,"hi":%g,"steps":4}}`, 4+0.137*float64(i))
-		key, _, err := opSweep.Prepare([]byte(body), engine.Env{})
+		key, _, _, err := opSweep([]byte(body), 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -189,8 +189,8 @@ func TestStreamParamDispatch(t *testing.T) {
 		"/v1/frontier/stream": `{"workload":"MMM","f":0.9}`,
 		"/v1/batch":           `{"items":[{"op":"optimize","request":` + sampleBodies["optimize"] + `}]}`,
 	}
-	for _, op := range registry.Ops() {
-		bodies[op.Path()] = sampleBodies[op.Name()]
+	for _, rt := range opRoutes() {
+		bodies[rt.path] = sampleBodies[rt.name]
 	}
 
 	eps := Endpoints()
@@ -219,7 +219,7 @@ func TestStreamParamDispatch(t *testing.T) {
 				if msg == "" {
 					continue
 				}
-				var body apiError
+				var body Error
 				if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || body.Message != msg {
 					t.Errorf("%s %s%s: body = %s, want error %q", method, path, param, rec.Body, msg)
 				}

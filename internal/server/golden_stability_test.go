@@ -7,8 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"github.com/calcm/heterosim/internal/engine"
 )
 
 // prerefactorFixture is one request captured through the pre-registry
@@ -39,34 +37,32 @@ func loadPrerefactor(t *testing.T) []prerefactorFixture {
 	return fixtures
 }
 
-// opByName resolves a registry op for a fixture.
-func opByName(t *testing.T, name string) engine.Op {
+// opByName resolves a model op for a fixture.
+func opByName(t *testing.T, name string) op {
 	t.Helper()
-	for _, op := range registry.Ops() {
-		if op.Name() == name {
-			return op
-		}
+	i := opRoute(name)
+	if i < 0 {
+		t.Fatalf("fixture references unregistered op %q", name)
 	}
-	t.Fatalf("fixture references unregistered op %q", name)
-	return nil
+	return routes[i].op
 }
 
 // TestGoldenStabilityOps replays the pre-refactor fixtures directly
-// through the registry ops: the canonical cache key and the response
+// through the model ops: the canonical cache key and the response
 // bytes must both match what the hand-rolled handlers produced —
 // at the default worker count and at an explicit one, since workers
 // must never reach the key or the response bytes.
 func TestGoldenStabilityOps(t *testing.T) {
 	for _, fx := range loadPrerefactor(t) {
-		op := opByName(t, fx.Op)
-		for _, env := range []engine.Env{{Workers: 0}, {Workers: 3}} {
-			key, eval, err := op.Prepare([]byte(fx.Body), env)
+		prepare := opByName(t, fx.Op)
+		for _, workers := range []int{0, 3} {
+			key, _, eval, err := prepare([]byte(fx.Body), workers)
 			if err != nil {
 				t.Fatalf("%s: Prepare(%s) failed: %v", fx.Op, fx.Body, err)
 			}
 			if key != fx.Key {
 				t.Errorf("%s: cache key drifted (workers=%d):\n--- got ---\n%q\n--- want ---\n%q",
-					fx.Op, env.Workers, key, fx.Key)
+					fx.Op, workers, key, fx.Key)
 			}
 			resp, err := eval(context.Background())
 			if err != nil {
@@ -74,7 +70,7 @@ func TestGoldenStabilityOps(t *testing.T) {
 			}
 			if string(resp) != fx.Response {
 				t.Errorf("%s: response drifted (workers=%d):\n--- got ---\n%s\n--- want ---\n%s",
-					fx.Op, env.Workers, resp, fx.Response)
+					fx.Op, workers, resp, fx.Response)
 			}
 		}
 	}

@@ -1,11 +1,12 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
+	"sync"
 
 	"github.com/calcm/heterosim/internal/bounds"
-	"github.com/calcm/heterosim/internal/engine"
 	"github.com/calcm/heterosim/internal/model"
 	"github.com/calcm/heterosim/internal/paper"
 	"github.com/calcm/heterosim/internal/par"
@@ -13,59 +14,149 @@ import (
 	"github.com/calcm/heterosim/internal/project"
 )
 
-// registry is the model-serving surface: every buffered POST /v1
-// endpoint is one engine.Op built from a request type, a
-// validation/canonicalization step, and a ctx-aware evaluation closure
-// (see the op_*.go files). The serving pipeline — strict decode,
-// canonical cache key, coalescing, admission, deadlines, telemetry,
-// error mapping — is written once in serveOp; adding an endpoint is one
-// entry here plus its op file.
-var registry = engine.NewRegistry(
-	opOptimize,
-	opSweep,
-	opProject,
-	opScenario,
-	opSensitivity,
-	opAblation,
-	opCompare,
-)
+// op is one buffered model operation: it decodes a request body
+// strictly (unknown fields are errors), validates and canonicalizes the
+// request, and returns the canonical cache key, the resolved model
+// backend and the evaluation closure. The closure receives the
+// request's deadline-bounded context and must stop early (returning the
+// context error) when it expires. Validation failures are *Error, so
+// the transport can map them to 400/422; the model comes back with the
+// error once it has resolved, so the failed response still names it.
+// workers is the serving default for requests that ask for no count; it
+// never reaches a key or a response.
+type op func(body []byte, workers int) (key, model string, eval func(context.Context) ([]byte, error), err error)
 
-// route is one endpoint of the serving surface. A POST route has a
-// buffered form (serve), a stream form (stream), or both, dispatched
-// on `?stream=`; a GET route has only serve.
-type route struct {
-	name, method, path string
-	serve              func(*Server, http.ResponseWriter, *http.Request) // nil on a stream-only route
-	stream             engine.StreamOp                                   // nil on a route that does not stream
+// newOp defines the operation served at "/v1/" + name from its one
+// endpoint-specific piece, build: validate req, canonicalize it in
+// place (default fields filled, spellings normalized, worker counts
+// cleared) so equivalent requests share one cache key, and return the
+// resolved model and the typed evaluation closure. The pipeline around
+// it is strict decode into Req, the canonical key over the
+// canonicalized request, and JSON encoding of the typed response.
+func newOp[Req, Resp any](name string, build func(req *Req, workers int) (string, func(context.Context) (Resp, error), error)) op {
+	path := "/v1/" + name
+	return func(body []byte, workers int) (string, string, func(context.Context) ([]byte, error), error) {
+		var req Req
+		if err := DecodeStrict(body, &req); err != nil {
+			return "", "", nil, err
+		}
+		model, eval, err := build(&req, workers)
+		if err != nil {
+			return "", model, nil, err
+		}
+		key, err := canonicalKey(path, req)
+		if err != nil {
+			return "", model, nil, err
+		}
+		return key, model, func(ctx context.Context) ([]byte, error) {
+			resp, err := eval(ctx)
+			if err != nil {
+				return nil, err
+			}
+			// Responses that implement appender (large, hot ones like the
+			// sweep surface) skip the reflection encoder; the bytes are
+			// identical by contract, fuzz-checked per type.
+			if a, ok := any(resp).(appender); ok {
+				return appendExact(a)
+			}
+			return json.Marshal(resp)
+		}, nil
+	}
 }
 
-// routes is the serving surface in Endpoints() order: the registry
-// ops, the stream-only frontier, the batch fan-out, then the GET
-// routes. It is the one list behind mux registration, the
-// per-endpoint counters (indexed like it) and Endpoints(). It is built
-// in init because its handlers read it back (the metrics handler
-// labels the counters from it), which a package-level initializer may
-// not.
+// maxPooledEncode is the largest scratch buffer returned to encodeBufs;
+// a rare huge response must not pin its buffer for the life of the
+// process.
+const maxPooledEncode = 1 << 20
+
+var encodeBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// appendExact encodes a into a pooled scratch buffer and returns an
+// exact-size copy. The result outlives the request in the result cache,
+// so spare capacity there would be held for as long as the entry lives.
+func appendExact(a appender) ([]byte, error) {
+	bp := encodeBufs.Get().(*[]byte)
+	b, err := a.AppendJSON((*bp)[:0])
+	if err != nil {
+		encodeBufs.Put(bp)
+		return nil, err
+	}
+	out := make([]byte, len(b))
+	copy(out, b)
+	if cap(b) <= maxPooledEncode {
+		*bp = b
+		encodeBufs.Put(bp)
+	}
+	return out, nil
+}
+
+// streamOp is op's streaming counterpart (see stream.go): the same
+// decode, validation and resolved model, then a closure that emits the
+// response as NDJSON frames. It has no cache key: streams always
+// evaluate.
+type streamOp func(body []byte, workers int) (model string, stream streamFunc, err error)
+
+// newStreamOp defines a streaming operation from its build step, as
+// newOp does a buffered one.
+func newStreamOp[Req any](build func(req *Req, workers int) (string, streamFunc, error)) streamOp {
+	return func(body []byte, workers int) (string, streamFunc, error) {
+		var req Req
+		if err := DecodeStrict(body, &req); err != nil {
+			return "", nil, err
+		}
+		return build(&req, workers)
+	}
+}
+
+// route is one endpoint of the serving surface. A POST route has a
+// buffered form (op, or serve for the batch), a stream form (stream),
+// or both, dispatched on `?stream=`; a GET route has only serve.
+type route struct {
+	name, method, path string
+	op                 op                                                // a buffered model op, served by serveOp
+	stream             streamOp                                          // nil on a route that does not stream
+	serve              func(*Server, http.ResponseWriter, *http.Request) // the batch and the GET routes
+}
+
+// routes is the serving surface in Endpoints() order: the model ops,
+// the stream-only frontier, the batch fan-out, then the GET routes. It
+// is the one list behind mux registration, the per-endpoint counters
+// (indexed like it), Endpoints() and the batch's op lookup. Adding a
+// model endpoint is one entry here plus its op file. It is built in
+// init because its handlers read it back (the metrics handler labels
+// the counters from it), which a package-level initializer may not.
 var routes []route
 
 func init() {
-	// A stream op named like a registry op shares that op's route and
-	// counter.
-	streams := map[string]engine.StreamOp{streamSweep.Name(): streamSweep}
-	var rs []route
-	for i, op := range registry.Ops() {
-		rs = append(rs, route{op.Name(), http.MethodPost, op.Path(),
-			func(s *Server, w http.ResponseWriter, r *http.Request) { s.serveOp(w, r, op, i) },
-			streams[op.Name()]})
+	post := func(name string, o op, st streamOp) route {
+		return route{name: name, method: http.MethodPost, path: "/v1/" + name, op: o, stream: st}
 	}
-	routes = append(rs,
-		route{streamFrontier.Name(), http.MethodPost, streamFrontier.Path(), nil, streamFrontier},
-		route{"batch", http.MethodPost, "/v1/batch", (*Server).handleBatch, nil},
-		route{"version", http.MethodGet, "/v1/version", (*Server).handleVersion, nil},
-		route{"models", http.MethodGet, "/v1/models", (*Server).handleModels, nil},
-		route{"healthz", http.MethodGet, "/healthz", (*Server).handleHealthz, nil},
-		route{"metrics", http.MethodGet, "/metrics", (*Server).handleMetrics, nil},
-	)
+	routes = []route{
+		post("optimize", opOptimize, nil),
+		post("sweep", opSweep, streamSweep),
+		post("project", opProject, nil),
+		post("scenario", opScenario, nil),
+		post("sensitivity", opSensitivity, nil),
+		post("ablation", opAblation, nil),
+		post("compare", opCompare, nil),
+		{name: "frontier", method: http.MethodPost, path: "/v1/frontier/stream", stream: streamFrontier},
+		{name: "batch", method: http.MethodPost, path: "/v1/batch", serve: (*Server).handleBatch},
+		{name: "version", method: http.MethodGet, path: "/v1/version", serve: (*Server).handleVersion},
+		{name: "models", method: http.MethodGet, path: "/v1/models", serve: (*Server).handleModels},
+		{name: "healthz", method: http.MethodGet, path: "/healthz", serve: (*Server).handleHealthz},
+		{name: "metrics", method: http.MethodGet, path: "/metrics", serve: (*Server).handleMetrics},
+	}
+}
+
+// opRoute returns the index of the buffered model op named name in
+// routes, or -1: a batch item may name only those.
+func opRoute(name string) int {
+	for i := range routes {
+		if routes[i].op != nil && routes[i].name == name {
+			return i
+		}
+	}
+	return -1
 }
 
 // wantsStream classifies a POST route's stream parameter: absent means
@@ -81,24 +172,15 @@ func (rt *route) wantsStream(r *http.Request) (bool, error) {
 	}
 	switch {
 	case v == "":
-		return rt.serve == nil, nil
+		return rt.op == nil && rt.serve == nil, nil
 	case rt.stream == nil:
-		return false, badRequest("%s does not stream: drop the stream parameter", rt.name)
+		return false, BadRequest("%s does not stream: drop the stream parameter", rt.name)
 	case v == "ndjson":
 		return true, nil
 	default:
-		return false, badRequest("unknown stream format %q (want ndjson)", v)
+		return false, BadRequest("unknown stream format %q (want ndjson)", v)
 	}
 }
-
-// registryOps resolves a batch item's op field against the registry.
-var registryOps = func() map[string]engine.Op {
-	m := make(map[string]engine.Op, len(registry.Ops()))
-	for _, op := range registry.Ops() {
-		m[op.Name()] = op
-	}
-	return m
-}()
 
 // nodeBudgets resolves a request's (workload, node-name) pair to its
 // default-configuration budgets via the precomputed project tables,
@@ -106,7 +188,7 @@ var registryOps = func() map[string]engine.Op {
 func nodeBudgets(w paper.WorkloadID, nodeName string) (bounds.Budgets, error) {
 	b, err := project.DefaultBudgets(w, nodeName)
 	if err != nil {
-		return bounds.Budgets{}, badRequest("%v", err)
+		return bounds.Budgets{}, BadRequest("%v", err)
 	}
 	return b, nil
 }
@@ -115,40 +197,39 @@ func nodeBudgets(w paper.WorkloadID, nodeName string) (bounds.Budgets, error) {
 // flag, falling back to the serving default, and cleared in place so a
 // worker count never fragments the cache (responses are byte-identical
 // at every worker count).
-func workersOr(reqWorkers *int, env engine.Env) int {
+func workersOr(reqWorkers *int, workers int) int {
 	w := par.Normalize(*reqWorkers)
 	if w == 0 {
-		w = env.Workers
+		w = workers
 	}
 	*reqWorkers = 0
 	return w
 }
 
 // resolveModel canonicalizes a request's (model, modelParams) pair in
-// place, reports the resolved backend to the serving layer, and
-// constructs it. Canonicalization clears every spelling of the default
+// place, constructs the backend and returns it with its canonical name. Canonicalization clears every spelling of the default
 // ("", "chung", "CHUNG") back to the omitted form, so default responses
 // never echo a model field, and re-marshals other backends' params with
 // their defaults filled, so equivalent requests share one cache entry.
 // alpha 0 means the paper default and a negative alpha is a 400; maxR
 // is always the paper's sweep bound.
-func resolveModel(name *string, params *json.RawMessage, alpha float64, env engine.Env) (model.Model, error) {
+func resolveModel(name *string, params *json.RawMessage, alpha float64) (model.Model, string, error) {
 	// model.New maps every alpha <= 0 to the default, so the sign is
 	// checked here, before the name, with pollack's own message.
 	if !(alpha >= 0) {
 		_, err := pollack.New(alpha)
-		return nil, badRequest("%v", err)
+		return nil, "", BadRequest("%v", err)
 	}
-	canon, err := canonicalModel(name, env)
+	canon, err := canonicalModel(*name)
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
 	m, cp, err := model.New(canon, alpha, 0, *params)
 	if err != nil {
-		return nil, badRequest("model %s: %v", canon, err)
+		return nil, canon, BadRequest("model %s: %v", canon, err)
 	}
 	storeModel(name, params, canon, cp)
-	return m, nil
+	return m, canon, nil
 }
 
 // resolveModelFactory is resolveModel for the projection operations
@@ -159,30 +240,29 @@ func resolveModel(name *string, params *json.RawMessage, alpha float64, env engi
 // canonicalized once, here, at request decode time; each projection
 // then only applies (alpha, maxR). The default backend gets a nil
 // factory, which the projection resolves to chung itself.
-func resolveModelFactory(name *string, params *json.RawMessage, env engine.Env) (model.Factory, error) {
-	canon, err := canonicalModel(name, env)
+func resolveModelFactory(name *string, params *json.RawMessage) (model.Factory, string, error) {
+	canon, err := canonicalModel(*name)
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
 	mk, cp, err := model.Configure(canon, *params)
 	if err != nil {
-		return nil, badRequest("model %s: %v", canon, err)
+		return nil, canon, BadRequest("model %s: %v", canon, err)
 	}
 	storeModel(name, params, canon, cp)
 	if *name == "" {
-		return nil, nil
+		return nil, canon, nil
 	}
-	return mk, nil
+	return mk, canon, nil
 }
 
-// canonicalModel resolves a request's model name against the registry
-// and reports the backend to the serving layer.
-func canonicalModel(name *string, env engine.Env) (string, error) {
-	canon, err := model.Canonical(*name)
+// canonicalModel resolves a request's model name against the model
+// backend registry.
+func canonicalModel(name string) (string, error) {
+	canon, err := model.Canonical(name)
 	if err != nil {
-		return "", badRequest("%v", err)
+		return "", BadRequest("%v", err)
 	}
-	env.ReportModel(canon)
 	return canon, nil
 }
 

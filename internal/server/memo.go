@@ -22,7 +22,7 @@ type bodyMemo struct {
 	limit int
 	n     int
 	// routes holds one map per route, indexed like routes; only the
-	// buffered registry routes use theirs.
+	// routes with a buffered model op use theirs.
 	routes []map[string]memoEntry
 }
 

@@ -11,7 +11,6 @@ import (
 	"sync"
 	"testing"
 
-	"github.com/calcm/heterosim/internal/engine"
 	"github.com/calcm/heterosim/internal/servecache"
 )
 
@@ -44,18 +43,17 @@ func memoSize(s *Server) (entries, size int) {
 
 // prepared is what Prepare itself derives from body: the canonical key,
 // the model header and the response bytes.
-func prepared(t *testing.T, op engine.Op, body string) (key, model, resp string) {
+func prepared(t *testing.T, rt *route, body string) (key, model, resp string) {
 	t.Helper()
-	meta := engine.Meta{}
-	key, eval, err := op.Prepare([]byte(body), engine.Env{Meta: &meta})
+	key, model, eval, err := rt.op([]byte(body), 0)
 	if err != nil {
-		t.Fatalf("%s: Prepare: %v", op.Name(), err)
+		t.Fatalf("%s: Prepare: %v", rt.name, err)
 	}
 	b, err := eval(context.Background())
 	if err != nil {
-		t.Fatalf("%s: eval: %v", op.Name(), err)
+		t.Fatalf("%s: eval: %v", rt.name, err)
 	}
-	return key, meta.Model, string(b)
+	return key, model, string(b)
 }
 
 // TestRepeatedBodyMatchesPrepare sends each buffered op's sample body
@@ -64,67 +62,56 @@ func prepared(t *testing.T, op engine.Op, body string) (key, model, resp string)
 // must be the bytes and model header Prepare itself gives, with the
 // counters of a server that prepares every request.
 func TestRepeatedBodyMatchesPrepare(t *testing.T) {
-	for _, op := range registry.Ops() {
-		body := sampleBodies[op.Name()]
-		key, model, resp := prepared(t, op, body)
+	for _, rt := range opRoutes() {
+		body := sampleBodies[rt.name]
+		key, model, resp := prepared(t, rt, body)
 		s := newTestServer(t, Config{})
 		for i, wantCache := range []string{"miss", "hit", "hit"} {
-			got := post(t, s, op.Path(), body)
+			got := post(t, s, rt.path, body)
 			if want := (reply{http.StatusOK, resp, model, wantCache}); got != want {
-				t.Fatalf("%s send %d = %+v, want %+v", op.Name(), i+1, got, want)
+				t.Fatalf("%s send %d = %+v, want %+v", rt.name, i+1, got, want)
 			}
 		}
-		if e, ok := s.memo.get(routeIndex(t, op), []byte(body)); !ok || e.key != key || e.model != model ||
+		if e, ok := s.memo.get(opRoute(rt.name), []byte(body)); !ok || e.key != key || e.model != model ||
 			e.size != len(resp) || len(e.length) != 1 || e.length[0] != strconv.Itoa(len(resp)) {
-			t.Errorf("%s: memo entry = %+v, %v; want Prepare's key and model %q and length %d", op.Name(), e, ok, model, len(resp))
+			t.Errorf("%s: memo entry = %+v, %v; want Prepare's key and model %q and length %d", rt.name, e, ok, model, len(resp))
 		}
 		m := s.Snapshot()
 		wantCache := servecache.Stats{Hits: 2, Misses: 1, Entries: 1, Capacity: 4096, Shards: servecache.DefaultShards}
-		if m.Cache != wantCache || m.Requests[op.Name()] != 3 ||
+		if m.Cache != wantCache || m.Requests[rt.name] != 3 ||
 			m.Responses["ok"] != 3 || m.Responses["clientError"] != 0 || m.Responses["serverError"] != 0 {
 			t.Errorf("%s: metrics = %+v %+v %+v, want cache %+v, 3 requests, 3 ok",
-				op.Name(), m.Cache, m.Requests, m.Responses, wantCache)
+				rt.name, m.Cache, m.Requests, m.Responses, wantCache)
 		}
 	}
-}
-
-// routeIndex is op's index in the route table, which the memo shares.
-func routeIndex(t *testing.T, op engine.Op) int {
-	t.Helper()
-	for i := range routes {
-		if routes[i].path == op.Path() {
-			return i
-		}
-	}
-	t.Fatalf("no route for %s", op.Path())
-	return -1
 }
 
 // TestRepeatedBodyAfterEviction evicts a remembered body's response:
 // the resend skips Prepare up front, runs it inside the cache leader,
 // and answers the same bytes as a fresh miss.
 func TestRepeatedBodyAfterEviction(t *testing.T) {
-	for _, op := range registry.Ops() {
-		body := sampleBodies[op.Name()]
-		_, model, resp := prepared(t, op, body)
+	ops := opRoutes()
+	for k, rt := range ops {
+		body := sampleBodies[rt.name]
+		_, model, resp := prepared(t, rt, body)
 		s := newTestServer(t, Config{CacheEntries: 1})
 		// One shard with one slot, so any other key evicts this one.
 		s.cache, _ = servecache.NewSharded(1, 1)
 		evals := 0
 		s.onEvaluate = func(string) { evals++ }
-		post(t, s, op.Path(), body)
-		post(t, s, op.Path(), body)
-		other := registry.Ops()[(routeIndex(t, op)+1)%len(registry.Ops())]
-		post(t, s, other.Path(), sampleBodies[other.Name()])
+		post(t, s, rt.path, body)
+		post(t, s, rt.path, body)
+		other := ops[(k+1)%len(ops)]
+		post(t, s, other.path, sampleBodies[other.name])
 		if n, _ := memoSize(s); n != 1 {
-			t.Fatalf("%s: memo holds %d entries, want 1", op.Name(), n)
+			t.Fatalf("%s: memo holds %d entries, want 1", rt.name, n)
 		}
-		got := post(t, s, op.Path(), body)
+		got := post(t, s, rt.path, body)
 		if want := (reply{http.StatusOK, resp, model, "miss"}); got != want {
-			t.Errorf("%s resend after eviction = %+v, want %+v", op.Name(), got, want)
+			t.Errorf("%s resend after eviction = %+v, want %+v", rt.name, got, want)
 		}
 		if evals != 3 {
-			t.Errorf("%s: %d evaluations, want 3 (miss, other, resend)", op.Name(), evals)
+			t.Errorf("%s: %d evaluations, want 3 (miss, other, resend)", rt.name, evals)
 		}
 	}
 }
@@ -170,12 +157,12 @@ func TestMemoRemembersOnlyCacheableRepeats(t *testing.T) {
 func TestMemoBounded(t *testing.T) {
 	const entries = 3
 	s := newTestServer(t, Config{CacheEntries: entries})
-	op := registryOps["optimize"]
+	rt := &routes[opRoute("optimize")]
 	for i := 0; i < 3*entries; i++ {
 		body := fmt.Sprintf(`{"workload":"MMM","f":0.%d,"design":{"kind":"sym"}}`, 50+i)
-		_, model, resp := prepared(t, op, body)
+		_, model, resp := prepared(t, rt, body)
 		for j := 0; j < 3; j++ {
-			if got := post(t, s, op.Path(), body); got.status != http.StatusOK || got.body != resp || got.model != model {
+			if got := post(t, s, rt.path, body); got.status != http.StatusOK || got.body != resp || got.model != model {
 				t.Fatalf("body %d send %d = %+v, want Prepare's answer", i, j+1, got)
 			}
 		}
@@ -192,8 +179,8 @@ func TestMemoBounded(t *testing.T) {
 func TestMemoConcurrentRepeats(t *testing.T) {
 	s := newTestServer(t, Config{})
 	want := make(map[string]string)
-	for _, op := range registry.Ops() {
-		_, _, want[op.Name()] = prepared(t, op, sampleBodies[op.Name()])
+	for _, rt := range opRoutes() {
+		_, _, want[rt.name] = prepared(t, rt, sampleBodies[rt.name])
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -201,20 +188,20 @@ func TestMemoConcurrentRepeats(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 5; i++ {
-				for _, op := range registry.Ops() {
-					req := httptest.NewRequest(http.MethodPost, op.Path(), strings.NewReader(sampleBodies[op.Name()]))
+				for _, rt := range opRoutes() {
+					req := httptest.NewRequest(http.MethodPost, rt.path, strings.NewReader(sampleBodies[rt.name]))
 					rec := httptest.NewRecorder()
 					s.Handler().ServeHTTP(rec, req)
-					if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), []byte(want[op.Name()])) {
-						t.Errorf("%s: status %d, body differs from Prepare's", op.Name(), rec.Code)
+					if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), []byte(want[rt.name])) {
+						t.Errorf("%s: status %d, body differs from Prepare's", rt.name, rec.Code)
 					}
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	if n, _ := memoSize(s); n != len(registry.Ops()) {
-		t.Errorf("memo holds %d entries, want one per op (%d)", n, len(registry.Ops()))
+	if n, _ := memoSize(s); n != len(opRoutes()) {
+		t.Errorf("memo holds %d entries, want one per op (%d)", n, len(opRoutes()))
 	}
 }
 
@@ -242,5 +229,33 @@ func TestCachedRepeatAllocs(t *testing.T) {
 		t.Errorf("repeated optimize allocates %.0f times, want <= %d", got, pin)
 	} else {
 		t.Logf("repeated optimize allocates %.0f times", got)
+	}
+}
+
+// TestColdOptimizeAllocs pins the allocations of an optimize request
+// that runs Prepare and evaluates, the request and recorder included:
+// 60 with go1.24, and no slack, because the one above it is what
+// reporting the model through a pointer cost. Cache storage is off, so
+// neither the cache nor the memo answers the request. The race detector
+// changes allocation counts, so it skips under -race.
+func TestColdOptimizeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	const pin = 60
+	s := newTestServer(t, Config{CacheEntries: -1})
+	h := s.Handler()
+	send := func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/optimize", strings.NewReader(benchOptimizeBody)))
+		if rec.Code != http.StatusOK || rec.Header().Get("X-Heterosim-Cache") != "miss" {
+			t.Fatalf("status %d, cache %q: %s", rec.Code, rec.Header().Get("X-Heterosim-Cache"), rec.Body)
+		}
+	}
+	send()
+	if got := testing.AllocsPerRun(200, send); got > pin {
+		t.Errorf("cold optimize allocates %.0f times, want <= %d", got, pin)
+	} else {
+		t.Logf("cold optimize allocates %.0f times", got)
 	}
 }

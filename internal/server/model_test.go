@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/calcm/heterosim/internal/engine"
 	"github.com/calcm/heterosim/internal/model"
 )
 
@@ -34,26 +33,26 @@ func withModel(t *testing.T, body, name string, params string) string {
 // registered backend: the full backend x endpoint matrix must evaluate
 // successfully, and non-default responses must echo the model name.
 func TestModelEndpointMatrix(t *testing.T) {
-	for _, op := range registry.Ops() {
+	for _, rt := range opRoutes() {
 		for _, name := range model.Names() {
-			body := withModel(t, sampleBodies[op.Name()], name, "")
-			_, eval, err := op.Prepare([]byte(body), engine.Env{})
+			body := withModel(t, sampleBodies[rt.name], name, "")
+			_, _, eval, err := rt.op([]byte(body), 0)
 			if err != nil {
-				t.Errorf("%s/%s: Prepare: %v", op.Name(), name, err)
+				t.Errorf("%s/%s: Prepare: %v", rt.name, name, err)
 				continue
 			}
 			resp, err := eval(context.Background())
 			if err != nil {
-				t.Errorf("%s/%s: eval: %v", op.Name(), name, err)
+				t.Errorf("%s/%s: eval: %v", rt.name, name, err)
 				continue
 			}
 			want := `"model":"` + name + `"`
 			if name == model.DefaultName {
 				if strings.Contains(string(resp), `"model"`) {
-					t.Errorf("%s/%s: default response leaks a model field:\n%s", op.Name(), name, resp)
+					t.Errorf("%s/%s: default response leaks a model field:\n%s", rt.name, name, resp)
 				}
 			} else if !strings.Contains(string(resp), want) {
-				t.Errorf("%s/%s: response does not echo %s:\n%s", op.Name(), name, want, resp)
+				t.Errorf("%s/%s: response does not echo %s:\n%s", rt.name, name, want, resp)
 			}
 		}
 	}
@@ -63,13 +62,13 @@ func TestModelEndpointMatrix(t *testing.T) {
 // results: sqrtm at theta=0.5 must match the chung default exactly,
 // while a different theta must not.
 func TestModelParamsReachBackends(t *testing.T) {
-	op := opByName(t, "optimize")
+	prepare := opOptimize
 	// An asymmetric design: the sequential core's size r is a free
 	// variable, so the scaling exponent theta shows up in the optimum.
 	base := `{"workload":"MMM","f":0.9,"design":{"kind":"asym"}}`
 	eval := func(body string) string {
 		t.Helper()
-		_, ev, err := op.Prepare([]byte(body), engine.Env{})
+		_, _, ev, err := prepare([]byte(body), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,33 +100,33 @@ func TestModelParamsReachBackends(t *testing.T) {
 // one byte-identical response, so the cache holds a single entry for
 // them and pre-registry golden responses stay valid.
 func TestChungSpellingsCoalesce(t *testing.T) {
-	for _, op := range registry.Ops() {
-		base := sampleBodies[op.Name()]
-		baseKey, baseEval, err := op.Prepare([]byte(base), engine.Env{})
+	for _, rt := range opRoutes() {
+		base := sampleBodies[rt.name]
+		baseKey, _, baseEval, err := rt.op([]byte(base), 0)
 		if err != nil {
-			t.Fatalf("%s: %v", op.Name(), err)
+			t.Fatalf("%s: %v", rt.name, err)
 		}
 		baseResp, err := baseEval(context.Background())
 		if err != nil {
-			t.Fatalf("%s: %v", op.Name(), err)
+			t.Fatalf("%s: %v", rt.name, err)
 		}
 		for _, spelling := range []string{"chung", "CHUNG", "Chung"} {
 			body := withModel(t, base, spelling, "")
-			key, eval, err := op.Prepare([]byte(body), engine.Env{})
+			key, _, eval, err := rt.op([]byte(body), 0)
 			if err != nil {
-				t.Fatalf("%s/%s: %v", op.Name(), spelling, err)
+				t.Fatalf("%s/%s: %v", rt.name, spelling, err)
 			}
 			if key != baseKey {
 				t.Errorf("%s: model %q has its own cache key:\n--- omitted ---\n%q\n--- spelled ---\n%q",
-					op.Name(), spelling, baseKey, key)
+					rt.name, spelling, baseKey, key)
 			}
 			resp, err := eval(context.Background())
 			if err != nil {
-				t.Fatalf("%s/%s: eval: %v", op.Name(), spelling, err)
+				t.Fatalf("%s/%s: eval: %v", rt.name, spelling, err)
 			}
 			if string(resp) != string(baseResp) {
 				t.Errorf("%s: model %q changes response bytes:\n--- omitted ---\n%s\n--- spelled ---\n%s",
-					op.Name(), spelling, baseResp, resp)
+					rt.name, spelling, baseResp, resp)
 			}
 		}
 	}
@@ -136,7 +135,7 @@ func TestChungSpellingsCoalesce(t *testing.T) {
 // TestModelDistinguishesCacheKeys is the flip side of coalescing:
 // non-default backends (and distinct params) must produce distinct keys.
 func TestModelDistinguishesCacheKeys(t *testing.T) {
-	op := opByName(t, "optimize")
+	prepare := opOptimize
 	keys := make(map[string]string)
 	for _, tc := range []struct{ label, body string }{
 		{"chung", sampleBodies["optimize"]},
@@ -144,7 +143,7 @@ func TestModelDistinguishesCacheKeys(t *testing.T) {
 		{"sqrtm", withModel(t, sampleBodies["optimize"], "sqrtm", "")},
 		{"sqrtm-0.8", withModel(t, sampleBodies["optimize"], "sqrtm", `{"theta":0.8}`)},
 	} {
-		key, _, err := op.Prepare([]byte(tc.body), engine.Env{})
+		key, _, _, err := prepare([]byte(tc.body), 0)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.label, err)
 		}

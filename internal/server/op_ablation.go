@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 
 	"github.com/calcm/heterosim/internal/ablation"
-	"github.com/calcm/heterosim/internal/engine"
 	"github.com/calcm/heterosim/internal/itrs"
 )
 
@@ -51,30 +50,30 @@ type AblationResponse struct {
 // ablationStudyNames names ablation.StudiesModelCtx's fixed return order.
 var ablationStudyNames = [...]string{"bandwidthBound", "powerBound", "sequentialSizing"}
 
-var opAblation = engine.New("ablation", buildAblation)
+var opAblation = newOp("ablation", buildAblation)
 
-func buildAblation(req *AblationRequest, env engine.Env) (func(context.Context) (AblationResponse, error), error) {
+func buildAblation(req *AblationRequest, workers int) (string, func(context.Context) (AblationResponse, error), error) {
 	w, err := parseWorkload(req.Workload)
 	if err != nil {
-		return nil, err
+		return "", nil, err
 	}
 	req.Workload = string(w)
-	if err := engine.CheckF(req.F); err != nil {
-		return nil, err
+	if err := checkF(req.F); err != nil {
+		return "", nil, err
 	}
 	if req.Node == "" {
 		req.Node = "11nm"
 	}
 	nodeIdx, err := itrs.Default().Index(req.Node)
 	if err != nil {
-		return nil, badRequest("unknown node %q", req.Node)
+		return "", nil, BadRequest("unknown node %q", req.Node)
 	}
-	mk, err := resolveModelFactory(&req.Model, &req.ModelParams, env)
+	mk, name, err := resolveModelFactory(&req.Model, &req.ModelParams)
 	if err != nil {
-		return nil, err
+		return name, nil, err
 	}
-	workers := workersOr(&req.Workers, env)
-	return func(ctx context.Context) (AblationResponse, error) {
+	workers = workersOr(&req.Workers, workers)
+	return name, func(ctx context.Context) (AblationResponse, error) {
 		studies, err := ablation.StudiesModelCtx(ctx, w, req.F, nodeIdx, workers, mk)
 		if err != nil {
 			return AblationResponse{}, evalFailure(err, unprocessable)

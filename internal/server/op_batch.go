@@ -8,13 +8,12 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/calcm/heterosim/internal/engine"
 	"github.com/calcm/heterosim/internal/par"
 	"github.com/calcm/heterosim/internal/servecache"
 	"github.com/calcm/heterosim/internal/telemetry"
 )
 
-// POST /v1/batch — a heterogeneous list of registry ops in one
+// POST /v1/batch — a heterogeneous list of model ops in one
 // round-trip: decoded once, admitted once, fanned out through
 // internal/par, with per-item status/cache/model metadata so a burst
 // of N correlated design-space questions costs one HTTP exchange
@@ -40,7 +39,7 @@ import (
 // admission gate can interleave other traffic between them.
 const maxBatchItems = 256
 
-// BatchItemRequest is one operation in a batch: the registry op name
+// BatchItemRequest is one operation in a batch: the model op name
 // and its request body, verbatim.
 type BatchItemRequest struct {
 	Op      string          `json:"op"`
@@ -154,40 +153,35 @@ func (it *BatchItemResponse) fail(err error) {
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// Prepare every item up front — decode once, before any evaluation —
 	// so validation failures are itemized without costing a gate slot.
-	// Each item's Prepare reports its model into the item's own meta,
-	// so the items share the one allocation of preps.
 	type prepared struct {
 		key  string
 		eval func(context.Context) ([]byte, error)
-		meta engine.Meta
 	}
 	var items []BatchItemResponse
 	var preps []prepared
-	if !s.prepare(w, r, func(body []byte, env engine.Env) (string, error) {
+	if !s.prepare(w, r, func(body []byte) (string, error) {
 		var req BatchRequest
-		if err := engine.DecodeStrict(body, &req); err != nil {
+		if err := DecodeStrict(body, &req); err != nil {
 			return "", err
 		}
 		if len(req.Items) == 0 {
-			return "", badRequest("batch needs at least one item")
+			return "", BadRequest("batch needs at least one item")
 		}
 		if len(req.Items) > maxBatchItems {
-			return "", badRequest("batch has %d items, limit %d: split the request", len(req.Items), maxBatchItems)
+			return "", BadRequest("batch has %d items, limit %d: split the request", len(req.Items), maxBatchItems)
 		}
 		items = make([]BatchItemResponse, len(req.Items))
 		preps = make([]prepared, len(req.Items))
 		for i, it := range req.Items {
 			items[i].Op = it.Op
-			op, ok := registryOps[it.Op]
-			if !ok {
-				items[i].fail(badRequest("unknown op %q", it.Op))
+			j := opRoute(it.Op)
+			if j < 0 {
+				items[i].fail(BadRequest("unknown op %q", it.Op))
 				continue
 			}
 			p := &preps[i]
-			env.Meta = &p.meta
 			var err error
-			p.key, p.eval, err = op.Prepare(it.Request, env)
-			items[i].Model = p.meta.Model
+			p.key, items[i].Model, p.eval, err = routes[j].op(it.Request, s.cfg.Workers)
 			if err != nil {
 				p.eval = nil
 				items[i].fail(err)

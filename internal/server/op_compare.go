@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"github.com/calcm/heterosim/internal/engine"
 	"github.com/calcm/heterosim/internal/itrs"
 	"github.com/calcm/heterosim/internal/model"
 	"github.com/calcm/heterosim/internal/par"
@@ -89,26 +88,27 @@ type CompareResponse struct {
 	Pairs    []ComparePairJSON `json:"pairs"`
 }
 
-var opCompare = engine.New("compare", buildCompare)
+var opCompare = newOp("compare", buildCompare)
 
-func buildCompare(req *CompareRequest, env engine.Env) (func(context.Context) (CompareResponse, error), error) {
+func buildCompare(req *CompareRequest, workers int) (string, func(context.Context) (CompareResponse, error), error) {
 	w, err := parseWorkload(req.Workload)
 	if err != nil {
-		return nil, err
+		return "", nil, err
 	}
 	req.Workload = string(w)
-	if err := engine.CheckF(req.F); err != nil {
-		return nil, err
+	if err := checkF(req.F); err != nil {
+		return "", nil, err
 	}
 	if len(req.Pairs) == 0 {
-		return nil, badRequest("compare needs at least one (scenario, model) pair")
+		return "", nil, BadRequest("compare needs at least one (scenario, model) pair")
 	}
 	if len(req.Pairs) > maxComparePairs {
-		return nil, badRequest("compare has %d pairs, limit %d: split the request", len(req.Pairs), maxComparePairs)
+		return "", nil, BadRequest("compare has %d pairs, limit %d: split the request", len(req.Pairs), maxComparePairs)
 	}
 	type prepared struct {
-		sc scenario.Scenario
-		mk model.Factory
+		sc    scenario.Scenario
+		mk    model.Factory
+		model string // canonical backend name
 	}
 	for i := range req.Pairs {
 		if p := &req.Pairs[i]; p.Model == "" && p.ModelParams == nil {
@@ -117,35 +117,30 @@ func buildCompare(req *CompareRequest, env engine.Env) (func(context.Context) (C
 	}
 	req.Model, req.ModelParams = "", nil
 	pairs := make([]prepared, len(req.Pairs))
-	// Each pair resolves its own backend; metas stay per-pair so a
-	// mixed-model compare does not claim one backend in the response
-	// header. When every pair agrees, that one backend is reported.
-	metas := make([]engine.Meta, len(req.Pairs))
 	for i := range req.Pairs {
 		p := &req.Pairs[i]
 		if p.Scenario < 0 || p.Scenario > 6 {
-			return nil, badRequest("pair %d: scenario must be 0-6, got %d", i, p.Scenario)
+			return "", nil, BadRequest("pair %d: scenario must be 0-6, got %d", i, p.Scenario)
 		}
 		sc, err := scenario.Get(scenario.ID(p.Scenario))
 		if err != nil {
-			return nil, badRequest("pair %d: %v", i, err)
+			return "", nil, BadRequest("pair %d: %v", i, err)
 		}
-		penv := engine.Env{Workers: env.Workers, Meta: &metas[i]}
-		mk, err := resolveModelFactory(&p.Model, &p.ModelParams, penv)
+		mk, name, err := resolveModelFactory(&p.Model, &p.ModelParams)
 		if err != nil {
-			return nil, badRequest("pair %d: %v", i, err)
+			return "", nil, BadRequest("pair %d: %v", i, err)
 		}
-		pairs[i] = prepared{sc: sc, mk: mk}
+		pairs[i] = prepared{sc: sc, mk: mk, model: name}
 	}
-	uniform := true
-	for i := 1; i < len(metas); i++ {
-		if metas[i].Model != metas[0].Model {
-			uniform = false
+	// Each pair resolves its own backend. A mixed-model compare does not
+	// claim one backend in the response header; when every pair agrees,
+	// that one backend is reported.
+	name := pairs[0].model
+	for _, p := range pairs[1:] {
+		if p.model != name {
+			name = ""
 			break
 		}
-	}
-	if uniform {
-		env.ReportModel(metas[0].Model)
 	}
 	// Duplicate pairs after canonicalization are a request bug: the
 	// second copy could only burn two projections to repeat the first.
@@ -153,12 +148,12 @@ func buildCompare(req *CompareRequest, env engine.Env) (func(context.Context) (C
 	for i, p := range req.Pairs {
 		key := fmt.Sprintf("%d\x00%s\x00%s", p.Scenario, p.Model, p.ModelParams)
 		if j, dup := seen[key]; dup {
-			return nil, badRequest("pair %d duplicates pair %d (scenario %d, model %s)", i, j, p.Scenario, metas[i].Model)
+			return name, nil, BadRequest("pair %d duplicates pair %d (scenario %d, model %s)", i, j, p.Scenario, pairs[i].model)
 		}
 		seen[key] = i
 	}
-	workers := workersOr(&req.Workers, env)
-	return func(ctx context.Context) (CompareResponse, error) {
+	workers = workersOr(&req.Workers, workers)
+	return name, func(ctx context.Context) (CompareResponse, error) {
 		out, err := par.Map(ctx, len(pairs), min(workers, len(pairs)), func(ctx context.Context, i int) (ComparePairJSON, error) {
 			base, alt, err := scenario.CompareModelCtx(ctx, pairs[i].sc, w, req.F, workers, pairs[i].mk)
 			if err != nil {

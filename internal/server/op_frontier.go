@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 
-	"github.com/calcm/heterosim/internal/engine"
 	"github.com/calcm/heterosim/internal/project"
 	"github.com/calcm/heterosim/internal/scenario"
 )
@@ -128,30 +127,30 @@ func crossoverJSON(cs []scenario.Crossover) []CrossoverJSON {
 
 // streamFrontier is the frontier's streaming op; it owns its route (no
 // buffered form — /v1/compare is the buffered trajectory surface).
-var streamFrontier = engine.NewStream("frontier", "/v1/frontier/stream", buildFrontierStream)
+var streamFrontier = newStreamOp(buildFrontierStream)
 
-func buildFrontierStream(req *FrontierRequest, env engine.Env) (engine.StreamFunc, error) {
+func buildFrontierStream(req *FrontierRequest, workers int) (string, streamFunc, error) {
 	if req.Scenario < 0 || req.Scenario > 6 {
-		return nil, badRequest("scenario must be 0-6, got %d", req.Scenario)
+		return "", nil, BadRequest("scenario must be 0-6, got %d", req.Scenario)
 	}
 	w, err := parseWorkload(req.Workload)
 	if err != nil {
-		return nil, err
+		return "", nil, err
 	}
 	req.Workload = string(w)
-	if err := engine.CheckF(req.F); err != nil {
-		return nil, err
+	if err := checkF(req.F); err != nil {
+		return "", nil, err
 	}
 	sc, err := scenario.Get(scenario.ID(req.Scenario))
 	if err != nil {
-		return nil, badRequest("%v", err)
+		return "", nil, BadRequest("%v", err)
 	}
-	mk, err := resolveModelFactory(&req.Model, &req.ModelParams, env)
+	mk, name, err := resolveModelFactory(&req.Model, &req.ModelParams)
 	if err != nil {
-		return nil, err
+		return name, nil, err
 	}
-	workers := workersOr(&req.Workers, env)
-	return func(ctx context.Context, e engine.StreamEmitter) error {
+	workers = workersOr(&req.Workers, workers)
+	return name, func(ctx context.Context, e *streamEmitter) error {
 		ts, err := scenario.RunModelCtx(ctx, sc, w, req.F, workers, mk)
 		if err != nil {
 			return evalFailure(err, unprocessable)

@@ -7,7 +7,6 @@ import (
 
 	"github.com/calcm/heterosim/internal/bounds"
 	"github.com/calcm/heterosim/internal/core"
-	"github.com/calcm/heterosim/internal/engine"
 )
 
 // POST /v1/optimize — one design point.
@@ -39,38 +38,38 @@ type OptimizeResponse struct {
 	Model    string      `json:"model,omitempty"`
 }
 
-var opOptimize = engine.New("optimize", buildOptimize)
+var opOptimize = newOp("optimize", buildOptimize)
 
-func buildOptimize(req *OptimizeRequest, env engine.Env) (func(context.Context) (OptimizeResponse, error), error) {
+func buildOptimize(req *OptimizeRequest, workers int) (string, func(context.Context) (OptimizeResponse, error), error) {
 	w, err := parseWorkload(req.Workload)
 	if err != nil {
-		return nil, err
+		return "", nil, err
 	}
 	req.Workload = string(w) // canonical spelling for the cache key
-	if err := engine.CheckF(req.F); err != nil {
-		return nil, err
+	if err := checkF(req.F); err != nil {
+		return "", nil, err
 	}
-	obj, err := engine.ParseObjective(req.Objective)
+	obj, err := parseObjective(req.Objective)
 	if err != nil {
-		return nil, err
+		return "", nil, err
 	}
 	req.Objective = obj
 	d, err := req.Design.resolve(w)
 	if err != nil {
-		return nil, err
+		return "", nil, err
 	}
-	mdl, err := resolveModel(&req.Model, &req.ModelParams, req.Alpha, env)
+	mdl, name, err := resolveModel(&req.Model, &req.ModelParams, req.Alpha)
 	if err != nil {
-		return nil, err
+		return name, nil, err
 	}
 	var b bounds.Budgets
 	switch {
 	case req.Budgets != nil:
 		if req.Node != "" {
-			return nil, badRequest("give either node or budgets, not both")
+			return name, nil, BadRequest("give either node or budgets, not both")
 		}
 		if req.Budgets.Area <= 0 || req.Budgets.Power <= 0 || req.Budgets.Bandwidth <= 0 {
-			return nil, badRequest("budgets must be positive")
+			return name, nil, BadRequest("budgets must be positive")
 		}
 		b = bounds.Budgets{Area: req.Budgets.Area, Power: req.Budgets.Power, Bandwidth: req.Budgets.Bandwidth}
 	default:
@@ -79,10 +78,10 @@ func buildOptimize(req *OptimizeRequest, env engine.Env) (func(context.Context) 
 		}
 		b, err = nodeBudgets(w, req.Node)
 		if err != nil {
-			return nil, err
+			return name, nil, err
 		}
 	}
-	return func(context.Context) (OptimizeResponse, error) {
+	return name, func(context.Context) (OptimizeResponse, error) {
 		opt := mdl.Optimize
 		if req.Objective == "energy" {
 			opt = mdl.OptimizeEnergy
@@ -92,7 +91,7 @@ func buildOptimize(req *OptimizeRequest, env engine.Env) (func(context.Context) 
 			if errors.Is(err, core.ErrInfeasible) {
 				return OptimizeResponse{}, unprocessable("%v", err)
 			}
-			return OptimizeResponse{}, badRequest("%v", err)
+			return OptimizeResponse{}, BadRequest("%v", err)
 		}
 		return OptimizeResponse{
 			Workload: req.Workload,

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 
-	"github.com/calcm/heterosim/internal/engine"
 	"github.com/calcm/heterosim/internal/project"
 	"github.com/calcm/heterosim/internal/scenario"
 )
@@ -40,27 +39,28 @@ type ProjectResponse struct {
 	Model        string           `json:"model,omitempty"`
 }
 
-// projectConfig resolves a ProjectRequest into the engine configuration.
-func projectConfig(req *ProjectRequest, env engine.Env) (project.Config, scenario.Scenario, error) {
+// projectConfig resolves a ProjectRequest into the projection
+// configuration and the model backend it runs on.
+func projectConfig(req *ProjectRequest, workers int) (project.Config, scenario.Scenario, string, error) {
 	w, err := parseWorkload(req.Workload)
 	if err != nil {
-		return project.Config{}, scenario.Scenario{}, err
+		return project.Config{}, scenario.Scenario{}, "", err
 	}
 	req.Workload = string(w)
-	if err := engine.CheckF(req.F); err != nil {
-		return project.Config{}, scenario.Scenario{}, err
+	if err := checkF(req.F); err != nil {
+		return project.Config{}, scenario.Scenario{}, "", err
 	}
-	obj, err := engine.ParseObjective(req.Objective)
+	obj, err := parseObjective(req.Objective)
 	if err != nil {
-		return project.Config{}, scenario.Scenario{}, err
+		return project.Config{}, scenario.Scenario{}, "", err
 	}
 	req.Objective = obj
 	sc, err := scenario.Get(scenario.ID(req.Scenario))
 	if err != nil {
-		return project.Config{}, scenario.Scenario{}, badRequest("%v", err)
+		return project.Config{}, scenario.Scenario{}, "", BadRequest("%v", err)
 	}
 	if req.Power < 0 || req.Bandwidth < 0 || req.AreaScale < 0 {
-		return project.Config{}, scenario.Scenario{}, badRequest("overrides must be positive (or omitted)")
+		return project.Config{}, scenario.Scenario{}, "", BadRequest("overrides must be positive (or omitted)")
 	}
 	cfg := sc.Apply(project.DefaultConfig(w))
 	if req.Power > 0 {
@@ -72,23 +72,23 @@ func projectConfig(req *ProjectRequest, env engine.Env) (project.Config, scenari
 	if req.AreaScale > 0 {
 		cfg.AreaScale = req.AreaScale
 	}
-	mk, err := resolveModelFactory(&req.Model, &req.ModelParams, env)
+	mk, name, err := resolveModelFactory(&req.Model, &req.ModelParams)
 	if err != nil {
-		return project.Config{}, scenario.Scenario{}, err
+		return project.Config{}, scenario.Scenario{}, name, err
 	}
 	cfg.Model = mk
-	cfg.Workers = workersOr(&req.Workers, env)
-	return cfg, sc, nil
+	cfg.Workers = workersOr(&req.Workers, workers)
+	return cfg, sc, name, nil
 }
 
-var opProject = engine.New("project", buildProject)
+var opProject = newOp("project", buildProject)
 
-func buildProject(req *ProjectRequest, env engine.Env) (func(context.Context) (ProjectResponse, error), error) {
-	cfg, sc, err := projectConfig(req, env)
+func buildProject(req *ProjectRequest, workers int) (string, func(context.Context) (ProjectResponse, error), error) {
+	cfg, sc, name, err := projectConfig(req, workers)
 	if err != nil {
-		return nil, err
+		return name, nil, err
 	}
-	return func(ctx context.Context) (ProjectResponse, error) {
+	return name, func(ctx context.Context) (ProjectResponse, error) {
 		proj := project.ProjectCtx
 		if req.Objective == "energy" {
 			proj = project.ProjectEnergyCtx

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 
-	"github.com/calcm/heterosim/internal/engine"
 	"github.com/calcm/heterosim/internal/itrs"
 	"github.com/calcm/heterosim/internal/scenario"
 )
@@ -38,30 +37,30 @@ type ScenarioResponse struct {
 	Model       string           `json:"model,omitempty"`
 }
 
-var opScenario = engine.New("scenario", buildScenario)
+var opScenario = newOp("scenario", buildScenario)
 
-func buildScenario(req *ScenarioRequest, env engine.Env) (func(context.Context) (ScenarioResponse, error), error) {
+func buildScenario(req *ScenarioRequest, workers int) (string, func(context.Context) (ScenarioResponse, error), error) {
 	if req.Scenario < 1 || req.Scenario > 6 {
-		return nil, badRequest("scenario must be 1-6, got %d", req.Scenario)
+		return "", nil, BadRequest("scenario must be 1-6, got %d", req.Scenario)
 	}
 	w, err := parseWorkload(req.Workload)
 	if err != nil {
-		return nil, err
+		return "", nil, err
 	}
 	req.Workload = string(w)
-	if err := engine.CheckF(req.F); err != nil {
-		return nil, err
+	if err := checkF(req.F); err != nil {
+		return "", nil, err
 	}
 	sc, err := scenario.Get(scenario.ID(req.Scenario))
 	if err != nil {
-		return nil, badRequest("%v", err)
+		return "", nil, BadRequest("%v", err)
 	}
-	mk, err := resolveModelFactory(&req.Model, &req.ModelParams, env)
+	mk, name, err := resolveModelFactory(&req.Model, &req.ModelParams)
 	if err != nil {
-		return nil, err
+		return name, nil, err
 	}
-	workers := workersOr(&req.Workers, env)
-	return func(ctx context.Context) (ScenarioResponse, error) {
+	workers = workersOr(&req.Workers, workers)
+	return name, func(ctx context.Context) (ScenarioResponse, error) {
 		base, alt, err := scenario.CompareModelCtx(ctx, sc, w, req.F, workers, mk)
 		if err != nil {
 			return ScenarioResponse{}, evalFailure(err, unprocessable)

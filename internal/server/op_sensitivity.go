@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 
-	"github.com/calcm/heterosim/internal/engine"
 	"github.com/calcm/heterosim/internal/sensitivity"
 )
 
@@ -58,27 +57,27 @@ type SensitivityResponse struct {
 	Model        string             `json:"model,omitempty"`
 }
 
-var opSensitivity = engine.New("sensitivity", buildSensitivity)
+var opSensitivity = newOp("sensitivity", buildSensitivity)
 
-func buildSensitivity(req *SensitivityRequest, env engine.Env) (func(context.Context) (SensitivityResponse, error), error) {
+func buildSensitivity(req *SensitivityRequest, workers int) (string, func(context.Context) (SensitivityResponse, error), error) {
 	w, err := parseWorkload(req.Workload)
 	if err != nil {
-		return nil, err
+		return "", nil, err
 	}
 	req.Workload = string(w)
-	if err := engine.CheckF(req.F); err != nil {
-		return nil, err
+	if err := checkF(req.F); err != nil {
+		return "", nil, err
 	}
 	if req.Node == "" {
 		req.Node = "40nm"
 	}
 	d, err := req.Design.resolve(w)
 	if err != nil {
-		return nil, err
+		return "", nil, err
 	}
-	mdl, err := resolveModel(&req.Model, &req.ModelParams, req.Alpha, env)
+	mdl, name, err := resolveModel(&req.Model, &req.ModelParams, req.Alpha)
 	if err != nil {
-		return nil, err
+		return name, nil, err
 	}
 	// Defaults are materialized into the request before keying so every
 	// spelling of "the defaults" shares one cache entry. The comparisons
@@ -87,29 +86,29 @@ func buildSensitivity(req *SensitivityRequest, env engine.Env) (func(context.Con
 		req.Step = 0.01
 	}
 	if !(req.Step > 0 && req.Step < 0.5) {
-		return nil, badRequest("step must be in (0, 0.5), got %v", req.Step)
+		return name, nil, BadRequest("step must be in (0, 0.5), got %v", req.Step)
 	}
 	if req.Sigma == 0 {
 		req.Sigma = 0.2
 	}
 	if !(req.Sigma > 0 && req.Sigma <= 2) {
-		return nil, badRequest("sigma must be in (0, 2], got %v", req.Sigma)
+		return name, nil, BadRequest("sigma must be in (0, 2], got %v", req.Sigma)
 	}
 	if req.Samples == 0 {
 		req.Samples = 1000
 	}
 	if req.Samples < 10 || req.Samples > maxMCSamples {
-		return nil, badRequest("samples must be in [10, %d], got %d", maxMCSamples, req.Samples)
+		return name, nil, BadRequest("samples must be in [10, %d], got %d", maxMCSamples, req.Samples)
 	}
 	if req.Seed == 0 {
 		req.Seed = 1
 	}
 	b, err := nodeBudgets(w, req.Node)
 	if err != nil {
-		return nil, err
+		return name, nil, err
 	}
-	workers := workersOr(&req.Workers, env)
-	return func(ctx context.Context) (SensitivityResponse, error) {
+	workers = workersOr(&req.Workers, workers)
+	return name, func(ctx context.Context) (SensitivityResponse, error) {
 		prof, err := sensitivity.ProfileCtx(ctx, mdl, d, req.F, b, req.Step, workers)
 		if err != nil {
 			return SensitivityResponse{}, evalFailure(err, unprocessable)

@@ -9,7 +9,6 @@ import (
 
 	"github.com/calcm/heterosim/internal/bounds"
 	"github.com/calcm/heterosim/internal/core"
-	"github.com/calcm/heterosim/internal/engine"
 	"github.com/calcm/heterosim/internal/sweep"
 )
 
@@ -32,13 +31,13 @@ type AxisSpec struct {
 func (a AxisSpec) values(name string) ([]float64, error) {
 	if len(a.Values) > 0 {
 		if a.Lo != 0 || a.Hi != 0 || a.Steps != 0 {
-			return nil, badRequest("axis %s: give either values or lo/hi/steps, not both", name)
+			return nil, BadRequest("axis %s: give either values or lo/hi/steps, not both", name)
 		}
 		return a.Values, nil
 	}
 	vals, err := sweep.Range(a.Lo, a.Hi, a.Steps)
 	if err != nil {
-		return nil, badRequest("axis %s: %v", name, err)
+		return nil, BadRequest("axis %s: %v", name, err)
 	}
 	return vals, nil
 }
@@ -150,7 +149,7 @@ func (c *coordCache) appendVal(b []byte, v float64) ([]byte, error) {
 		}
 	}
 	start := len(b)
-	b, err := engine.AppendFloat(b, v)
+	b, err := appendFloat(b, v)
 	if err != nil {
 		return nil, err
 	}
@@ -209,7 +208,7 @@ func (e *sweepEnc) appendPoint(b []byte, p *SweepPointJSON) ([]byte, error) {
 	}
 	if p.Limit != "" {
 		b = append(b, `,"limit":`...)
-		b = engine.AppendString(b, p.Limit)
+		b = appendString(b, p.Limit)
 	}
 	if p.EnergyNorm != 0 {
 		b = append(b, `,"energyNorm":`...)
@@ -220,7 +219,7 @@ func (e *sweepEnc) appendPoint(b []byte, p *SweepPointJSON) ([]byte, error) {
 	return append(b, '}'), nil
 }
 
-// AppendJSON implements engine.Appender: a sweep response is one point
+// AppendJSON implements appender: a sweep response is one point
 // per grid cell, and encoding a few thousand cells through reflection
 // costs more than evaluating them, so the surface writes itself. The
 // bytes are exactly json.Marshal's (TestSweepResponseAppendJSON fuzzes
@@ -229,11 +228,11 @@ func (r SweepResponse) AppendJSON(b []byte) ([]byte, error) {
 	var err error
 	var enc sweepEnc
 	b = append(b, `{"workload":`...)
-	b = engine.AppendString(b, r.Workload)
+	b = appendString(b, r.Workload)
 	b = append(b, `,"node":`...)
-	b = engine.AppendString(b, r.Node)
+	b = appendString(b, r.Node)
 	b = append(b, `,"design":`...)
-	b = engine.AppendString(b, r.Design)
+	b = appendString(b, r.Design)
 	b = append(b, `,"axes":`...)
 	if r.Axes == nil {
 		b = append(b, "null"...)
@@ -244,9 +243,9 @@ func (r SweepResponse) AppendJSON(b []byte) ([]byte, error) {
 				b = append(b, ',')
 			}
 			b = append(b, `{"name":`...)
-			b = engine.AppendString(b, r.Axes[i].Name)
+			b = appendString(b, r.Axes[i].Name)
 			b = append(b, `,"values":`...)
-			if b, err = engine.AppendFloats(b, r.Axes[i].Values); err != nil {
+			if b, err = appendFloats(b, r.Axes[i].Values); err != nil {
 				return nil, err
 			}
 			b = append(b, '}')
@@ -278,12 +277,12 @@ func (r SweepResponse) AppendJSON(b []byte) ([]byte, error) {
 	}
 	if r.Model != "" {
 		b = append(b, `,"model":`...)
-		b = engine.AppendString(b, r.Model)
+		b = appendString(b, r.Model)
 	}
 	return append(b, '}'), nil
 }
 
-var opSweep = engine.New("sweep", buildSweep)
+var opSweep = newOp("sweep", buildSweep)
 
 // sweepPlan is a validated, canonicalized sweep ready to evaluate: the
 // shared prepare step behind both the buffered /v1/sweep response and
@@ -301,43 +300,44 @@ type sweepPlan struct {
 }
 
 // planSweep validates and canonicalizes req (in place, exactly like
-// every other op's build step) and assembles the evaluation plan.
+// every other op's build step) and assembles the evaluation plan; it
+// returns the resolved model as a build step does.
 // maxCells bounds the grid: the buffered path pays O(cells) response
 // memory, the streaming path only O(chunk), so they pass different
 // limits.
-func planSweep(req *SweepRequest, env engine.Env, maxCells int) (*sweepPlan, error) {
+func planSweep(req *SweepRequest, workers, maxCells int) (*sweepPlan, string, error) {
 	w, err := parseWorkload(req.Workload)
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
 	req.Workload = string(w)
 	if req.Node == "" {
 		req.Node = "40nm"
 	}
-	obj, err := engine.ParseObjective(req.Objective)
+	obj, err := parseObjective(req.Objective)
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
 	req.Objective = obj
 	d, err := req.Design.resolve(w)
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
-	mdl, err := resolveModel(&req.Model, &req.ModelParams, req.Alpha, env)
+	mdl, name, err := resolveModel(&req.Model, &req.ModelParams, req.Alpha)
 	if err != nil {
-		return nil, err
+		return nil, name, err
 	}
 	base, err := nodeBudgets(w, req.Node)
 	if err != nil {
-		return nil, err
+		return nil, name, err
 	}
 	fVals, err := req.F.values("f")
 	if err != nil {
-		return nil, err
+		return nil, name, err
 	}
 	for _, f := range fVals {
-		if err := engine.CheckF(f); err != nil {
-			return nil, err
+		if err := checkF(f); err != nil {
+			return nil, name, err
 		}
 	}
 	axes := []sweep.Axis{{Name: "f", Values: fVals}}
@@ -351,23 +351,23 @@ func planSweep(req *SweepRequest, env engine.Env, maxCells int) (*sweepPlan, err
 	} {
 		vals, err := sc.spec.values(sc.name + "Scale")
 		if err != nil {
-			return nil, err
+			return nil, name, err
 		}
 		for _, v := range vals {
 			if v <= 0 || math.IsNaN(v) {
-				return nil, badRequest("axis %sScale: scales must be positive", sc.name)
+				return nil, name, BadRequest("axis %sScale: scales must be positive", sc.name)
 			}
 		}
 		axes = append(axes, sweep.Axis{Name: sc.name, Values: vals})
 	}
 	grid, err := sweep.NewGrid(axes...)
 	if err != nil {
-		return nil, badRequest("%v", err)
+		return nil, name, BadRequest("%v", err)
 	}
 	if grid.Size() > maxCells {
-		return nil, badRequest("sweep has %d cells, limit %d: split the request", grid.Size(), maxCells)
+		return nil, name, BadRequest("sweep has %d cells, limit %d: split the request", grid.Size(), maxCells)
 	}
-	workers := workersOr(&req.Workers, env)
+	workers = workersOr(&req.Workers, workers)
 
 	opt := mdl.Optimize
 	if req.Objective == "energy" {
@@ -382,7 +382,7 @@ func planSweep(req *SweepRequest, env engine.Env, maxCells int) (*sweepPlan, err
 		workers: workers,
 		energy:  req.Objective == "energy",
 		opt:     opt,
-	}, nil
+	}, name, nil
 }
 
 // evalCell evaluates one grid cell from its axis values by position
@@ -454,16 +454,16 @@ func (r *bestReducer) bestPtr() *SweepPointJSON {
 	return &r.best
 }
 
-func buildSweep(req *SweepRequest, env engine.Env) (func(context.Context) (SweepResponse, error), error) {
-	p, err := planSweep(req, env, maxSweepCells)
+func buildSweep(req *SweepRequest, workers int) (string, func(context.Context) (SweepResponse, error), error) {
+	p, name, err := planSweep(req, workers, maxSweepCells)
 	if err != nil {
-		return nil, err
+		return name, nil, err
 	}
 	// The evaluation loop runs on Cells: each worker gets the flat
 	// row-major index directly plus the axis values by position, so the
 	// hot path writes points[flat] with no per-cell Point map or
 	// value->index lookups.
-	return func(ctx context.Context) (SweepResponse, error) {
+	return name, func(ctx context.Context) (SweepResponse, error) {
 		points := make([]SweepPointJSON, p.grid.Size())
 		err := p.grid.Cells(ctx, p.workers, func(flat int, v []float64) error {
 			cell, err := p.evalCell(v)
@@ -474,7 +474,7 @@ func buildSweep(req *SweepRequest, env engine.Env) (func(context.Context) (Sweep
 			return nil
 		})
 		if err != nil {
-			return SweepResponse{}, evalFailure(err, badRequest)
+			return SweepResponse{}, evalFailure(err, BadRequest)
 		}
 		resp := SweepResponse{
 			Workload: p.req.Workload,

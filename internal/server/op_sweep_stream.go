@@ -3,8 +3,6 @@ package server
 import (
 	"context"
 	"encoding/json"
-
-	"github.com/calcm/heterosim/internal/engine"
 )
 
 // POST /v1/sweep?stream=ndjson — the sweep surface as NDJSON: one
@@ -63,17 +61,17 @@ type SweepStreamError struct {
 	Error string `json:"error"`
 }
 
-// streamSweep is the sweep's streaming form: it shares the buffered
-// op's name, so the generic pipeline routes both through /v1/sweep and
-// one counter, dispatched on `?stream=`.
-var streamSweep = engine.NewStream("sweep", "/v1/sweep", buildSweepStream)
+// streamSweep is the sweep's streaming form: the route table pairs it
+// with the buffered op on /v1/sweep and one counter, dispatched on
+// `?stream=`.
+var streamSweep = newStreamOp(buildSweepStream)
 
-func buildSweepStream(req *SweepRequest, env engine.Env) (engine.StreamFunc, error) {
-	plan, err := planSweep(req, env, maxStreamSweepCells)
+func buildSweepStream(req *SweepRequest, workers int) (string, streamFunc, error) {
+	plan, name, err := planSweep(req, workers, maxStreamSweepCells)
 	if err != nil {
-		return nil, err
+		return name, nil, err
 	}
-	return func(ctx context.Context, e engine.StreamEmitter) error {
+	return name, func(ctx context.Context, e *streamEmitter) error {
 		hdr, err := json.Marshal(SweepStreamHeader{
 			Workload: plan.req.Workload,
 			Node:     plan.req.Node,
@@ -107,7 +105,7 @@ func buildSweepStream(req *SweepRequest, env engine.Env) (engine.StreamFunc, err
 				return nil
 			})
 			if err != nil {
-				return evalFailure(err, badRequest)
+				return evalFailure(err, BadRequest)
 			}
 			for j := range cells {
 				if row, err = enc.appendPoint(row[:0], &cells[j]); err != nil {

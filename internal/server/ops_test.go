@@ -9,7 +9,6 @@ import (
 
 	"github.com/calcm/heterosim/internal/ablation"
 	"github.com/calcm/heterosim/internal/core"
-	"github.com/calcm/heterosim/internal/engine"
 	"github.com/calcm/heterosim/internal/paper"
 	"github.com/calcm/heterosim/internal/project"
 	"github.com/calcm/heterosim/internal/sensitivity"
@@ -165,13 +164,13 @@ func TestAblationValidation(t *testing.T) {
 func TestNewOpsEvalHonorsContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, op := range []engine.Op{opSensitivity, opAblation} {
-		_, eval, err := op.Prepare([]byte(sampleBodies[op.Name()]), engine.Env{})
+	for _, name := range []string{"sensitivity", "ablation"} {
+		_, _, eval, err := opByName(t, name)([]byte(sampleBodies[name]), 0)
 		if err != nil {
-			t.Fatalf("%s: Prepare: %v", op.Name(), err)
+			t.Fatalf("%s: Prepare: %v", name, err)
 		}
 		if _, err := eval(ctx); !errors.Is(err, context.Canceled) {
-			t.Errorf("%s: eval(cancelled ctx) = %v, want context.Canceled", op.Name(), err)
+			t.Errorf("%s: eval(cancelled ctx) = %v, want context.Canceled", name, err)
 		}
 	}
 }

@@ -10,8 +10,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-
-	"github.com/calcm/heterosim/internal/engine"
 )
 
 // panicOp is a test-only buffered op that panics in Prepare or in its
@@ -24,15 +22,15 @@ type panicOp struct {
 	evals     atomic.Int32
 }
 
-func (*panicOp) Name() string { return "panicky" }
-func (*panicOp) Path() string { return "/v1/panicky" }
+// route wraps o as a buffered route.
+func (o *panicOp) route() *route { return &route{name: "panicky", op: o.prepare} }
 
-func (o *panicOp) Prepare([]byte, engine.Env) (string, func(context.Context) ([]byte, error), error) {
+func (o *panicOp) prepare([]byte, int) (string, string, func(context.Context) ([]byte, error), error) {
 	o.prepares.Add(1)
 	if o.inPrepare && o.panics.Add(-1) >= 0 {
 		panic("boom in prepare")
 	}
-	return "/v1/panicky\x00{}", func(context.Context) ([]byte, error) {
+	return "/v1/panicky\x00{}", "", func(context.Context) ([]byte, error) {
 		o.evals.Add(1)
 		if !o.inPrepare && o.panics.Add(-1) >= 0 {
 			panic("boom in eval")
@@ -45,11 +43,11 @@ func (o *panicOp) Prepare([]byte, engine.Env) (string, func(context.Context) ([]
 // before panicking when afterLine is set, and panics at once otherwise.
 type panicStream struct{ afterLine bool }
 
-func (*panicStream) Name() string { return "panicky" }
-func (*panicStream) Path() string { return "/v1/panicky/stream" }
+// route wraps o as a stream route.
+func (o *panicStream) route() *route { return &route{name: "panicky", stream: o.prepare} }
 
-func (o *panicStream) PrepareStream([]byte, engine.Env) (engine.StreamFunc, error) {
-	return func(_ context.Context, e engine.StreamEmitter) error {
+func (o *panicStream) prepare([]byte, int) (string, streamFunc, error) {
+	return "", func(_ context.Context, e *streamEmitter) error {
 		if o.afterLine {
 			if err := e.Emit([]byte(`{"header":true}`)); err != nil {
 				return err
@@ -139,7 +137,7 @@ func checkPanicReported(t *testing.T, p *panicRig, id string, want int) {
 func TestPanicInPrepareIs500(t *testing.T) {
 	op := &panicOp{inPrepare: true}
 	op.panics.Store(2)
-	p := newPanicRig(t, func(s *Server, w http.ResponseWriter, r *http.Request) { s.serveOp(w, r, op, 0) })
+	p := newPanicRig(t, func(s *Server, w http.ResponseWriter, r *http.Request) { s.serveOp(w, r, op.route(), 0) })
 	for i, id := range []string{"prep-1", "prep-2"} {
 		rec := p.post(id)
 		if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "boom in prepare") {
@@ -165,7 +163,7 @@ func TestPanicInPrepareIs500(t *testing.T) {
 func TestPanicInEvalIs500AndFreesKey(t *testing.T) {
 	op := &panicOp{}
 	op.panics.Store(1)
-	p := newPanicRig(t, func(s *Server, w http.ResponseWriter, r *http.Request) { s.serveOp(w, r, op, 0) })
+	p := newPanicRig(t, func(s *Server, w http.ResponseWriter, r *http.Request) { s.serveOp(w, r, op.route(), 0) })
 	if rec := p.post("eval-1"); rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "boom in eval") {
 		t.Fatalf("%d %s, want a 500 naming the panic", rec.Code, rec.Body)
 	}
@@ -191,7 +189,7 @@ func TestPanicInStream(t *testing.T) {
 	}{{"before any line", false}, {"after a line", true}} {
 		t.Run(tc.name, func(t *testing.T) {
 			op := &panicStream{afterLine: tc.afterLine}
-			p := newPanicRig(t, func(s *Server, w http.ResponseWriter, r *http.Request) { s.serveStream(w, r, op) })
+			p := newPanicRig(t, func(s *Server, w http.ResponseWriter, r *http.Request) { s.serveStream(w, r, op.route()) })
 			for i, id := range []string{"stream-1", "stream-2"} {
 				rec := p.post(id)
 				if !tc.afterLine {

@@ -6,13 +6,11 @@ import (
 	"net/http"
 	"strings"
 	"testing"
-
-	"github.com/calcm/heterosim/internal/engine"
 )
 
 // sampleBodies holds one known-good request per registered op. The
-// invariant tests below range over the registry, so registering a new
-// op without a sample here fails TestRegistrySampleCompleteness — the
+// invariant tests below range over the route table's model ops, so a
+// new op without a sample here fails TestRegistrySampleCompleteness — the
 // price of admission to the serving surface is one line in this map.
 var sampleBodies = map[string]string{
 	"optimize":    `{"workload":"MMM","f":0.9,"design":{"kind":"sym"}}`,
@@ -24,20 +22,32 @@ var sampleBodies = map[string]string{
 	"compare":     `{"workload":"MMM","f":0.9,"pairs":[{"scenario":1},{"scenario":2}]}`,
 }
 
+// opRoutes returns the routes that serve a buffered model op, in table
+// order.
+func opRoutes() []*route {
+	var out []*route
+	for i := range routes {
+		if routes[i].op != nil {
+			out = append(out, &routes[i])
+		}
+	}
+	return out
+}
+
 func TestRegistrySampleCompleteness(t *testing.T) {
-	for _, op := range registry.Ops() {
-		body, ok := sampleBodies[op.Name()]
+	for _, rt := range opRoutes() {
+		body, ok := sampleBodies[rt.name]
 		if !ok {
-			t.Errorf("op %q has no sample body in sampleBodies", op.Name())
+			t.Errorf("op %q has no sample body in sampleBodies", rt.name)
 			continue
 		}
-		if _, _, err := op.Prepare([]byte(body), engine.Env{}); err != nil {
-			t.Errorf("op %q: sample body rejected: %v", op.Name(), err)
+		if _, _, _, err := rt.op([]byte(body), 0); err != nil {
+			t.Errorf("op %q: sample body rejected: %v", rt.name, err)
 		}
 	}
 	registered := make(map[string]bool)
-	for _, name := range registry.Names() {
-		registered[name] = true
+	for _, rt := range opRoutes() {
+		registered[rt.name] = true
 	}
 	for name := range sampleBodies {
 		if !registered[name] {
@@ -55,9 +65,9 @@ func TestEndpointsCoverRegistry(t *testing.T) {
 	for _, e := range eps {
 		listed[e] = true
 	}
-	for _, op := range registry.Ops() {
-		if !listed["POST "+op.Path()] {
-			t.Errorf("Endpoints() is missing POST %s", op.Path())
+	for _, rt := range opRoutes() {
+		if !listed["POST "+rt.path] {
+			t.Errorf("Endpoints() is missing POST %s", rt.path)
 		}
 	}
 	for _, e := range []string{"POST /v1/frontier/stream", "POST /v1/batch", "GET /v1/version", "GET /v1/models", "GET /healthz", "GET /metrics"} {
@@ -65,7 +75,7 @@ func TestEndpointsCoverRegistry(t *testing.T) {
 			t.Errorf("Endpoints() is missing %s", e)
 		}
 	}
-	if want := len(registry.Ops()) + 6; len(eps) != want {
+	if want := len(opRoutes()) + 6; len(eps) != want {
 		t.Errorf("Endpoints() has %d entries, want %d", len(eps), want)
 	}
 }
@@ -76,10 +86,10 @@ func TestEndpointsCoverRegistry(t *testing.T) {
 // requests_total sample, and the request-duration histogram series.
 func TestMetricsCoverRegistry(t *testing.T) {
 	s := newTestServer(t, Config{})
-	for _, op := range registry.Ops() {
-		rec := do(t, s, http.MethodPost, op.Path(), sampleBodies[op.Name()])
+	for _, rt := range opRoutes() {
+		rec := do(t, s, http.MethodPost, rt.path, sampleBodies[rt.name])
 		if rec.Code != http.StatusOK {
-			t.Fatalf("%s: status = %d (body %s)", op.Path(), rec.Code, rec.Body)
+			t.Fatalf("%s: status = %d (body %s)", rt.path, rec.Code, rec.Body)
 		}
 	}
 
@@ -96,8 +106,8 @@ func TestMetricsCoverRegistry(t *testing.T) {
 			}
 		}
 	}
-	for _, op := range registry.Ops() {
-		name := op.Name()
+	for _, rt := range opRoutes() {
+		name := rt.name
 		if m.Requests[name] != 1 {
 			t.Errorf("JSON metrics: requests[%q] = %d, want 1", name, m.Requests[name])
 		}
@@ -110,7 +120,7 @@ func TestMetricsCoverRegistry(t *testing.T) {
 	}
 }
 
-// TestCacheKeyIgnoresWorkers asserts, generically over the registry,
+// TestCacheKeyIgnoresWorkers asserts, generically over the model ops,
 // that a request's worker count never reaches its cache key: the same
 // body with "workers" injected must produce an identical key, so two
 // clients asking for different parallelism share one cached response.
@@ -118,13 +128,13 @@ func TestMetricsCoverRegistry(t *testing.T) {
 // body's unknown field under strict decode, which equally keeps workers
 // out of the key.
 func TestCacheKeyIgnoresWorkers(t *testing.T) {
-	for _, op := range registry.Ops() {
-		base, _, err := op.Prepare([]byte(sampleBodies[op.Name()]), engine.Env{})
+	for _, rt := range opRoutes() {
+		base, _, _, err := rt.op([]byte(sampleBodies[rt.name]), 0)
 		if err != nil {
-			t.Fatalf("%s: %v", op.Name(), err)
+			t.Fatalf("%s: %v", rt.name, err)
 		}
 		var decoded map[string]json.RawMessage
-		if err := json.Unmarshal([]byte(sampleBodies[op.Name()]), &decoded); err != nil {
+		if err := json.Unmarshal([]byte(sampleBodies[rt.name]), &decoded); err != nil {
 			t.Fatal(err)
 		}
 		decoded["workers"] = json.RawMessage("7")
@@ -132,51 +142,53 @@ func TestCacheKeyIgnoresWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		key, _, err := op.Prepare(withWorkers, engine.Env{})
+		key, _, _, err := rt.op(withWorkers, 0)
 		if err != nil {
 			if strings.Contains(err.Error(), "unknown field") {
 				continue // no workers field at all: trivially key-invariant
 			}
-			t.Fatalf("%s: Prepare with workers failed: %v", op.Name(), err)
+			t.Fatalf("%s: Prepare with workers failed: %v", rt.name, err)
 		}
 		if key != base {
 			t.Errorf("%s: workers leaked into the cache key:\n--- without ---\n%q\n--- with ---\n%q",
-				op.Name(), base, key)
+				rt.name, base, key)
 		}
 	}
 }
 
-// TestRegistryDuplicateNamePanics pins the registry's construction
-// invariant: two ops with one name cannot coexist.
-func TestRegistryDuplicateNamePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewRegistry accepted a duplicate op name")
+// TestRouteNamesUnique pins the route table's invariant: a name labels
+// one endpoint's counters and a batch item's op, and a path is routed
+// once, so neither may repeat.
+func TestRouteNamesUnique(t *testing.T) {
+	names, paths := make(map[string]bool), make(map[string]bool)
+	for _, rt := range routes {
+		if names[rt.name] || paths[rt.path] {
+			t.Errorf("route %s %s repeats a name or a path", rt.name, rt.path)
 		}
-	}()
-	engine.NewRegistry(opOptimize, opOptimize)
+		names[rt.name], paths[rt.path] = true, true
+	}
 }
 
 // TestWorkersDoNotChangeResponses runs every op's sample at two worker
-// counts and compares response bytes — the engine determinism guarantee
-// holds across the whole registry, new ops included.
+// counts and compares response bytes — the determinism guarantee holds
+// across every model op, new ops included.
 func TestWorkersDoNotChangeResponses(t *testing.T) {
-	for _, op := range registry.Ops() {
+	for _, rt := range opRoutes() {
 		var got []string
-		for _, env := range []engine.Env{{Workers: 1}, {Workers: 4}} {
-			_, eval, err := op.Prepare([]byte(sampleBodies[op.Name()]), env)
+		for _, workers := range []int{1, 4} {
+			_, _, eval, err := rt.op([]byte(sampleBodies[rt.name]), workers)
 			if err != nil {
-				t.Fatalf("%s: %v", op.Name(), err)
+				t.Fatalf("%s: %v", rt.name, err)
 			}
 			resp, err := eval(context.Background())
 			if err != nil {
-				t.Fatalf("%s: eval: %v", op.Name(), err)
+				t.Fatalf("%s: eval: %v", rt.name, err)
 			}
 			got = append(got, string(resp))
 		}
 		if got[0] != got[1] {
 			t.Errorf("%s: response depends on worker count:\n--- 1 worker ---\n%s\n--- 4 workers ---\n%s",
-				op.Name(), got[0], got[1])
+				rt.name, got[0], got[1])
 		}
 	}
 }

@@ -26,7 +26,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/calcm/heterosim/internal/engine"
 	"github.com/calcm/heterosim/internal/model"
 	"github.com/calcm/heterosim/internal/par"
 	"github.com/calcm/heterosim/internal/servecache"
@@ -289,53 +288,50 @@ func (s *Server) handle(i int) http.HandlerFunc {
 			s.writeError(w, err)
 		case r.Method != http.MethodPost:
 			w.Header().Set("Allow", http.MethodPost)
-			s.writeError(w, &apiError{Status: http.StatusMethodNotAllowed, Message: "use POST"})
+			s.writeError(w, &Error{Status: http.StatusMethodNotAllowed, Message: "use POST"})
 		case stream:
-			s.serveStream(w, r, rt.stream)
+			s.serveStream(w, r, rt)
+		case rt.op != nil:
+			s.serveOp(w, r, rt, i)
 		default:
 			rt.serve(s, w, r)
 		}
 	}
 }
 
-// serveOp is the buffered pipeline of registry op op, served on route
-// i: prepare (strict decode + validation + canonical cache key),
-// coalescing lookup, admission (misses only — cached work is free and
-// must stay admissible under overload), per-request deadline (misses
-// only: a hit arms no timer), stale fallback, and error-to-status
-// mapping.
+// serveOp is the buffered pipeline of route rt's model op, rt being
+// routes[i] (the memo is indexed like routes): prepare (strict decode +
+// validation + canonical cache key), coalescing lookup, admission
+// (misses only — cached work is free and must stay admissible under
+// overload), per-request deadline (misses only: a hit arms no timer),
+// stale fallback, and error-to-status mapping.
 //
 // A body the memo remembers skips Prepare: its key and model come from
 // the memo, and Prepare runs only if the lookup needs an evaluation,
 // inside the cache leader. A body that ran Prepare and was answered
 // from the cache is remembered for next time, with its response's
 // Content-Length value.
-func (s *Server) serveOp(w http.ResponseWriter, r *http.Request, op engine.Op, i int) {
+func (s *Server) serveOp(w http.ResponseWriter, r *http.Request, rt *route, i int) {
 	var body []byte
 	var entry memoEntry
 	var remembered bool
 	var build func(context.Context) ([]byte, error)
-	if !s.prepare(w, r, func(b []byte, env engine.Env) (string, error) {
+	if !s.prepare(w, r, func(b []byte) (string, error) {
 		body = b
 		if entry, remembered = s.memo.get(i, b); remembered {
 			return entry.model, nil
 		}
-		// Declared past the memo hit: Prepare's report escapes to the
-		// heap, and only a request that runs Prepare pays for it.
-		var meta engine.Meta
-		env.Meta = &meta
 		var err error
-		entry.key, build, err = op.Prepare(b, env)
-		entry.model = meta.Model
-		return meta.Model, err
+		entry.key, entry.model, build, err = rt.op(b, s.cfg.Workers)
+		return entry.model, err
 	}) {
 		return
 	}
 	resp, outcome, err := s.lookup(r.Context(), r, entry.key, s.cfg.RequestTimeout, func(ctx context.Context) ([]byte, error) {
-		return s.evaluate(ctx, s.gate, op.Name(), func(ctx context.Context) ([]byte, error) {
+		return s.evaluate(ctx, s.gate, rt.name, func(ctx context.Context) ([]byte, error) {
 			if build == nil { // a remembered body: Prepare runs only now
 				var err error
-				if _, build, err = op.Prepare(body, engine.Env{Workers: s.cfg.Workers}); err != nil {
+				if _, _, build, err = rt.op(body, s.cfg.Workers); err != nil {
 					return nil, err
 				}
 			}
@@ -367,17 +363,16 @@ func (s *Server) serveOp(w http.ResponseWriter, r *http.Request, op engine.Op, i
 // prepare is the decode step of every POST pipeline: it reads the body
 // and runs decode inside the decode span. decode returns the resolved
 // model backend, which goes into the response header and the access log
-// (it never reaches cache keys or response bodies); a caller that runs
-// Prepare hands it an engine.Meta of its own to report through. On
-// failure prepare writes the error response and returns false. A panic
-// in decode is answered as a 500 (see guard).
-func (s *Server) prepare(w http.ResponseWriter, r *http.Request, decode func(body []byte, env engine.Env) (model string, err error)) bool {
+// (it never reaches cache keys or response bodies), also when it fails
+// after the model resolved. On failure prepare writes the error response
+// and returns false. A panic in decode is answered as a 500 (see guard).
+func (s *Server) prepare(w http.ResponseWriter, r *http.Request, decode func(body []byte) (model string, err error)) bool {
 	span := telemetry.StartSpan(r.Context(), stageDecode)
 	body, err := readBody(r)
 	var model string
 	if err == nil {
 		err = s.guard(r.Context(), "decode", func() (err error) {
-			model, err = decode(body, engine.Env{Workers: s.cfg.Workers})
+			model, err = decode(body)
 			return err
 		})
 	}
@@ -417,7 +412,7 @@ type admitter interface {
 func (s *Server) evaluate(ctx context.Context, adm admitter, name string, eval func(context.Context) ([]byte, error)) ([]byte, error) {
 	release, status := adm.acquire(ctx)
 	if status != 0 {
-		return nil, &apiError{Status: status, Message: "server saturated, retry later"}
+		return nil, &Error{Status: status, Message: "server saturated, retry later"}
 	}
 	defer release()
 	if s.onEvaluate != nil {
@@ -488,26 +483,26 @@ func readBody(r *http.Request) ([]byte, error) {
 		body, err = io.ReadAll(http.MaxBytesReader(nil, r.Body, maxBodyBytes))
 	}
 	if err != nil {
-		return nil, badRequest("reading body: %v", err)
+		return nil, BadRequest("reading body: %v", err)
 	}
 	return body, nil
 }
 
-// classify is the serving layer's one error classifier: an apiError
+// classify is the serving layer's one error classifier: an Error
 // keeps its status, an expired request deadline is 504, a disconnected
 // client 503 (moot — nobody reads it), anything else a 500. Standalone
 // error bodies, batch items and in-band stream lines all use it.
-func classify(err error) *apiError {
-	var ae *apiError
+func classify(err error) *Error {
+	var ae *Error
 	switch {
 	case errors.As(err, &ae):
 		return ae
 	case errors.Is(err, context.DeadlineExceeded):
-		return &apiError{Status: http.StatusGatewayTimeout, Message: "request deadline exceeded"}
+		return &Error{Status: http.StatusGatewayTimeout, Message: "request deadline exceeded"}
 	case errors.Is(err, context.Canceled):
-		return &apiError{Status: http.StatusServiceUnavailable, Message: "request cancelled"}
+		return &Error{Status: http.StatusServiceUnavailable, Message: "request cancelled"}
 	default:
-		return &apiError{Status: http.StatusInternalServerError, Message: err.Error()}
+		return &Error{Status: http.StatusInternalServerError, Message: err.Error()}
 	}
 }
 

@@ -6,30 +6,37 @@ import (
 	"errors"
 	"log/slog"
 	"net/http"
-
-	"github.com/calcm/heterosim/internal/engine"
 )
 
 // This file is the one generic NDJSON stream pipeline, written once
-// against engine.StreamOp the way serveOp is written once against
-// engine.Op, and sharing its prepare, deadline, admit-and-evaluate and
+// against streamOp the way serveOp is written once against op, and
+// sharing its prepare, deadline, admit-and-evaluate and
 // error-classification steps: one gate slot for the whole stream, a
 // chunked flush, and in-band error lines once frames are out. Streams
 // always evaluate: the response never enters the result cache or the
 // peer tier — a stream is a bulk export, not a cacheable unit — and the
 // X-Heterosim-Cache header says "stream" so clients can tell.
 //
-// An op may shadow a buffered registry op under the same route (the
-// sweep does — `?stream=ndjson` picks the stream) or own a stream-only
+// A stream may share its route with a buffered op (the sweep does — `?stream=ndjson` picks the stream) or own a stream-only
 // route (the frontier); the route table declares which, and
 // route.wantsStream classifies the query parameter.
 
-// streamEmitter adapts an http.ResponseWriter to engine.StreamEmitter.
-// Emit buffers complete NDJSON lines; Flush writes the buffer and
-// pushes it through the HTTP flusher, so the op's flush granularity
-// (after the header, after each evaluation window) becomes the wire's.
-// The first write decides the stream is committed: from then on errors
-// go in-band, not as HTTP statuses.
+// streamFunc evaluates one prepared stream: it emits the header, rows,
+// and trailer through e, honoring ctx between frames. Returning nil
+// means the trailer is emitted and the stream is complete; returning an
+// error after frames are on the wire becomes an in-band error line —
+// the transport's status codes are already spent. After an Emit or
+// Flush error the client is gone; the op must stop and return that
+// error unchanged.
+type streamFunc func(ctx context.Context, e *streamEmitter) error
+
+// streamEmitter receives one stream's NDJSON frames and writes them to
+// an http.ResponseWriter. Emit buffers complete NDJSON lines, appending
+// the newline itself; Flush writes the buffer and pushes it through the
+// HTTP flusher. The op decides the flush granularity (after the header,
+// after each evaluation window), because only it knows when a frame
+// boundary is worth a syscall. The first Emit decides the stream is
+// committed: from then on errors go in-band, not as HTTP statuses.
 type streamEmitter struct {
 	w       http.ResponseWriter
 	flusher http.Flusher
@@ -82,16 +89,13 @@ func (e *streamEmitter) write() error {
 // log's byte count.
 var errStreamClientGone = errors.New("stream client gone")
 
-// serveStream serves one stream; the route has already counted the
-// request, checked the method and picked the stream form.
-func (s *Server) serveStream(w http.ResponseWriter, r *http.Request, op engine.StreamOp) {
-	var stream engine.StreamFunc
-	if !s.prepare(w, r, func(body []byte, env engine.Env) (string, error) {
-		var meta engine.Meta
-		env.Meta = &meta
-		var err error
-		stream, err = op.PrepareStream(body, env)
-		return meta.Model, err
+// serveStream serves route rt's stream; the route has already counted
+// the request, checked the method and picked the stream form.
+func (s *Server) serveStream(w http.ResponseWriter, r *http.Request, rt *route) {
+	var stream streamFunc
+	if !s.prepare(w, r, func(body []byte) (model string, err error) {
+		model, stream, err = rt.stream(body, s.cfg.Workers)
+		return model, err
 	}) {
 		return
 	}
@@ -101,7 +105,7 @@ func (s *Server) serveStream(w http.ResponseWriter, r *http.Request, op engine.S
 	e := &streamEmitter{w: w, flusher: flusher}
 	// Streams always evaluate, so they are admitted like any miss — one
 	// slot for the whole stream.
-	_, err := s.evaluate(ctx, s.gate, op.Name(), func(ctx context.Context) ([]byte, error) {
+	_, err := s.evaluate(ctx, s.gate, rt.name, func(ctx context.Context) ([]byte, error) {
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		w.Header().Set("X-Heterosim-Cache", "stream")
 		return nil, stream(ctx, e)
@@ -117,7 +121,7 @@ func (s *Server) serveStream(w http.ResponseWriter, r *http.Request, op engine.S
 		// Nothing emitted: the HTTP status is still ours to spend.
 		s.writeError(w, err)
 	default:
-		s.streamError(r.Context(), op.Name(), e, err)
+		s.streamError(r.Context(), rt.name, e, err)
 	}
 }
 

@@ -9,8 +9,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"github.com/calcm/heterosim/internal/engine"
 )
 
 // brokenWriter is an http.ResponseWriter whose Write starts failing
@@ -89,7 +87,7 @@ func TestStreamErrorClassification(t *testing.T) {
 		wantLine  string
 	}{
 		{"unclassified is 500-class", errors.New("boom"), "serverError", "boom"},
-		{"apiError keeps its status", &apiError{Status: http.StatusUnprocessableEntity, Message: "infeasible"}, "clientError", "infeasible"},
+		{"apiError keeps its status", &Error{Status: http.StatusUnprocessableEntity, Message: "infeasible"}, "clientError", "infeasible"},
 		{"deadline is 504-class", context.DeadlineExceeded, "serverError", "request deadline exceeded"},
 		{"cancel is 503-class", context.Canceled, "serverError", "request cancelled"},
 	}
@@ -205,17 +203,17 @@ func TestErrorClassesAgree(t *testing.T) {
 	saturated := Config{MaxInflight: 1, MaxQueue: 1, QueueTimeout: 5 * time.Millisecond}
 	full := Config{MaxInflight: 1, MaxQueue: 1, QueueTimeout: time.Minute}
 
-	infeasibleStream := engine.NewStream("optimize", "/v1/optimize",
-		func(req *OptimizeRequest, env engine.Env) (engine.StreamFunc, error) {
-			eval, err := buildOptimize(req, env)
+	infeasibleStream := &route{name: "optimize", stream: newStreamOp(
+		func(req *OptimizeRequest, workers int) (string, streamFunc, error) {
+			model, eval, err := buildOptimize(req, workers)
 			if err != nil {
-				return nil, err
+				return model, nil, err
 			}
-			return func(ctx context.Context, _ engine.StreamEmitter) error {
+			return model, func(ctx context.Context, _ *streamEmitter) error {
 				_, err := eval(ctx)
 				return err
 			}, nil
-		})
+		})}
 
 	cases := []struct {
 		name       string
@@ -266,7 +264,7 @@ func TestErrorClassesAgree(t *testing.T) {
 			}
 
 			std := doCtx(t, s, tc.ctx, "/v1/"+tc.op, tc.body)
-			var want apiError
+			var want Error
 			if err := json.Unmarshal(std.Body.Bytes(), &want); err != nil || std.Code != tc.want || want.Message == "" {
 				t.Fatalf("standalone %s = %d %s, want %d with an error body", tc.op, std.Code, std.Body, tc.want)
 			}
@@ -288,7 +286,7 @@ func TestErrorClassesAgree(t *testing.T) {
 			} else {
 				st = doCtx(t, s, tc.ctx, tc.streamPath, tc.streamBody)
 			}
-			var got apiError
+			var got Error
 			if err := json.Unmarshal(st.Body.Bytes(), &got); err != nil || st.Code != std.Code || got.Message != want.Message {
 				t.Errorf("stream = %d %s, want %d with error %q", st.Code, st.Body, std.Code, want.Message)
 			}

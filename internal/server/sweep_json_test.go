@@ -7,8 +7,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"github.com/calcm/heterosim/internal/engine"
 )
 
 // shadowSweepResponse mirrors SweepResponse field-for-field but has no
@@ -143,10 +141,10 @@ func TestAppenderResultExactSize(t *testing.T) {
 	}
 	r.Feasible = len(r.Points)
 	r.Best = &r.Points[len(r.Points)-1]
-	op := engine.New("exact", func(*struct{}, engine.Env) (func(context.Context) (*SweepResponse, error), error) {
-		return func(context.Context) (*SweepResponse, error) { return r, nil }, nil
+	prepare := newOp("exact", func(*struct{}, int) (string, func(context.Context) (*SweepResponse, error), error) {
+		return "", func(context.Context) (*SweepResponse, error) { return r, nil }, nil
 	})
-	_, eval, err := op.Prepare([]byte(`{}`), engine.Env{})
+	_, _, eval, err := prepare([]byte(`{}`), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -243,10 +243,6 @@ func fftSweepJobs(devices []paper.DeviceID, lo2, hi2 int) ([]Job, error) {
 	return jobs, nil
 }
 
-// CompulsoryOnly returns what the record's bandwidth would be if the
-// device achieved exactly compulsory traffic — Figure 4's reference line.
-func CompulsoryOnly(r Record) float64 { return r.CompulsoryGBs }
-
 // --- kernel execution & verification ---------------------------------------
 
 // Input is a kernel input as it really executes: the job's size capped to

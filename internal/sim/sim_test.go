@@ -192,14 +192,6 @@ func TestWorkloadIDForFFT(t *testing.T) {
 	}
 }
 
-func TestCompulsoryOnly(t *testing.T) {
-	s := newSim(t)
-	rec, _ := s.RunFFT(paper.GTX285, 4096)
-	if CompulsoryOnly(rec) != rec.CompulsoryGBs {
-		t.Error("CompulsoryOnly mismatch")
-	}
-}
-
 // The Section 5 compute-bound check: at every size the GTX285's measured
 // bandwidth stays below the board peak, so FFT performance is
 // compute-bound, satisfying the model's linear-scaling assumption.
