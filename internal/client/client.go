@@ -18,7 +18,6 @@ package client
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -33,6 +32,7 @@ import (
 	"time"
 
 	"github.com/calcm/heterosim/internal/baseurl"
+	"github.com/calcm/heterosim/internal/codec"
 	"github.com/calcm/heterosim/internal/server"
 	"github.com/calcm/heterosim/internal/telemetry"
 	"github.com/calcm/heterosim/internal/version"
@@ -379,7 +379,7 @@ func (c *Client) call(ctx context.Context, method, path string, in, out any) err
 	var body []byte
 	if in != nil {
 		var err error
-		if body, err = json.Marshal(in); err != nil {
+		if body, err = codec.Marshal(in); err != nil {
 			return fmt.Errorf("client: %s: encoding request: %w", path, err)
 		}
 	}
@@ -542,7 +542,7 @@ func (c *Client) attempt(ctx context.Context, method string, ep *endpoint, path 
 	if out == nil {
 		return nil
 	}
-	if err := decodeJSON(buf.Bytes(), out); err != nil {
+	if err := codec.Decode(buf.Bytes(), out); err != nil {
 		// A 200 with an undecodable body is a truncated/corrupted
 		// transfer, not a model error: retry it.
 		return &TransportError{Endpoint: path, Err: fmt.Errorf("decoding response: %w", err)}
@@ -623,7 +623,7 @@ func apiErrorFrom(res *http.Response, payload []byte, path string) *APIError {
 	var msg struct {
 		Error string `json:"error"`
 	}
-	if decodeJSON(payload, &msg) == nil && msg.Error != "" {
+	if codec.Decode(payload, &msg) == nil && msg.Error != "" {
 		ae.Message = msg.Error
 	} else {
 		ae.Message = strings.TrimSpace(string(payload))

@@ -4,11 +4,11 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 
+	"github.com/calcm/heterosim/internal/codec"
 	"github.com/calcm/heterosim/internal/server"
 )
 
@@ -104,7 +104,7 @@ func streamCall[Row any](ctx context.Context, c *Client, path string, req any, h
 	if row == nil {
 		return 0, fmt.Errorf("client: %s requires a row callback", path)
 	}
-	body, err := json.Marshal(req)
+	body, err := codec.Marshal(req)
 	if err != nil {
 		return 0, fmt.Errorf("client: %s: encoding request: %w", path, err)
 	}
@@ -160,7 +160,7 @@ func attemptStream[Row any](ctx context.Context, c *Client, ep *endpoint, path s
 	if err != nil {
 		return 0, &TransportError{Endpoint: path, Err: fmt.Errorf("reading stream header: %w", err)}
 	}
-	if err := decodeJSON(line, hdr); err != nil {
+	if err := codec.Decode(line, hdr); err != nil {
 		return 0, &TransportError{Endpoint: path, Err: fmt.Errorf("decoding stream header: %w", err)}
 	}
 	for {
@@ -171,7 +171,7 @@ func attemptStream[Row any](ctx context.Context, c *Client, ep *endpoint, path s
 			return delivered, &TransportError{Endpoint: path, Err: fmt.Errorf("stream truncated after %d row(s): %w", delivered, err)}
 		}
 		var probe streamProbe
-		if err := decodeJSON(line, &probe); err != nil {
+		if err := codec.Decode(line, &probe); err != nil {
 			return delivered, &TransportError{Endpoint: path, Err: fmt.Errorf("undecodable stream line: %w", err)}
 		}
 		switch {
@@ -182,13 +182,13 @@ func attemptStream[Row any](ctx context.Context, c *Client, ep *endpoint, path s
 			// the caller's context decides.
 			return delivered, fmt.Errorf("client: %s: stream error after %d row(s): %s", path, delivered, *probe.Error)
 		case probe.trailer():
-			if err := decodeJSON(line, trl); err != nil {
+			if err := codec.Decode(line, trl); err != nil {
 				return delivered, &TransportError{Endpoint: path, Err: fmt.Errorf("decoding stream trailer: %w", err)}
 			}
 			return delivered, nil
 		default:
 			var r Row
-			if err := decodeJSON(line, &r); err != nil {
+			if err := codec.Decode(line, &r); err != nil {
 				return delivered, &TransportError{Endpoint: path, Err: fmt.Errorf("decoding stream row: %w", err)}
 			}
 			delivered++

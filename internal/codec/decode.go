@@ -1,23 +1,23 @@
-package client
+package codec
 
 import (
 	"bytes"
-	"encoding"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/bits"
 	"reflect"
 	"strconv"
 	"strings"
-	"sync"
-	"unicode"
+	"unicode/utf16"
+	"unicode/utf8"
 )
 
-// This file is the client's response decoder: one validating pass over
-// a body that decodes straight into the typed response, where
-// encoding/json scans the whole input once to validate it and again to
-// decode it. Each Go type gets a decode plan once, built with reflect.
+// This file is the decoder: one validating pass over a body that
+// decodes straight into the typed value, where encoding/json scans the
+// whole input once to validate it and again to decode it.
 //
 // Four things keep a body cheap to decode, down to one allocation per
 // non-empty slice and a few for its strings:
@@ -38,191 +38,20 @@ import (
 //   - The key a struct expects next, the one after the last one matched,
 //     is compared as quoted bytes where it stands, before any scan.
 //
-// The contract is json.Unmarshal's. For a fresh zero target, decodeJSON
-// rejects exactly the inputs json.Unmarshal rejects and otherwise
-// produces a reflect.DeepEqual value (FuzzDecodeMatchesUnmarshal). That
-// includes the quieter rules: a key matches a field's exact name first,
-// then the first field in declaration order under bytes.EqualFold;
-// unknown keys are skipped but validated; a duplicate key decodes again
-// into the value already there; null sets slices, maps and pointers to
-// nil, a json.RawMessage to "null", and leaves every other kind alone;
-// an empty array is an empty, non-nil slice.
-//
-// A type the plan builder does not support (interfaces, arrays, []byte
-// other than json.RawMessage, custom unmarshalers, embedded fields, the
-// ",string" option) is a plan error, never a silent second path;
-// TestDecodePlansCoverClientTypes builds every type a Client method
-// decodes.
+// Decode's contract is json.Unmarshal's, including the quieter rules: a
+// key matches a field's exact name first, then the first field in
+// declaration order under bytes.EqualFold; unknown keys are skipped but
+// validated; a duplicate key decodes again into the value already
+// there; null sets slices, maps and pointers to nil, a json.RawMessage
+// to "null", and leaves every other kind alone; an empty array is an
+// empty, non-nil slice; a json.Unmarshaler gets the raw bytes of its
+// value, null included. DecodeStrict adds the two rules of a strict
+// json.Decoder: an unknown key in a struct and anything but whitespace
+// after the value are rejections.
 
 // maxDepth is encoding/json's nesting limit: 10000 open arrays and
 // objects decode, one more is an error.
 const maxDepth = 10000
-
-type planKind uint8
-
-const (
-	kindStruct planKind = iota
-	kindSlice
-	kindPtr
-	kindMap
-	kindRaw
-	kindString
-	kindBool
-	kindInt
-	kindUint
-	kindFloat
-)
-
-// plan is how one Go type decodes.
-type plan struct {
-	kind   planKind
-	typ    reflect.Type
-	bits   int         // bit size of the numeric kinds
-	elem   *plan       // slice, pointer and map element
-	fields []fieldPlan // struct fields, in declaration order
-
-	// A slice plan's empty slice, which every empty array shares, and
-	// its pool of scratch slices (see array).
-	empty   reflect.Value
-	scratch sync.Pool // *reflect.Value: a slice of length 0, zero up to its capacity
-}
-
-type fieldPlan struct {
-	name  []byte // the JSON key: the tag name, or the Go field name
-	index int    // the struct field index
-	plan  *plan
-}
-
-var (
-	rawMessageType      = reflect.TypeFor[json.RawMessage]()
-	unmarshalerType     = reflect.TypeFor[json.Unmarshaler]()
-	textUnmarshalerType = reflect.TypeFor[encoding.TextUnmarshaler]()
-)
-
-// plans caches one plan per top-level type.
-var plans sync.Map // reflect.Type -> *plan
-
-// planFor returns t's plan, building and caching it on first use.
-func planFor(t reflect.Type) (*plan, error) {
-	if p, ok := plans.Load(t); ok {
-		return p.(*plan), nil
-	}
-	p, err := buildPlan(t, make(map[reflect.Type]*plan))
-	if err != nil {
-		return nil, fmt.Errorf("client: cannot decode into %v: %w", t, err)
-	}
-	cached, _ := plans.LoadOrStore(t, p)
-	return cached.(*plan), nil
-}
-
-// buildPlan builds t's plan. seen holds the plans under construction,
-// so a recursive type refers back to its own plan.
-func buildPlan(t reflect.Type, seen map[reflect.Type]*plan) (*plan, error) {
-	if p := seen[t]; p != nil {
-		return p, nil
-	}
-	p := &plan{typ: t}
-	seen[t] = p
-	if t == rawMessageType {
-		p.kind = kindRaw
-		return p, nil
-	}
-	if pt := reflect.PointerTo(t); pt.Implements(unmarshalerType) || pt.Implements(textUnmarshalerType) {
-		return nil, fmt.Errorf("%v has a custom unmarshaler", t)
-	}
-	var err error
-	switch t.Kind() {
-	case reflect.Struct:
-		p.kind = kindStruct
-		p.fields, err = buildFields(t, seen)
-	case reflect.Slice:
-		if t.Elem().Kind() == reflect.Uint8 {
-			return nil, fmt.Errorf("%v decodes as base64", t)
-		}
-		p.kind, p.empty = kindSlice, reflect.MakeSlice(t, 0, 0)
-		p.elem, err = buildPlan(t.Elem(), seen)
-	case reflect.Pointer:
-		p.kind = kindPtr
-		p.elem, err = buildPlan(t.Elem(), seen)
-	case reflect.Map:
-		if k := t.Key(); k.Kind() != reflect.String || reflect.PointerTo(k).Implements(textUnmarshalerType) {
-			return nil, fmt.Errorf("%v has a non-string key", t)
-		}
-		p.kind = kindMap
-		p.elem, err = buildPlan(t.Elem(), seen)
-	case reflect.String:
-		p.kind = kindString
-	case reflect.Bool:
-		p.kind = kindBool
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		p.kind, p.bits = kindInt, t.Bits()
-	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
-		p.kind, p.bits = kindUint, t.Bits()
-	case reflect.Float32, reflect.Float64:
-		p.kind, p.bits = kindFloat, t.Bits()
-	default:
-		return nil, fmt.Errorf("kind %v is not supported", t.Kind())
-	}
-	if err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
-// buildFields lists the struct fields encoding/json decodes into: the
-// exported ones not tagged "-".
-func buildFields(t reflect.Type, seen map[reflect.Type]*plan) ([]fieldPlan, error) {
-	var fields []fieldPlan
-	names := make(map[string]bool)
-	for i := 0; i < t.NumField(); i++ {
-		sf := t.Field(i)
-		if sf.Anonymous {
-			return nil, fmt.Errorf("%v embeds %v", t, sf.Type)
-		}
-		if !sf.IsExported() {
-			continue
-		}
-		tag := sf.Tag.Get("json")
-		if tag == "-" {
-			continue
-		}
-		name, opts, _ := strings.Cut(tag, ",")
-		for _, o := range strings.Split(opts, ",") {
-			if o == "string" {
-				return nil, fmt.Errorf("%v.%s uses the ,string option", t, sf.Name)
-			}
-		}
-		if name != "" && !validTag(name) {
-			return nil, fmt.Errorf("%v.%s has tag name %q", t, sf.Name, name)
-		}
-		if name == "" {
-			name = sf.Name
-		}
-		if names[name] {
-			return nil, fmt.Errorf("%v has two fields named %q", t, name)
-		}
-		names[name] = true
-		fp, err := buildPlan(sf.Type, seen)
-		if err != nil {
-			return nil, err
-		}
-		fields = append(fields, fieldPlan{name: []byte(name), index: i, plan: fp})
-	}
-	return fields, nil
-}
-
-// validTag is encoding/json's rule for a usable tag name; it falls back
-// to the Go field name on any other, which the builder refuses instead.
-func validTag(s string) bool {
-	for _, c := range s {
-		switch {
-		case strings.ContainsRune("!#$%&()*+-./:;<=>?@[]^_{|}~ ", c):
-		case !unicode.IsLetter(c) && !unicode.IsDigit(c):
-			return false
-		}
-	}
-	return true
-}
 
 // field returns the index in p.fields of the field key names, or -1.
 func (p *plan) field(key []byte) int {
@@ -239,24 +68,82 @@ func (p *plan) field(key []byte) int {
 	return -1
 }
 
-// decodeJSON decodes data into v, a non-nil pointer, with
-// json.Unmarshal's contract (see the top of this file). Decoded strings
-// and raw messages are copies: nothing in v aliases data, though the
-// strings decoded from one body share one arena, and equal ones one copy.
-func decodeJSON(data []byte, v any) error {
-	rv := reflect.ValueOf(v)
-	if rv.Kind() != reflect.Pointer || rv.IsNil() {
-		return &json.InvalidUnmarshalError{Type: reflect.TypeOf(v)}
-	}
-	p, err := planFor(rv.Type().Elem())
+// Decode decodes data into v, a non-nil pointer, with json.Unmarshal's
+// contract (see the top of this file). Decoded strings and raw messages
+// are copies: nothing in v aliases data, though the strings decoded from
+// one body share one arena, and equal ones one copy.
+func Decode(data []byte, v any) error {
+	rv, p, err := target(v)
 	if err != nil {
 		return err
 	}
-	d := decoder{data: data}
+	return run(data, p, rv, false)
+}
+
+// ErrTrailingData is DecodeStrict's error for a value followed by
+// anything but whitespace.
+var ErrTrailingData = errors.New("trailing data")
+
+// DecodeStrict decodes data into v, a non-nil pointer, as a json.Decoder
+// with DisallowUnknownFields decodes its first value, and rejects data
+// unless only whitespace follows that value. The plan decoder alone
+// decides whether data is accepted and what v holds. A rejected input is
+// decoded once more, by that json.Decoder into a fresh value of v's
+// type, and its error is returned (ErrTrailingData when the value itself
+// decoded), so a message built from the error reads exactly as it does
+// with encoding/json. Should that decoder accept what the plan rejected,
+// which FuzzDecodeStrictMatchesEncodingJSON holds never happens, the
+// plan's own error is returned.
+func DecodeStrict(data []byte, v any) error {
+	rv, p, err := target(v)
+	if err != nil {
+		return err
+	}
+	if err := run(data, p, rv, true); err != nil {
+		if jerr := decodeStrictJSON(data, rv.Type().Elem()); jerr != nil {
+			return jerr
+		}
+		return err
+	}
+	return nil
+}
+
+// decodeStrictJSON is the encoding/json decode DecodeStrict matches. It
+// runs only on a rejected input, to word the rejection.
+func decodeStrictJSON(data []byte, t reflect.Type) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(reflect.New(t).Interface()); err != nil {
+		return err
+	}
+	// dec.More reports false before a stray ']' or '}', so the next token
+	// must be EOF.
+	if _, err := dec.Token(); err != io.EOF {
+		return ErrTrailingData
+	}
+	return nil
+}
+
+// target returns the value v points to and its plan.
+func target(v any) (reflect.Value, *plan, error) {
+	rv := reflect.ValueOf(v)
+	if rv.Kind() != reflect.Pointer || rv.IsNil() {
+		return rv, nil, &json.InvalidUnmarshalError{Type: reflect.TypeOf(v)}
+	}
+	p, err := decodePlan(rv.Type().Elem())
+	return rv, p, err
+}
+
+// run decodes data into the value rv points to, which p describes.
+func run(data []byte, p *plan, rv reflect.Value, strict bool) error {
+	d := decoder{data: data, strict: strict}
 	if err := d.value(p, rv.Elem()); err != nil {
 		return err
 	}
 	if d.space(); d.off < len(d.data) {
+		if strict {
+			return ErrTrailingData
+		}
 		return d.invalid("after top-level value")
 	}
 	return nil
@@ -272,13 +159,14 @@ func (e *syntaxError) Error() string { return fmt.Sprintf("%s (offset %d)", e.ms
 
 // decoder is one pass over data; depth counts the open arrays and
 // objects, arena holds the bytes of every string decoded so far, and
-// strs some of those strings (see intern).
+// strs some of those strings (see intern). strict rejects unknown keys.
 type decoder struct {
-	data  []byte
-	off   int
-	depth int
-	arena strings.Builder
-	strs  [64]string
+	data   []byte
+	off    int
+	depth  int
+	strict bool
+	arena  strings.Builder
+	strs   [64]string
 }
 
 func (d *decoder) eof() error {
@@ -373,6 +261,13 @@ func (d *decoder) value(p *plan, v reflect.Value) error {
 	c := d.peek()
 	if d.off >= len(d.data) {
 		return d.eof()
+	}
+	if p.unmarshaler {
+		start := d.off
+		if err := d.skip(); err != nil {
+			return err
+		}
+		return v.Addr().Interface().(json.Unmarshaler).UnmarshalJSON(d.data[start:d.off])
 	}
 	if c == 'n' {
 		if err := d.literal("null"); err != nil {
@@ -506,7 +401,9 @@ func (d *decoder) object(p *plan, v reflect.Value) error {
 			if err != nil {
 				return err
 			}
-			i = p.field(key)
+			if i = p.field(key); i < 0 && d.strict {
+				return fmt.Errorf("json: unknown field %q", key)
+			}
 		} else if err := d.colon(); err != nil {
 			return err
 		}
@@ -642,11 +539,7 @@ func (d *decoder) key() ([]byte, error) {
 	}
 	key := d.data[start+1 : d.off-1]
 	if !plain {
-		s, err := unquote(d.data[start:d.off])
-		if err != nil {
-			return nil, err
-		}
-		key = []byte(s)
+		key = unquote(nil, key)
 	}
 	return key, d.colon()
 }
@@ -680,10 +573,12 @@ func (d *decoder) str() (string, error) {
 	if err != nil {
 		return "", err
 	}
+	lit := d.data[start+1 : d.off-1]
 	if plain {
-		return d.intern(d.data[start+1 : d.off-1]), nil
+		return d.intern(lit), nil
 	}
-	return unquote(d.data[start:d.off])
+	var buf [128]byte
+	return d.copyString(unquote(buf[:0], lit)), nil
 }
 
 // intern returns b as a string: the copy made for an equal string
@@ -727,13 +622,59 @@ func (d *decoder) copyString(b []byte) string {
 	return d.arena.String()[start:]
 }
 
-// unquote decodes a validated string literal that has escapes or
-// non-ASCII bytes. encoding/json does it, so escapes, surrogates and
-// invalid UTF-8 decode exactly as json.Unmarshal decodes them.
-func unquote(lit []byte) (string, error) {
-	var s string
-	err := json.Unmarshal(lit, &s)
-	return s, err
+// unquote appends the value of a validated string literal's contents
+// that has escapes or non-ASCII bytes to b, as encoding/json decodes
+// it: escapes decode, a surrogate pair joins into one rune, and a lone
+// surrogate or an invalid UTF-8 byte becomes U+FFFD.
+func unquote(b, s []byte) []byte {
+	for i := 0; i < len(s); {
+		switch c := s[i]; {
+		case c == '\\' && s[i+1] == 'u':
+			r := hex4(s[i+2:])
+			i += 6
+			if utf16.IsSurrogate(r) {
+				r2 := rune(-1)
+				if i+6 <= len(s) && s[i] == '\\' && s[i+1] == 'u' {
+					r2 = hex4(s[i+2:])
+				}
+				if r = utf16.DecodeRune(r, r2); r != utf8.RuneError {
+					i += 6
+				}
+			}
+			b = utf8.AppendRune(b, r)
+		case c == '\\':
+			b = append(b, unescape[s[i+1]])
+			i += 2
+		case c < utf8.RuneSelf:
+			b = append(b, c)
+			i++
+		default:
+			r, size := utf8.DecodeRune(s[i:])
+			b = utf8.AppendRune(b, r)
+			i += size
+		}
+	}
+	return b
+}
+
+// unescape maps the byte after a backslash to the byte it stands for.
+var unescape = [256]byte{'"': '"', '\\': '\\', '/': '/', 'b': '\b', 'f': '\f', 'n': '\n', 'r': '\r', 't': '\t'}
+
+// hex4 decodes the four validated hex digits at the start of s.
+func hex4(s []byte) rune {
+	var r rune
+	for _, c := range s[:4] {
+		switch {
+		case c <= '9':
+			c -= '0'
+		case c <= 'F':
+			c -= 'A' - 10
+		default:
+			c -= 'a' - 10
+		}
+		r = r<<4 | rune(c)
+	}
+	return r
 }
 
 // plainByte marks the bytes a plain string literal holds as they are:

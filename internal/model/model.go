@@ -25,16 +25,15 @@
 package model
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"strings"
 
 	"github.com/calcm/heterosim/internal/amdahl"
 	"github.com/calcm/heterosim/internal/bounds"
+	"github.com/calcm/heterosim/internal/codec"
 	"github.com/calcm/heterosim/internal/core"
 	"github.com/calcm/heterosim/internal/pollack"
 )
@@ -247,29 +246,23 @@ func NewFactory(name string, params json.RawMessage) Factory {
 
 // decodeParams strictly decodes raw backend parameters: unknown fields
 // and trailing data are errors, and an absent or null document leaves
-// the defaults untouched.
+// the defaults untouched. The codec decodes (codec.DecodeStrict), and
+// its error on a rejection is encoding/json's.
 func decodeParams(raw json.RawMessage, into any) error {
 	if len(raw) == 0 || string(raw) == "null" {
 		return nil
 	}
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(into); err != nil {
+	if err := codec.DecodeStrict(raw, into); err != nil {
 		return fmt.Errorf("model: invalid params: %v", err)
-	}
-	// Token, not More: More reports false before a stray ']' or '}', so
-	// only io.EOF proves the document ended.
-	if _, err := dec.Token(); err != io.EOF {
-		return fmt.Errorf("model: invalid params: trailing data")
 	}
 	return nil
 }
 
-// canonicalParams re-marshals the fully defaulted typed params so every
+// canonicalParams re-encodes the fully defaulted typed params so every
 // spelling of one configuration (omitted fields, reordered keys,
-// whitespace) shares one canonical byte encoding.
+// whitespace) shares one canonical byte encoding, json.Marshal's.
 func canonicalParams(p any) (json.RawMessage, error) {
-	out, err := json.Marshal(p)
+	out, err := codec.Marshal(p)
 	if err != nil {
 		return nil, fmt.Errorf("model: encoding params: %v", err)
 	}

@@ -1,17 +1,15 @@
 package server
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"strings"
 
 	"github.com/calcm/heterosim/internal/bounds"
+	"github.com/calcm/heterosim/internal/codec"
 	"github.com/calcm/heterosim/internal/core"
 	"github.com/calcm/heterosim/internal/paper"
 	"github.com/calcm/heterosim/internal/par"
@@ -53,34 +51,29 @@ func evalFailure(err error, mk func(string, ...any) *Error) error {
 	return mk("%v", err)
 }
 
-// DecodeStrict unmarshals JSON rejecting unknown fields, so typos in
-// request bodies fail loudly instead of silently using defaults.
+// DecodeStrict decodes a request body into dst, rejecting unknown
+// fields and trailing data, so typos in request bodies fail loudly
+// instead of silently using defaults. The codec's plan decoder decides
+// and decodes; only a rejected body is decoded again by encoding/json,
+// whose error words the 400 (see codec.DecodeStrict).
 func DecodeStrict(body []byte, dst any) error {
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
+	if err := codec.DecodeStrict(body, dst); err != nil {
 		return BadRequest("invalid request body: %v", err)
-	}
-	// Only whitespace may follow the value. dec.More reports false before
-	// a stray ']' or '}', so ask for the next token: it must be EOF.
-	if _, err := dec.Token(); err != io.EOF {
-		return BadRequest("invalid request body: trailing data")
 	}
 	return nil
 }
 
 // canonicalKey derives the cache/coalescing key for a decoded,
-// default-applied request. Identical requests — regardless of JSON field
-// order, whitespace, or spelling variants normalized during decoding —
-// hash to the same key. Worker-count fields must already be cleared by
-// the caller: results are byte-identical at every worker count, so
-// worker counts must not fragment the cache.
+// default-applied request: path, a NUL byte and the request's
+// json.Marshal bytes, which the codec's encoder writes straight into
+// the one string it allocates. Identical requests — regardless of JSON
+// field order, whitespace, or spelling variants normalized during
+// decoding — hash to the same key. Worker-count fields must already be
+// cleared by the caller: results are byte-identical at every worker
+// count, so worker counts must not fragment the cache. req should be a
+// pointer, so that passing it boxes nothing.
 func canonicalKey(path string, req any) (string, error) {
-	b, err := json.Marshal(req)
-	if err != nil {
-		return "", err
-	}
-	return path + "\x00" + string(b), nil
+	return codec.Key(path, req)
 }
 
 // parseObjective validates the objective a request optimizes: speedup
@@ -252,6 +245,9 @@ func trajectoryJSON(ts []project.Trajectory) []TrajectoryJSON {
 			Mu:    t.Design.UCore.Mu,
 			Phi:   t.Design.UCore.Phi,
 			F:     t.F,
+		}
+		if len(t.Points) > 0 {
+			tj.Points = make([]NodePointJSON, 0, len(t.Points))
 		}
 		for _, p := range t.Points {
 			np := NodePointJSON{Node: p.Node.Name, Valid: p.Valid}

@@ -410,15 +410,16 @@ func FuzzBatch(f *testing.F) {
 
 // TestBatchHitAllocs pins the allocations of a repeated two-item batch
 // whose items are both cache hits, through the full handler, the
-// request and recorder included: 92 with go1.24, plus one of slack. A
-// batch of hits arms no deadline timer, and its items report their
-// models without an allocation of their own. The race detector changes
+// request and recorder included: 54 with go1.24, plus one of slack. A
+// batch of hits arms no deadline timer, its items report their models
+// without an allocation of their own, and the envelope and both items
+// decode and key through the codec. The race detector changes
 // allocation counts, so it skips under -race.
 func TestBatchHitAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
-	const pin = 93
+	const pin = 55
 	s := newTestServer(t, Config{})
 	h := s.Handler()
 	body := `{"items":[{"op":"optimize","request":` + sampleBodies["optimize"] +

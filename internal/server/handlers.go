@@ -4,9 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
-	"sync"
 
 	"github.com/calcm/heterosim/internal/bounds"
+	"github.com/calcm/heterosim/internal/codec"
 	"github.com/calcm/heterosim/internal/model"
 	"github.com/calcm/heterosim/internal/paper"
 	"github.com/calcm/heterosim/internal/par"
@@ -31,8 +31,10 @@ type op func(body []byte, workers int) (key, model string, eval func(context.Con
 // place (default fields filled, spellings normalized, worker counts
 // cleared) so equivalent requests share one cache key, and return the
 // resolved model and the typed evaluation closure. The pipeline around
-// it is strict decode into Req, the canonical key over the
-// canonicalized request, and JSON encoding of the typed response.
+// it runs on the codec (internal/codec) from end to end: the strict
+// plan decode into Req, the canonical key encoded from the
+// canonicalized request, and the typed response encoded at its exact
+// size, through its own AppendJSON when it has one (the sweep surface).
 func newOp[Req, Resp any](name string, build func(req *Req, workers int) (string, func(context.Context) (Resp, error), error)) op {
 	path := "/v1/" + name
 	return func(body []byte, workers int) (string, string, func(context.Context) ([]byte, error), error) {
@@ -44,7 +46,7 @@ func newOp[Req, Resp any](name string, build func(req *Req, workers int) (string
 		if err != nil {
 			return "", model, nil, err
 		}
-		key, err := canonicalKey(path, req)
+		key, err := canonicalKey(path, &req)
 		if err != nil {
 			return "", model, nil, err
 		}
@@ -53,41 +55,9 @@ func newOp[Req, Resp any](name string, build func(req *Req, workers int) (string
 			if err != nil {
 				return nil, err
 			}
-			// Responses that implement appender (large, hot ones like the
-			// sweep surface) skip the reflection encoder; the bytes are
-			// identical by contract, fuzz-checked per type.
-			if a, ok := any(resp).(appender); ok {
-				return appendExact(a)
-			}
-			return json.Marshal(resp)
+			return codec.Marshal(resp)
 		}, nil
 	}
-}
-
-// maxPooledEncode is the largest scratch buffer returned to encodeBufs;
-// a rare huge response must not pin its buffer for the life of the
-// process.
-const maxPooledEncode = 1 << 20
-
-var encodeBufs = sync.Pool{New: func() any { return new([]byte) }}
-
-// appendExact encodes a into a pooled scratch buffer and returns an
-// exact-size copy. The result outlives the request in the result cache,
-// so spare capacity there would be held for as long as the entry lives.
-func appendExact(a appender) ([]byte, error) {
-	bp := encodeBufs.Get().(*[]byte)
-	b, err := a.AppendJSON((*bp)[:0])
-	if err != nil {
-		encodeBufs.Put(bp)
-		return nil, err
-	}
-	out := make([]byte, len(b))
-	copy(out, b)
-	if cap(b) <= maxPooledEncode {
-		*bp = b
-		encodeBufs.Put(bp)
-	}
-	return out, nil
 }
 
 // streamOp is op's streaming counterpart (see stream.go): the same

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -11,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/calcm/heterosim/internal/codec"
 	"github.com/calcm/heterosim/internal/servecache"
 )
 
@@ -234,15 +236,16 @@ func TestCachedRepeatAllocs(t *testing.T) {
 
 // TestColdOptimizeAllocs pins the allocations of an optimize request
 // that runs Prepare and evaluates, the request and recorder included:
-// 60 with go1.24, and no slack, because the one above it is what
-// reporting the model through a pointer cost. Cache storage is off, so
-// neither the cache nor the memo answers the request. The race detector
-// changes allocation counts, so it skips under -race.
+// 44 with go1.24, and no slack. The codec's share is five: the decoded
+// request and its string arena, the key, and the boxed response and its
+// exact-size bytes. Cache storage is off, so neither the cache nor the
+// memo answers the request. The race detector changes allocation
+// counts, so it skips under -race.
 func TestColdOptimizeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
-	const pin = 60
+	const pin = 44
 	s := newTestServer(t, Config{CacheEntries: -1})
 	h := s.Handler()
 	send := func() {
@@ -257,5 +260,53 @@ func TestColdOptimizeAllocs(t *testing.T) {
 		t.Errorf("cold optimize allocates %.0f times, want <= %d", got, pin)
 	} else {
 		t.Logf("cold optimize allocates %.0f times", got)
+	}
+}
+
+// TestDecodeStrictAllocs pins the strict decode of an optimize body, its
+// target included, at the plan decoder's own count (the target and the
+// body's string arena): the strict rules cost nothing.
+func TestDecodeStrictAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	const pin = 2
+	body := []byte(benchOptimizeBody)
+	plan := testing.AllocsPerRun(200, func() {
+		if err := codec.Decode(body, new(OptimizeRequest)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	strict := testing.AllocsPerRun(200, func() {
+		if err := DecodeStrict(body, new(OptimizeRequest)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if strict > plan || strict > pin {
+		t.Errorf("strict decode allocates %.0f times, the plan decoder %.0f; want <= both and <= %d", strict, plan, pin)
+	}
+}
+
+// TestCanonicalKeyAllocs pins a canonical key at one allocation, the key
+// string, which the encoder writes in place, and checks its bytes.
+func TestCanonicalKeyAllocs(t *testing.T) {
+	req := &OptimizeRequest{Workload: "FFT-1024", F: 0.99, Node: "22nm", Objective: "speedup",
+		Design: DesignSpec{Kind: "het", Device: "ASIC"}}
+	want, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if key, err := canonicalKey("/v1/optimize", req); err != nil || key != "/v1/optimize\x00"+string(want) {
+		t.Fatalf("canonicalKey = %q, %v; want %q", key, err, "/v1/optimize\x00"+string(want))
+	}
+	if raceEnabled {
+		return // allocation counts differ under -race
+	}
+	if got := testing.AllocsPerRun(200, func() {
+		if _, err := canonicalKey("/v1/optimize", req); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 1 {
+		t.Errorf("canonicalKey allocates %.0f times, want 1", got)
 	}
 }

@@ -166,8 +166,15 @@ func buildCompare(req *CompareRequest, workers int) (string, func(context.Contex
 				Rows:       frontierRows(alt),
 				Crossovers: crossoverJSON(scenario.Crossovers(alt)),
 			}
-			for n, row := range scenario.Deltas(base, alt) {
+			deltas := scenario.Deltas(base, alt)
+			if len(deltas) > 0 {
+				pj.Deltas = make([]CompareNodeJSON, 0, len(deltas))
+			}
+			for n, row := range deltas {
 				nj := CompareNodeJSON{Node: pj.Rows[n].Node}
+				if len(row) > 0 {
+					nj.Deltas = make([]CompareDeltaJSON, 0, len(row))
+				}
 				for _, d := range row {
 					nj.Deltas = append(nj.Deltas, CompareDeltaJSON{
 						Label: d.Label, Valid: d.Valid, Base: d.Base, Alt: d.Alt, Delta: d.Delta,

@@ -94,7 +94,7 @@ func frontierRows(ts []project.Trajectory) []FrontierRowJSON {
 	}
 	rows := make([]FrontierRowJSON, 0, len(ts[0].Points))
 	for n := range ts[0].Points {
-		row := FrontierRowJSON{Node: ts[0].Points[n].Node.Name}
+		row := FrontierRowJSON{Node: ts[0].Points[n].Node.Name, Points: make([]FrontierPointJSON, 0, len(ts))}
 		best := 0.0
 		for _, t := range ts {
 			p := t.Points[n]
@@ -169,11 +169,7 @@ func buildFrontierStream(req *FrontierRequest, workers int) (string, streamFunc,
 		for _, t := range ts {
 			hdr.Designs = append(hdr.Designs, t.Design.Label)
 		}
-		line, err := json.Marshal(hdr)
-		if err != nil {
-			return err
-		}
-		if err := e.Emit(line); err != nil {
+		if err := e.EmitJSON(&hdr); err != nil {
 			return err
 		}
 		if err := e.Flush(); err != nil {
@@ -183,11 +179,7 @@ func buildFrontierStream(req *FrontierRequest, workers int) (string, streamFunc,
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			line, err := json.Marshal(rows[i])
-			if err != nil {
-				return err
-			}
-			if err := e.Emit(line); err != nil {
+			if err := e.EmitJSON(&rows[i]); err != nil {
 				return err
 			}
 			// One flush per node: the frontier draws itself a node at a
@@ -196,13 +188,9 @@ func buildFrontierStream(req *FrontierRequest, workers int) (string, streamFunc,
 				return err
 			}
 		}
-		trailer, err := json.Marshal(FrontierStreamTrailer{
+		return e.EmitJSON(&FrontierStreamTrailer{
 			Nodes:      len(rows),
 			Crossovers: crossoverJSON(scenario.Crossovers(ts)),
 		})
-		if err != nil {
-			return err
-		}
-		return e.Emit(trailer)
 	}, nil
 }

@@ -8,6 +8,7 @@ import (
 	"strconv"
 
 	"github.com/calcm/heterosim/internal/bounds"
+	"github.com/calcm/heterosim/internal/codec"
 	"github.com/calcm/heterosim/internal/core"
 	"github.com/calcm/heterosim/internal/sweep"
 )
@@ -149,7 +150,7 @@ func (c *coordCache) appendVal(b []byte, v float64) ([]byte, error) {
 		}
 	}
 	start := len(b)
-	b, err := appendFloat(b, v)
+	b, err := codec.AppendFloat(b, v)
 	if err != nil {
 		return nil, err
 	}
@@ -208,7 +209,7 @@ func (e *sweepEnc) appendPoint(b []byte, p *SweepPointJSON) ([]byte, error) {
 	}
 	if p.Limit != "" {
 		b = append(b, `,"limit":`...)
-		b = appendString(b, p.Limit)
+		b = codec.AppendString(b, p.Limit)
 	}
 	if p.EnergyNorm != 0 {
 		b = append(b, `,"energyNorm":`...)
@@ -219,20 +220,22 @@ func (e *sweepEnc) appendPoint(b []byte, p *SweepPointJSON) ([]byte, error) {
 	return append(b, '}'), nil
 }
 
-// AppendJSON implements appender: a sweep response is one point
-// per grid cell, and encoding a few thousand cells through reflection
-// costs more than evaluating them, so the surface writes itself. The
-// bytes are exactly json.Marshal's (TestSweepResponseAppendJSON fuzzes
-// the equivalence); keep both in sync when fields change.
+// AppendJSON implements codec.Appender: a sweep response is one point
+// per grid cell, and even the codec's plan walk costs more per cell
+// than this hand-written encoder with its coordinate text cache, so the
+// surface writes itself and the codec calls it. The bytes are exactly
+// json.Marshal's (TestSweepResponseAppendJSON and
+// FuzzAppendMatchesMarshal check the equivalence); keep both in sync
+// when fields change.
 func (r SweepResponse) AppendJSON(b []byte) ([]byte, error) {
 	var err error
 	var enc sweepEnc
 	b = append(b, `{"workload":`...)
-	b = appendString(b, r.Workload)
+	b = codec.AppendString(b, r.Workload)
 	b = append(b, `,"node":`...)
-	b = appendString(b, r.Node)
+	b = codec.AppendString(b, r.Node)
 	b = append(b, `,"design":`...)
-	b = appendString(b, r.Design)
+	b = codec.AppendString(b, r.Design)
 	b = append(b, `,"axes":`...)
 	if r.Axes == nil {
 		b = append(b, "null"...)
@@ -243,9 +246,9 @@ func (r SweepResponse) AppendJSON(b []byte) ([]byte, error) {
 				b = append(b, ',')
 			}
 			b = append(b, `{"name":`...)
-			b = appendString(b, r.Axes[i].Name)
+			b = codec.AppendString(b, r.Axes[i].Name)
 			b = append(b, `,"values":`...)
-			if b, err = appendFloats(b, r.Axes[i].Values); err != nil {
+			if b, err = codec.AppendFloats(b, r.Axes[i].Values); err != nil {
 				return nil, err
 			}
 			b = append(b, '}')
@@ -277,7 +280,7 @@ func (r SweepResponse) AppendJSON(b []byte) ([]byte, error) {
 	}
 	if r.Model != "" {
 		b = append(b, `,"model":`...)
-		b = appendString(b, r.Model)
+		b = codec.AppendString(b, r.Model)
 	}
 	return append(b, '}'), nil
 }

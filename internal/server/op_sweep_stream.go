@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 )
 
 // POST /v1/sweep?stream=ndjson — the sweep surface as NDJSON: one
@@ -72,17 +71,13 @@ func buildSweepStream(req *SweepRequest, workers int) (string, streamFunc, error
 		return name, nil, err
 	}
 	return name, func(ctx context.Context, e *streamEmitter) error {
-		hdr, err := json.Marshal(SweepStreamHeader{
+		if err := e.EmitJSON(&SweepStreamHeader{
 			Workload: plan.req.Workload,
 			Node:     plan.req.Node,
 			Design:   plan.design.Label,
 			Axes:     plan.axesJSON(),
 			Model:    plan.req.Model,
-		})
-		if err != nil {
-			return err
-		}
-		if err := e.Emit(hdr); err != nil {
+		}); err != nil {
 			return err
 		}
 		if err := e.Flush(); err != nil {
@@ -120,10 +115,6 @@ func buildSweepStream(req *SweepRequest, workers int) (string, streamFunc, error
 				return err
 			}
 		}
-		trailer, err := json.Marshal(SweepStreamTrailer{Feasible: red.feasible, Best: red.bestPtr()})
-		if err != nil {
-			return err
-		}
-		return e.Emit(trailer)
+		return e.EmitJSON(&SweepStreamTrailer{Feasible: red.feasible, Best: red.bestPtr()})
 	}, nil
 }

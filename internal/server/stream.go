@@ -2,10 +2,11 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"log/slog"
 	"net/http"
+
+	"github.com/calcm/heterosim/internal/codec"
 )
 
 // This file is the one generic NDJSON stream pipeline, written once
@@ -52,6 +53,22 @@ func (e *streamEmitter) Emit(line []byte) error {
 	e.started = true
 	e.buf = append(e.buf, line...)
 	e.buf = append(e.buf, '\n')
+	return nil
+}
+
+// EmitJSON buffers v's JSON encoding, json.Marshal's bytes from the
+// codec, as one line. An encoding error leaves the buffer as it was and
+// the stream not yet committed by this line.
+func (e *streamEmitter) EmitJSON(v any) error {
+	if e.dead {
+		return errStreamClientGone
+	}
+	b, err := codec.Append(e.buf, v)
+	if err != nil {
+		return err
+	}
+	e.started = true
+	e.buf = append(b, '\n')
 	return nil
 }
 
@@ -138,9 +155,8 @@ func (s *Server) streamError(ctx context.Context, name string, e *streamEmitter,
 		slog.String("endpoint", name),
 		slog.Int("status", ae.Status),
 		slog.String("error", err.Error()))
-	// A one-string struct always marshals.
-	line, _ := json.Marshal(SweepStreamError{Error: ae.Message})
-	if e.Emit(line) != nil {
+	// A one-string struct always encodes.
+	if e.EmitJSON(&SweepStreamError{Error: ae.Message}) != nil {
 		return
 	}
 	e.Flush()

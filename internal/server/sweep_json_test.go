@@ -125,12 +125,12 @@ func TestSweepResponseAppendJSONNonFinite(t *testing.T) {
 	}
 }
 
-// TestAppenderResultExactSize checks that the operation pipeline hands
-// back an Appender's bytes at exactly their length, so a cached sweep
-// holds no spare capacity, and that a repeat encode allocates only that
-// result. The cells carry 16–17-digit coordinates, longer than a
+// TestAppenderResultExactSizeAllocs checks that the operation pipeline
+// hands back an Appender's bytes at exactly their length, so a cached
+// sweep holds no spare capacity, and that a repeat encode allocates only
+// that result. The cells carry 16–17-digit coordinates, longer than a
 // fixed per-cell size guess would cover.
-func TestAppenderResultExactSize(t *testing.T) {
+func TestAppenderResultExactSizeAllocs(t *testing.T) {
 	r := &SweepResponse{Workload: "FFT-1024", Node: "40nm", Design: "het-ASIC", Model: "sqrtm"}
 	for i := 0; i < 200; i++ {
 		r.Points = append(r.Points, SweepPointJSON{
